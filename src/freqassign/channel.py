@@ -23,6 +23,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 TWO_PI = 2.0 * math.pi
 
 
+def _positive_finite(*values) -> bool:
+    """True when every value is a finite number above zero (NaN fails)."""
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Physical constants entering the propagation formulas."""
@@ -30,8 +35,8 @@ class PhysicalConstants:
     c: float = SPEED_OF_LIGHT  # speed of light [m/s]
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("speed of light must be positive")
+        if not _positive_finite(self.c):
+            raise ValueError("speed of light must be positive and finite")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -45,8 +50,8 @@ class SceneGeometry:
     h_rx: float
 
     def __post_init__(self):
-        if self.h_tx <= 0 or self.h_rx <= 0:
-            raise ValueError("antenna heights must be positive")
+        if not _positive_finite(self.h_tx, self.h_rx):
+            raise ValueError("antenna heights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +61,8 @@ class CarrierFrequency:
     f: float
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError("frequency must be positive")
+        if not _positive_finite(self.f):
+            raise ValueError("frequency must be positive and finite")
 
     @property
     def omega(self) -> float:
@@ -73,8 +78,8 @@ class FrequencyPair:
     f2: float
 
     def __post_init__(self):
-        if self.f1 <= 0 or self.f2 <= 0:
-            raise ValueError("frequencies must be positive")
+        if not _positive_finite(self.f1, self.f2):
+            raise ValueError("frequencies must be positive and finite")
         if not self.f1 < self.f2:
             raise ValueError("pair requires f1 < f2")
 
@@ -119,6 +124,29 @@ class PathLengths:
     l_ref: float
 
 
+def _ray_terms(geom: SceneGeometry, d):
+    """Unchecked (l_los, l_ref, q) at distances d, q = l_ref - l_los; broadcasts."""
+    dh = geom.h_tx - geom.h_rx
+    hs = geom.h_tx + geom.h_rx
+    d_sq = d * d
+    l_los = np.sqrt(dh * dh + d_sq)
+    l_ref = np.sqrt(hs * hs + d_sq)
+    return l_los, l_ref, 4.0 * geom.h_tx * geom.h_rx / (l_los + l_ref)
+
+
+def _checked_ray_terms(geom: SceneGeometry, d, p_t: float):
+    """Validate a power query and return its (l_los, l_ref, q)."""
+    if p_t <= 0:
+        raise ValueError("transmit power must be positive")
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
+        raise ValueError("ground distance must be nonnegative")
+    l_los, l_ref, q = _ray_terms(geom, d)
+    if np.any(l_los == 0.0):
+        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
+    return l_los, l_ref, q
+
+
 def path_lengths(geom: SceneGeometry, d) -> PathLengths:
     """Path lengths of the direct and ground-reflected rays.
 
@@ -130,8 +158,7 @@ def path_lengths(geom: SceneGeometry, d) -> PathLengths:
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("ground distance must be nonnegative")
-    l_los = np.sqrt((geom.h_tx - geom.h_rx) ** 2 + d**2)
-    l_ref = np.sqrt((geom.h_tx + geom.h_rx) ** 2 + d**2)
+    l_los, l_ref, _ = _ray_terms(geom, d)
     if d.ndim == 0:
         return PathLengths(float(l_los), float(l_ref))
     return PathLengths(l_los, l_ref)
@@ -146,6 +173,18 @@ def path_difference(geom: SceneGeometry, d):
     """
     lens = path_lengths(geom, d)
     return 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)
+
+
+def _invert_path_difference(geom: SceneGeometry, q):
+    """Distance at which l_ref - l_los equals q, clamped to q's valid range.
+
+    l_los = (4*h_tx*h_rx - q^2)/(2q) and d^2 = l_los^2 - (h_tx - h_rx)^2;
+    q above its supremum 2*min(h_tx, h_rx) maps to d = 0.  Broadcasts.
+    """
+    q = np.minimum(q, 2.0 * min(geom.h_tx, geom.h_rx))
+    l_los = (4.0 * geom.h_tx * geom.h_rx - q * q) / (2.0 * q)
+    dh = geom.h_tx - geom.h_rx
+    return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))
 
 
 def phase_shift(
@@ -175,13 +214,34 @@ def max_phase_shift(
     return 2.0 * freq.omega * min(geom.h_tx, geom.h_rx) / constants.c
 
 
+def _k_max(geom: SceneGeometry, omega, c: float):
+    """Number of nulls at angular rate(s) omega, as float; broadcasts."""
+    return np.floor(2.0 * omega * min(geom.h_tx, geom.h_rx) / c / TWO_PI)
+
+
 def k_max(
     geom: SceneGeometry,
     freq: CarrierFrequency,
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> int:
     """Number of destructive-interference minima over d in (0, inf)."""
-    return int(math.floor(max_phase_shift(geom, freq, constants) / TWO_PI))
+    return int(_k_max(geom, freq.omega, constants.c))
+
+
+def _null_distance(geom: SceneGeometry, omega, k, c: float):
+    """Distance of the k-th null at angular rate omega; broadcasts over both.
+
+    Only meaningful for 1 <= k <= k_max; see :func:`null_distances`.
+    """
+    ck = c * math.pi * k
+    w_rx = omega * geom.h_rx
+    w_tx = omega * geom.h_tx
+    a = ck * ck - w_rx * w_rx
+    b = ck * ck - w_tx * w_tx
+    scale = omega * c * math.pi * k
+    # Both factors are <= 0 for k <= k_max; clamp the tiny negative products
+    # that roundoff can produce right at the k_max boundary.
+    return np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))
 
 
 def null_distances(
@@ -199,17 +259,46 @@ def null_distances(
     for k = 1..k_max.  Returns an empty array when k_max is zero.
     """
     n = k_max(geom, freq, constants)
-    if n == 0:
-        return np.empty(0)
     k = np.arange(1, n + 1, dtype=float)
-    omega = freq.omega
-    c = constants.c
-    a = (c * math.pi * k) ** 2 - (omega * geom.h_rx) ** 2
-    b = (c * math.pi * k) ** 2 - (omega * geom.h_tx) ** 2
-    # Both factors are <= 0 for k <= k_max; clamp the tiny negative products
-    # that roundoff can produce right at the k_max boundary.
-    d_sq = np.maximum(a * b, 0.0) / (omega * c * math.pi * k) ** 2
-    return np.sqrt(d_sq)
+    return _null_distance(geom, freq.omega, k, constants.c)
+
+
+def _single_coeffs(omega, p_t: float, c: float):
+    """Per-carrier constants of :func:`receive_power_single`; broadcasts."""
+    a = c / (2.0 * omega)
+    return p_t * (a * a), omega / c
+
+
+def _single_power(coeffs, l_los, l_ref, q):
+    """Single-carrier power from :func:`_single_coeffs` and ray terms."""
+    amplitude, rate = coeffs
+    radial = 1.0 / l_los - 1.0 / l_ref
+    cross = 2.0 * (1.0 - np.cos(rate * q)) / (l_los * l_ref)
+    return amplitude * (radial * radial + cross)
+
+
+def _lower_bound_coeffs(f1, f2, p_t: float, c: float):
+    """Per-pair constants of :func:`sum_power_lower_bound`; broadcasts.
+
+    With a_i = (P_t/2)*(c/2)^2/omega_i^2 the bound reads
+    (a1 + a2)*(1/l^2 + 1/lr^2) - (2/(l*lr))*sqrt(a1^2 + a2^2 + 2*a1*a2*cos(phase)).
+    """
+    w1 = TWO_PI * f1
+    w2 = TWO_PI * f2
+    half_c = 0.5 * c
+    scale = 0.5 * p_t * (half_c * half_c)
+    a1 = scale / (w1 * w1)
+    a2 = scale / (w2 * w2)
+    return a1 + a2, a1 * a1 + a2 * a2, 2.0 * a1 * a2, TWO_PI * (f2 - f1) / c
+
+
+def _lower_bound_power(coeffs, l_los, l_ref, q):
+    """Envelope lower bound from :func:`_lower_bound_coeffs` and ray terms."""
+    radial_coeff, env_const, env_cross, rate = coeffs
+    radial = 1.0 / (l_los * l_los) + 1.0 / (l_ref * l_ref)
+    # env_sq >= (a1 - a2)^2 analytically; clamp fp undershoot.
+    env_sq = np.maximum(env_const + env_cross * np.cos(rate * q), 0.0)
+    return radial_coeff * radial - 2.0 / (l_los * l_ref) * np.sqrt(env_sq)
 
 
 def receive_power_single(
@@ -240,17 +329,8 @@ def receive_power_single(
     p_t : float
         Transmit power [W].
     """
-    if p_t <= 0:
-        raise ValueError("transmit power must be positive")
-    lens = path_lengths(geom, d)
-    if np.any(np.asarray(lens.l_los) == 0.0):
-        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
-    c = constants.c
-    omega = freq.omega
-    dphi = omega / c * (4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref))
-    amplitude = p_t * (c / (2.0 * omega)) ** 2
-    cross = 2.0 * (1.0 - np.cos(dphi)) / (lens.l_los * lens.l_ref)
-    return amplitude * ((1.0 / lens.l_los - 1.0 / lens.l_ref) ** 2 + cross)
+    terms = _checked_ray_terms(geom, d, p_t)
+    return _single_power(_single_coeffs(freq.omega, p_t, constants.c), *terms)
 
 
 def sum_power_two(
@@ -269,18 +349,13 @@ def sum_power_two(
 
     and equals receive_power_single at omega1 plus omega2, each at P_t/2.
     """
-    if p_t <= 0:
-        raise ValueError("transmit power must be positive")
-    lens = path_lengths(geom, d)
-    if np.any(np.asarray(lens.l_los) == 0.0):
-        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
+    l_los, l_ref, q = _checked_ray_terms(geom, d, p_t)
     c = constants.c
     w1, w2 = pair.omega1, pair.omega2
-    q = 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)
     inv_w = 1.0 / w1**2 + 1.0 / w2**2
-    radial = 1.0 / lens.l_los**2 + 1.0 / lens.l_ref**2
+    radial = 1.0 / l_los**2 + 1.0 / l_ref**2
     cross = (np.cos(w1 / c * q) / w1**2 + np.cos(w2 / c * q) / w2**2)
-    bracket = inv_w * radial - 2.0 / (lens.l_los * lens.l_ref) * cross
+    bracket = inv_w * radial - 2.0 / (l_los * l_ref) * cross
     return 0.5 * p_t * (c / 2.0) ** 2 * bracket
 
 
@@ -303,25 +378,9 @@ def sum_power_lower_bound(
 
     Guaranteed <= sum_power_two(d) for every distance.
     """
-    if p_t <= 0:
-        raise ValueError("transmit power must be positive")
-    lens = path_lengths(geom, d)
-    if np.any(np.asarray(lens.l_los) == 0.0):
-        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
-    c = constants.c
-    w1, w2 = pair.omega1, pair.omega2
-    q = 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)
-    inv_w = 1.0 / w1**2 + 1.0 / w2**2
-    radial = 1.0 / lens.l_los**2 + 1.0 / lens.l_ref**2
-    env_sq = (
-        1.0 / w1**4
-        + 1.0 / w2**4
-        + 2.0 * np.cos(pair.delta_omega / c * q) / (w1**2 * w2**2)
-    )
-    # env_sq >= (1/w1^2 - 1/w2^2)^2 analytically; clamp fp undershoot.
-    envelope = np.sqrt(np.maximum(env_sq, 0.0))
-    bracket = inv_w * radial - 2.0 / (lens.l_los * lens.l_ref) * envelope
-    return 0.5 * p_t * (c / 2.0) ** 2 * bracket
+    terms = _checked_ray_terms(geom, d, p_t)
+    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t, constants.c)
+    return _lower_bound_power(coeffs, *terms)
 
 
 def envelope_identity_residual(omega1, omega2, t):

@@ -12,21 +12,19 @@ worst case already carries the power split between the carriers.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
     DEFAULT_CONSTANTS,
-    TWO_PI,
     CarrierFrequency,
     FrequencyPair,
     PhysicalConstants,
     SceneGeometry,
-    path_lengths,
+    _positive_finite,
 )
-from .worstcase import DistanceInterval, worst_case_pair, worst_case_single
+from .worstcase import DistanceInterval, _worst_cases, worst_case_pair, worst_case_single
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,8 @@ class UserProfile:
     interval: DistanceInterval
 
     def __post_init__(self):
-        if self.h_rx <= 0:
-            raise ValueError("receiver height must be positive")
+        if not _positive_finite(self.h_rx):
+            raise ValueError("receiver height must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,10 @@ class SystemConfig:
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
-        if self.h_tx <= 0:
-            raise ValueError("transmitter height must be positive")
-        if self.p_t <= 0:
-            raise ValueError("transmit power must be positive")
+        if not _positive_finite(self.h_tx):
+            raise ValueError("transmitter height must be positive and finite")
+        if not _positive_finite(self.p_t):
+            raise ValueError("transmit power must be positive and finite")
 
 
 def single_profit(user: UserProfile, freq: CarrierFrequency, system: SystemConfig) -> float:
@@ -146,52 +144,24 @@ class ProfitTable:
         return cls.from_dict(json.loads(text))
 
 
-def _pair_worst_cases(user: UserProfile, hz: np.ndarray, system: SystemConfig) -> np.ndarray:
-    """Two-frequency worst cases of one user for every unordered pair, (N, N).
+def _user_worst_cases(
+    user: UserProfile, hz: np.ndarray, system: SystemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One user's single worst cases (N,) and symmetric joint profits (N, N).
 
-    Most pairs in a narrow band have no spacing null anywhere near the
-    interval, so their worst case is just the smaller of the two endpoint
-    bound values; those are evaluated for all pairs at once with the same
-    formula :func:`freqassign.channel.sum_power_lower_bound` uses.  Pairs
-    whose spacing phase admits a null (or its polished basin) within half
-    an oscillation of the interval are referred to
-    :func:`freqassign.worstcase.worst_case_pair` instead.
+    One batched call covers all carriers and one covers every unordered
+    pair, so each entry is bit-identical to the scalar
+    :func:`single_profit` / :func:`freqassign.worstcase.worst_case_pair`.
     """
     geom = SceneGeometry(system.h_tx, user.h_rx)
-    c = system.constants.c
-    ends = np.array([user.interval.d_min, user.interval.d_max])
-    lens = path_lengths(geom, ends)
-    q = 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)  # (2,)
-    radial = 1.0 / lens.l_los**2 + 1.0 / lens.l_ref**2
-    cross_amp = 2.0 / (lens.l_los * lens.l_ref)
-
-    w = TWO_PI * hz
-    w1 = np.minimum(w[:, None], w[None, :])[..., None]  # lower carrier
-    w2 = np.maximum(w[:, None], w[None, :])[..., None]
-    dw = TWO_PI * np.abs(hz[:, None] - hz[None, :])[..., None]
-    inv_w = 1.0 / w1**2 + 1.0 / w2**2
-    env_sq = 1.0 / w1**4 + 1.0 / w2**4 + 2.0 * np.cos(dw / c * q) / (w1**2 * w2**2)
-    bracket = inv_w * radial - cross_amp * np.sqrt(np.maximum(env_sq, 0.0))
-    endpoint_floor = (0.5 * system.p_t * (c / 2.0) ** 2 * bracket).min(axis=-1)
-
-    # Gate: a spacing null d_k (phase 2*pi*k) matters only if some k <=
-    # k_max lands within +-pi of the interval's phase range; widen the
-    # rounding by an epsilon so borderline pairs take the exact path.
-    phase = dw[..., 0] / c * q[:, None, None]  # (2, N, N): [at d_min, at d_max]
-    kmax_pair = np.floor(dw[..., 0] * min(geom.h_tx, geom.h_rx) / (math.pi * c))
-    k_lo = np.maximum(1.0, np.ceil((phase[1] - math.pi) / TWO_PI - 1e-9))
-    k_hi = np.minimum(kmax_pair, np.floor((phase[0] + math.pi) / TWO_PI + 1e-9))
-    needs_exact = k_lo <= k_hi
-
-    worst = endpoint_floor
-    for i, j in zip(*np.nonzero(np.triu(needs_exact, k=1))):
-        fp = FrequencyPair.of(float(hz[i]), float(hz[j]))
-        value = worst_case_pair(
-            geom, user.interval, fp, system.p_t, system.constants
-        ).power
-        worst[i, j] = value
-        worst[j, i] = value
-    return worst
+    p_t, c = system.p_t, system.constants.c
+    single = _worst_cases(geom, user.interval, hz, None, p_t, c)[0]
+    i, j = np.triu_indices(hz.size, k=1)
+    lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])
+    both = _worst_cases(geom, user.interval, lo, hi, p_t, c)[0]
+    upper = np.zeros((hz.size, hz.size))
+    upper[i, j] = both - single[i] - single[j]
+    return single, upper + upper.T  # exact symmetry, zero diagonal
 
 
 def build_profit_table(
@@ -205,16 +175,8 @@ def build_profit_table(
     hz = np.array([fr.f for fr in freqs])
     if np.unique(hz).size != hz.size:
         raise ValueError("frequencies must be pairwise distinct")
-    n_users, n_freqs = len(users), len(freqs)
-    single = np.zeros((n_users, n_freqs))
-    pair = np.zeros((n_users, n_freqs, n_freqs))
+    single = np.zeros((len(users), hz.size))
+    pair = np.zeros((len(users), hz.size, hz.size))
     for u, user in enumerate(users):
-        geom = SceneGeometry(system.h_tx, user.h_rx)
-        for i, fr in enumerate(freqs):
-            single[u, i] = worst_case_single(
-                geom, user.interval, fr, system.p_t, system.constants
-            ).power
-        both = _pair_worst_cases(user, hz, system)
-        upper = np.triu(both - single[u, :, None] - single[u, None, :], k=1)
-        pair[u] = upper + upper.T  # exact symmetry, zero diagonal
+        single[u], pair[u] = _user_worst_cases(user, hz, system)
     return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)

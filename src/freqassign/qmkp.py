@@ -49,7 +49,12 @@ class Instance:
             raise ValueError("profits must have shape (n_knapsacks, n_items)")
         if self.joint_profits.shape != (k, n, n):
             raise ValueError("joint profits must have shape (n_knapsacks, n_items, n_items)")
-        if not np.allclose(self.joint_profits, self.joint_profits.transpose(0, 2, 1)):
+        # Joint profits are tiny in watts (~1e-8), so the absolute slack must
+        # scale with the data; a fixed atol would accept any such tensor.
+        scale = np.max(np.abs(self.joint_profits), initial=0.0)
+        if not np.allclose(
+            self.joint_profits, self.joint_profits.transpose(0, 2, 1), atol=1e-9 * scale
+        ):
             raise ValueError("joint profits must be symmetric in the item indices")
 
     @property

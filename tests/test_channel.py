@@ -306,6 +306,22 @@ class TestConstants:
         with pytest.raises(ValueError):
             PhysicalConstants(c=0.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PhysicalConstants(c=math.inf),
+            lambda: SceneGeometry(math.nan, 1.5),
+            lambda: SceneGeometry(10.0, math.inf),
+            lambda: CarrierFrequency(math.nan),
+            lambda: CarrierFrequency(math.inf),
+            lambda: FrequencyPair(math.nan, 2.4e9),
+            lambda: FrequencyPair(2.4e9, math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_frequency_types(self):
         freq = CarrierFrequency(2.4e9)
         assert freq.omega == pytest.approx(TWO_PI * 2.4e9, rel=1e-15)

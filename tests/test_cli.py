@@ -238,6 +238,15 @@ class TestAssign:
         assert code != 0
         assert "entry 0" in err
 
+    def test_non_finite_user_values_rejected(self, capsys, tmp_path, freqs_file):
+        bad = tmp_path / "nan.json"
+        bad.write_text('[{"h_rx_m": NaN, "d_min_m": 30.0, "d_max_m": 60.0}]')
+        code, _, err = run(
+            capsys, ["assign", "--users", str(bad), "--freqs", freqs_file]
+        )
+        assert code != 0
+        assert "entry 0" in err
+
     def test_greedy_usually_beats_random(self, capsys, users_file):
         # reported, not asserted per instance: compare the two averages on
         # one fixed draw

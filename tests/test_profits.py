@@ -185,6 +185,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             UserProfile(0.0, DistanceInterval(10.0, 20.0))
 
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError):
+            UserProfile(math.nan, DistanceInterval(10.0, 20.0))
+        with pytest.raises(ValueError):
+            SystemConfig(h_tx=math.inf)
+        with pytest.raises(ValueError):
+            SystemConfig(h_tx=10.0, p_t=math.nan)
+
     def test_invalid_system_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(h_tx=-1.0)

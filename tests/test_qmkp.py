@@ -417,6 +417,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Instance(np.ones(2), [2.0], np.zeros((1, 2)), joint)
 
+    def test_watt_scale_antisymmetric_joint_profits_rejected(self):
+        # real pair profits are about 1e-8 W, so a fixed atol of 1e-8 would pass this
+        joint = np.zeros((1, 3, 3))
+        joint[0, 0, 1], joint[0, 1, 0] = 5e-9, -5e-9
+        with pytest.raises(ValueError):
+            Instance(np.ones(3), [2.0], np.zeros((1, 3)), joint)
+
 
 class TestPerKnapsackProfits:
     def test_sums_to_objective(self):

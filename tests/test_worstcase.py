@@ -36,6 +36,11 @@ class TestDistanceInterval:
         with pytest.raises(ValueError):
             DistanceInterval(20.0, 10.0)
 
+    @pytest.mark.parametrize("bounds", [(30.0, np.inf), (np.nan, 40.0), (30.0, np.nan)])
+    def test_non_finite_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            DistanceInterval(*bounds)
+
     def test_degenerate_allowed(self):
         iv = DistanceInterval(30.0, 30.0)
         assert iv.contains(30.0)
@@ -95,6 +100,13 @@ class TestWorstCasePair:
         result = worst_case_pair(EX_GEOM, iv, EX_PAIR)
         assert result.power == sum_power_lower_bound(EX_GEOM, 50.0, EX_PAIR)
         assert result.candidate_kind == LOWER_ENDPOINT
+
+    def test_invalid_transmit_power_rejected(self):
+        for p_t in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                worst_case_pair(EX_GEOM, EX_INTERVAL, EX_PAIR, p_t)
+            with pytest.raises(ValueError):
+                worst_case_single(EX_GEOM, EX_INTERVAL, EX_FREQ_HIGH, p_t)
 
     def test_reported_power_matches_argmin(self):
         rng = np.random.default_rng(35)
