@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .bench import ScenarioConfig, export_report, run_benchmark
+from .bench import SOLVERS, ScenarioConfig, export_report, run_benchmark
 from .channel import (
     CarrierFrequency,
     FrequencyPair,
@@ -31,16 +31,7 @@ from .channel import (
     to_decibel,
 )
 from .profits import SystemConfig, UserProfile, build_profit_table
-from .qmkp import (
-    Instance,
-    assign_random,
-    assign_rr_block,
-    assign_rr_profits,
-    assign_rr_simple,
-    greedy_construct,
-    objective,
-    per_knapsack_profits,
-)
+from .qmkp import Instance, objective, per_knapsack_profits
 from .worstcase import (
     DistanceInterval,
     grid_min,
@@ -49,15 +40,8 @@ from .worstcase import (
     worst_case_single,
 )
 
-SCHEME_CHOICES = ("greedy", "random", "rr-simple", "rr-block", "rr-profits", "all")
-
-_SOLVERS = {
-    "greedy": lambda inst, seed: greedy_construct(inst),
-    "random": lambda inst, seed: assign_random(inst, seed),
-    "rr-simple": lambda inst, seed: assign_rr_simple(inst),
-    "rr-block": lambda inst, seed: assign_rr_block(inst),
-    "rr-profits": lambda inst, seed: assign_rr_profits(inst),
-}
+# The bench registry's names, hyphenated as command-line words.
+SCHEME_CHOICES = tuple(name.replace("_", "-") for name in SOLVERS) + ("all",)
 
 
 def _fmt(x: float) -> str:
@@ -203,10 +187,10 @@ def cmd_assign(args) -> int:
     system = SystemConfig(h_tx=args.htx, p_t=args.pt)
     table = build_profit_table(users, freqs, system)
     instance = Instance.from_profit_table(table)
-    schemes = list(_SOLVERS) if args.scheme == "all" else [args.scheme]
+    schemes = SCHEME_CHOICES[:-1] if args.scheme == "all" else [args.scheme]
     blocks = []
     for scheme in schemes:
-        assignment = _SOLVERS[scheme](instance, args.seed)
+        assignment = SOLVERS[scheme.replace("-", "_")](instance, args.seed)
         per_user = per_knapsack_profits(instance, assignment)
         total = objective(instance, assignment)
         avg = total / len(users)

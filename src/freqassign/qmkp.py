@@ -8,10 +8,13 @@ profits may be negative; nothing here assumes otherwise.
 
 The greedy constructive solver repeatedly assigns the (item, knapsack)
 combination of highest value density that still fits, then refreshes the
-densities of the remaining items against the knapsack contents.  An
-exhaustive enumerator serves as the optimality oracle on small instances,
-and four baseline schemes cover the frequency-assignment instantiation
-(unit weights, capacity two).
+densities of the remaining items against the knapsack contents.  The
+densities live in one (N, K) array.  A placement into knapsack u changes
+only column u, so each step costs one masked argmax over the N*K entries
+plus one O(N*|S_u|) refresh of that column, where S_u is the content of
+knapsack u.  An exhaustive enumerator serves as the optimality oracle on
+small instances, and four baseline schemes cover the frequency-assignment
+instantiation (unit weights, capacity two).
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class Instance:
             self, "joint_profits", np.asarray(self.joint_profits, dtype=float)
         )
         n, k = self.n_items, self.n_knapsacks
+        for name in ("weights", "capacities", "profits", "joint_profits"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.weights < 0) or np.any(self.capacities < 0):
             raise ValueError("weights and capacities must be nonnegative")
         if self.profits.shape != (k, n):
@@ -198,14 +204,32 @@ def value_density(instance: Instance, u: int, i: int, context) -> float:
     return float(total / w)
 
 
+def _profit_sums(profits: np.ndarray, joint: np.ndarray, context) -> np.ndarray:
+    """``profits[..., i] + sum_{j in context, j != i} joint[..., i, j]`` for every item i.
+
+    The terms are added one context item at a time, in the context's
+    iteration order: the same additions, in the same order, that
+    ``value_density`` makes for each entry, so the sums agree bit for bit.
+    The ``j == i`` term is skipped by slicing around it, not assumed zero.
+    """
+    total = np.array(profits, dtype=float)
+    for j in context:
+        total[..., :j] += joint[..., :j, j]
+        total[..., j + 1 :] += joint[..., j + 1 :, j]
+    return total
+
+
 def value_density_matrix(instance: Instance, context) -> np.ndarray:
-    """(N, K) matrix of value densities against a common context set."""
-    ctx = [j for j in context]
-    v = np.empty((instance.n_items, instance.n_knapsacks))
-    for i in range(instance.n_items):
-        for u in range(instance.n_knapsacks):
-            v[i, u] = value_density(instance, u, i, ctx)
-    return v
+    """(N, K) matrix of value densities against a common context set.
+
+    Entry ``[i, u]`` equals ``value_density(instance, u, i, context)``.
+    """
+    ctx = [int(j) for j in context]
+    if any(not 0 <= j < instance.n_items for j in ctx):
+        raise ValueError("context item index out of range")
+    if instance.n_knapsacks and np.any(instance.weights == 0):
+        raise ValueError("value density undefined for zero-weight items")
+    return (_profit_sums(instance.profits, instance.joint_profits, ctx) / instance.weights).T
 
 
 GreedyStep = namedtuple("GreedyStep", ["item", "knapsack", "density"])
@@ -226,6 +250,14 @@ def greedy_construct(
     Ties break towards the lower item index, then the lower knapsack index.
     Stops when no unassigned item fits anywhere.
 
+    The densities are one (N, K) array, equal bit for bit to
+    ``value_density``.  The first placement switches every column's context
+    from the unassigned set to the knapsack contents, so all columns are
+    rebuilt once; after that a placement into knapsack u changes only
+    column u.  Each step therefore costs one argmax over the N*K entries,
+    masked to free items that fit, plus one O(N*|S_u|) column refresh.  A
+    row-major argmax picks the first maximum, which is the tie-break above.
+
     With ``return_trace`` the assigned (item, knapsack, density) steps are
     returned alongside the final assignment.
     """
@@ -234,37 +266,37 @@ def greedy_construct(
     if not feasible(instance, initial):
         raise ValueError("initial assignment is infeasible")
 
+    k = instance.n_knapsacks
+    p, jp, w = instance.profits, instance.joint_profits, instance.weights
     contents = [set(items) for items in initial.knapsacks]
     remaining = instance.capacities - np.array(
-        [sum(instance.weights[i] for i in items) for items in contents]
+        [sum(w[i] for i in items) for items in contents]
     )
     unassigned = set(range(instance.n_items)) - initial.assigned_items()
-    density = np.full((instance.n_items, instance.n_knapsacks), -np.inf)
-    for i in unassigned:
-        for u in range(instance.n_knapsacks):
-            density[i, u] = value_density(instance, u, i, unassigned)
+    free = np.zeros(instance.n_items, dtype=bool)
+    free[list(unassigned)] = True
+    if k and np.any(w[free] == 0):
+        raise ValueError("value density undefined for zero-weight items")
+    # Rows of items that are not free are never read.
+    density = np.divide(
+        _profit_sums(p, jp, unassigned).T,
+        w[:, None],
+        out=np.full((instance.n_items, k), -np.inf),
+        where=free[:, None],
+    )
 
     trace: list[GreedyStep] = []
-    while unassigned:
-        ranked = sorted(
-            ((density[i, u], i, u) for i in unassigned for u in range(instance.n_knapsacks)),
-            key=lambda c: (-c[0], c[1], c[2]),
-        )
-        placed = None
-        for d, i, u in ranked:
-            if instance.weights[i] <= remaining[u]:
-                placed = (i, u, d)
-                break
-        if placed is None:
+    while True:
+        fits = np.flatnonzero(free[:, None] & (w[:, None] <= remaining))
+        if fits.size == 0:
             break
-        i, u, d = placed
+        i, u = divmod(int(fits[np.argmax(density.ravel()[fits])]), k)
         contents[u].add(i)
-        unassigned.remove(i)
-        remaining[u] -= instance.weights[i]
-        trace.append(GreedyStep(i, u, d))
-        for j in unassigned:
-            for v in range(instance.n_knapsacks):
-                density[j, v] = value_density(instance, v, j, contents[v])
+        free[i] = False
+        remaining[u] -= w[i]
+        trace.append(GreedyStep(i, u, density[i, u]))
+        for v in range(k) if len(trace) == 1 else (u,):
+            np.divide(_profit_sums(p[v], jp[v], contents[v]), w, out=density[:, v], where=free)
 
     result = Assignment(tuple(frozenset(s) for s in contents))
     if return_trace:
@@ -372,15 +404,17 @@ def assign_rr_profits(instance: Instance) -> Assignment:
     _require_frequency_shape(instance)
     n, k = instance.n_items, instance.n_knapsacks
     lists: list[list[int]] = [[] for _ in range(k)]
-    taken: set[int] = set()
+    free = np.ones(n, dtype=bool)
     for _ in range(2):
         for u in range(k):
-            free = [i for i in range(n) if i not in taken]
-            if not free:
+            candidates = np.flatnonzero(free)
+            if candidates.size == 0:
                 break
-            best = max(free, key=lambda i: (value_density(instance, u, i, lists[u]), -i))
+            density = _profit_sums(instance.profits[u], instance.joint_profits[u], lists[u])
+            density /= instance.weights
+            best = int(candidates[np.argmax(density[candidates])])
             lists[u].append(best)
-            taken.add(best)
+            free[best] = False
     return Assignment.from_lists(lists)
 
 

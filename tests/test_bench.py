@@ -12,7 +12,9 @@ from freqassign import (
     run_benchmark,
     run_trial,
 )
-from freqassign.bench import SCHEMES
+from freqassign import bench
+from freqassign.bench import SCHEMES, SOLVERS
+from freqassign.cli import SCHEME_CHOICES
 
 SMALL = ScenarioConfig(n_users=2, n_freqs=6, trials=3, master_seed=99)
 
@@ -96,6 +98,30 @@ class TestRunTrial:
                 10.0 * math.log10(result.objectives_w[scheme] / 2.0), rel=1e-12
             )
         assert result.greedy_time_s > 0.0
+
+    def test_solvers_looked_up_at_call_time(self, monkeypatch):
+        # a rebound module attribute (as a tracer installs) must see the calls
+        calls = []
+
+        def recording(name, solver):
+            def wrapper(*args):
+                calls.append(name)
+                return solver(*args)
+
+            return wrapper
+
+        names = ["greedy_construct", "assign_random", "assign_rr_simple",
+                 "assign_rr_block", "assign_rr_profits"]
+        for name in names:
+            monkeypatch.setattr(bench, name, recording(name, getattr(bench, name)))
+        users, freqs = generate_scenario(SMALL, 0)
+        run_trial(users, freqs, SystemConfig(h_tx=10.0), random_seed=1)
+        assert calls == names
+
+
+def test_one_scheme_registry():
+    assert SCHEMES == tuple(SOLVERS)
+    assert SCHEME_CHOICES == ("greedy", "random", "rr-simple", "rr-block", "rr-profits", "all")
 
 
 class TestRunBenchmark:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -423,6 +424,28 @@ class TestSerialization:
         joint[0, 0, 1], joint[0, 1, 0] = 5e-9, -5e-9
         with pytest.raises(ValueError):
             Instance(np.ones(3), [2.0], np.zeros((1, 3)), joint)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["weights", "capacities", "profits", "joint_profits"])
+    def test_non_finite_values_rejected(self, field, bad):
+        data = random_instance(np.random.default_rng(29), 3, 2).to_dict()
+        array = np.array(data[field])
+        if field == "joint_profits":
+            array[0, 0, 1] = array[0, 1, 0] = bad  # symmetric, so only finiteness fails
+        else:
+            array.flat[-1] = bad
+        data[field] = array
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Instance.from_dict(data)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_rejected(self, token):
+        # json.loads accepts these tokens, so the constructor must refuse them
+        text = random_instance(np.random.default_rng(30), 3, 2).to_json()
+        data = json.loads(text)
+        data["profits"][1][2] = "TOKEN"
+        with pytest.raises(ValueError, match="profits must be finite"):
+            Instance.from_json(json.dumps(data).replace('"TOKEN"', token))
 
 
 class TestPerKnapsackProfits:
