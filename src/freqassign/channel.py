@@ -29,20 +29,6 @@ def _positive_finite(*values) -> bool:
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Physical constants entering the propagation formulas."""
-
-    c: float = SPEED_OF_LIGHT  # speed of light [m/s]
-
-    def __post_init__(self):
-        if not _positive_finite(self.c):
-            raise ValueError("speed of light must be positive and finite")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class SceneGeometry:
     """Antenna heights above the reflecting ground plane, in meters."""
 
@@ -187,68 +173,56 @@ def _invert_path_difference(geom: SceneGeometry, q):
     return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))
 
 
-def phase_shift(
-    geom: SceneGeometry,
-    d,
-    freq: CarrierFrequency,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-):
+def phase_shift(geom: SceneGeometry, d, freq: CarrierFrequency):
     """Relative phase (omega/c)*(l_ref - l_los) between the two rays [rad].
 
     Strictly decreasing in d: it falls from :func:`max_phase_shift` at d=0
     towards zero as d grows.  Destructive interference occurs at multiples
     of 2*pi.
     """
-    return freq.omega / constants.c * path_difference(geom, d)
+    return freq.omega / SPEED_OF_LIGHT * path_difference(geom, d)
 
 
-def max_phase_shift(
-    geom: SceneGeometry,
-    freq: CarrierFrequency,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def _max_phase(geom: SceneGeometry, omega):
+    """Phase supremum 2*omega*min(h_tx, h_rx)/c at rate(s) omega; broadcasts."""
+    return 2.0 * omega * min(geom.h_tx, geom.h_rx) / SPEED_OF_LIGHT
+
+
+def max_phase_shift(geom: SceneGeometry, freq: CarrierFrequency) -> float:
     """Supremum of the phase shift, reached in the limit d -> 0 [rad].
 
     Equals 2*omega*min(h_tx, h_rx)/c.
     """
-    return 2.0 * freq.omega * min(geom.h_tx, geom.h_rx) / constants.c
+    return _max_phase(geom, freq.omega)
 
 
-def _k_max(geom: SceneGeometry, omega, c: float):
+def _k_max(geom: SceneGeometry, omega):
     """Number of nulls at angular rate(s) omega, as float; broadcasts."""
-    return np.floor(2.0 * omega * min(geom.h_tx, geom.h_rx) / c / TWO_PI)
+    return np.floor(_max_phase(geom, omega) / TWO_PI)
 
 
-def k_max(
-    geom: SceneGeometry,
-    freq: CarrierFrequency,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> int:
+def k_max(geom: SceneGeometry, freq: CarrierFrequency) -> int:
     """Number of destructive-interference minima over d in (0, inf)."""
-    return int(_k_max(geom, freq.omega, constants.c))
+    return int(_k_max(geom, freq.omega))
 
 
-def _null_distance(geom: SceneGeometry, omega, k, c: float):
+def _null_distance(geom: SceneGeometry, omega, k):
     """Distance of the k-th null at angular rate omega; broadcasts over both.
 
     Only meaningful for 1 <= k <= k_max; see :func:`null_distances`.
     """
-    ck = c * math.pi * k
+    ck = SPEED_OF_LIGHT * math.pi * k
     w_rx = omega * geom.h_rx
     w_tx = omega * geom.h_tx
     a = ck * ck - w_rx * w_rx
     b = ck * ck - w_tx * w_tx
-    scale = omega * c * math.pi * k
+    scale = omega * SPEED_OF_LIGHT * math.pi * k
     # Both factors are <= 0 for k <= k_max; clamp the tiny negative products
     # that roundoff can produce right at the k_max boundary.
     return np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))
 
 
-def null_distances(
-    geom: SceneGeometry,
-    freq: CarrierFrequency,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> np.ndarray:
+def null_distances(geom: SceneGeometry, freq: CarrierFrequency) -> np.ndarray:
     """Distances d_k of the receive-power minima, largest first.
 
     The k-th minimum solves phase_shift(d_k) = 2*pi*k and is located at
@@ -258,15 +232,14 @@ def null_distances(
 
     for k = 1..k_max.  Returns an empty array when k_max is zero.
     """
-    n = k_max(geom, freq, constants)
-    k = np.arange(1, n + 1, dtype=float)
-    return _null_distance(geom, freq.omega, k, constants.c)
+    k = np.arange(1, k_max(geom, freq) + 1, dtype=float)
+    return _null_distance(geom, freq.omega, k)
 
 
-def _single_coeffs(omega, p_t: float, c: float):
+def _single_coeffs(omega, p_t: float):
     """Per-carrier constants of :func:`receive_power_single`; broadcasts."""
-    a = c / (2.0 * omega)
-    return p_t * (a * a), omega / c
+    a = SPEED_OF_LIGHT / (2.0 * omega)
+    return p_t * (a * a), omega / SPEED_OF_LIGHT
 
 
 def _single_power(coeffs, l_los, l_ref, q):
@@ -277,7 +250,7 @@ def _single_power(coeffs, l_los, l_ref, q):
     return amplitude * (radial * radial + cross)
 
 
-def _lower_bound_coeffs(f1, f2, p_t: float, c: float):
+def _lower_bound_coeffs(f1, f2, p_t: float):
     """Per-pair constants of :func:`sum_power_lower_bound`; broadcasts.
 
     With a_i = (P_t/2)*(c/2)^2/omega_i^2 the bound reads
@@ -285,11 +258,11 @@ def _lower_bound_coeffs(f1, f2, p_t: float, c: float):
     """
     w1 = TWO_PI * f1
     w2 = TWO_PI * f2
-    half_c = 0.5 * c
+    half_c = 0.5 * SPEED_OF_LIGHT
     scale = 0.5 * p_t * (half_c * half_c)
     a1 = scale / (w1 * w1)
     a2 = scale / (w2 * w2)
-    return a1 + a2, a1 * a1 + a2 * a2, 2.0 * a1 * a2, TWO_PI * (f2 - f1) / c
+    return a1 + a2, a1 * a1 + a2 * a2, 2.0 * a1 * a2, TWO_PI * (f2 - f1) / SPEED_OF_LIGHT
 
 
 def _lower_bound_power(coeffs, l_los, l_ref, q):
@@ -306,7 +279,6 @@ def receive_power_single(
     d,
     freq: CarrierFrequency,
     p_t: float = 1.0,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
     """Receive power of a single carrier over the two-ray channel [W].
 
@@ -330,7 +302,7 @@ def receive_power_single(
         Transmit power [W].
     """
     terms = _checked_ray_terms(geom, d, p_t)
-    return _single_power(_single_coeffs(freq.omega, p_t, constants.c), *terms)
+    return _single_power(_single_coeffs(freq.omega, p_t), *terms)
 
 
 def sum_power_two(
@@ -338,7 +310,6 @@ def sum_power_two(
     d,
     pair: FrequencyPair,
     p_t: float = 1.0,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
     """Total receive power of two carriers sharing the transmit power [W].
 
@@ -347,16 +318,14 @@ def sum_power_two(
     P_s = (P_t/2) * (c/2)^2 * [ (1/omega1^2 + 1/omega2^2) * (1/l^2 + 1/lr^2)
           - (2/(l*lr)) * (cos(dphi1)/omega1^2 + cos(dphi2)/omega2^2) ]
 
-    and equals receive_power_single at omega1 plus omega2, each at P_t/2.
+    It is evaluated as that sum: the single-carrier kernel of
+    :func:`receive_power_single` at omega1 plus at omega2, each at P_t/2,
+    on one set of ray terms.
     """
-    l_los, l_ref, q = _checked_ray_terms(geom, d, p_t)
-    c = constants.c
-    w1, w2 = pair.omega1, pair.omega2
-    inv_w = 1.0 / w1**2 + 1.0 / w2**2
-    radial = 1.0 / l_los**2 + 1.0 / l_ref**2
-    cross = (np.cos(w1 / c * q) / w1**2 + np.cos(w2 / c * q) / w2**2)
-    bracket = inv_w * radial - 2.0 / (l_los * l_ref) * cross
-    return 0.5 * p_t * (c / 2.0) ** 2 * bracket
+    terms = _checked_ray_terms(geom, d, p_t)
+    lower = _single_power(_single_coeffs(pair.omega1, p_t / 2), *terms)
+    upper = _single_power(_single_coeffs(pair.omega2, p_t / 2), *terms)
+    return lower + upper
 
 
 def sum_power_lower_bound(
@@ -364,7 +333,6 @@ def sum_power_lower_bound(
     d,
     pair: FrequencyPair,
     p_t: float = 1.0,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ):
     """Lower envelope of the two-carrier sum power [W].
 
@@ -379,7 +347,7 @@ def sum_power_lower_bound(
     Guaranteed <= sum_power_two(d) for every distance.
     """
     terms = _checked_ray_terms(geom, d, p_t)
-    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t, constants.c)
+    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)
     return _lower_bound_power(coeffs, *terms)
 
 

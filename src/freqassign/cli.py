@@ -139,6 +139,13 @@ def cmd_worst_case(args) -> int:
     return 0
 
 
+def _json_number(value, where: str) -> float:
+    """``value`` as a float; rejects non-numbers and JSON booleans (bool is an int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _load_users(path: str) -> list[UserProfile]:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -147,12 +154,10 @@ def _load_users(path: str) -> list[UserProfile]:
     users = []
     for idx, entry in enumerate(raw):
         try:
-            users.append(
-                UserProfile(
-                    entry["h_rx_m"],
-                    DistanceInterval(entry["d_min_m"], entry["d_max_m"]),
-                )
+            h_rx, d_min, d_max = (
+                _json_number(entry[key], key) for key in ("h_rx_m", "d_min_m", "d_max_m")
             )
+            users.append(UserProfile(h_rx, DistanceInterval(d_min, d_max)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: user entry {idx}: {exc}") from exc
     return users
@@ -166,9 +171,11 @@ def _load_frequencies(args) -> list[CarrierFrequency]:
             raise ValueError(f"{args.freqs}: expected a nonempty JSON array of Hz values")
         hz = []
         for idx, value in enumerate(raw):
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(f"{args.freqs}: entry {idx}: not a positive frequency")
-            hz.append(float(value))
+            where = f"{args.freqs}: entry {idx}"
+            f = _json_number(value, where)
+            if f <= 0:
+                raise ValueError(f"{where}: not a positive frequency")
+            hz.append(f)
     else:
         if args.nfreqs is None:
             raise ValueError("provide --freqs FILE or --band LO HI with --nfreqs")

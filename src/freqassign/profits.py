@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    DEFAULT_CONSTANTS,
-    CarrierFrequency,
-    FrequencyPair,
-    PhysicalConstants,
-    SceneGeometry,
-    _positive_finite,
-)
+from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
 from .worstcase import DistanceInterval, _worst_cases, worst_case_pair, worst_case_single
 
 
@@ -45,7 +38,6 @@ class SystemConfig:
 
     h_tx: float
     p_t: float = 1.0
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if not _positive_finite(self.h_tx):
@@ -61,9 +53,7 @@ def single_profit(user: UserProfile, freq: CarrierFrequency, system: SystemConfi
     budget, so no power split applies here.
     """
     geom = SceneGeometry(system.h_tx, user.h_rx)
-    return worst_case_single(
-        geom, user.interval, freq, system.p_t, system.constants
-    ).power
+    return worst_case_single(geom, user.interval, freq, system.p_t).power
 
 
 def pair_profit(
@@ -81,7 +71,7 @@ def pair_profit(
         raise ValueError("joint profit requires two distinct frequencies")
     geom = SceneGeometry(system.h_tx, user.h_rx)
     pair = FrequencyPair.of(freq_i.f, freq_j.f)
-    both = worst_case_pair(geom, user.interval, pair, system.p_t, system.constants).power
+    both = worst_case_pair(geom, user.interval, pair, system.p_t).power
     return both - single_profit(user, freq_i, system) - single_profit(user, freq_j, system)
 
 
@@ -154,11 +144,10 @@ def _user_worst_cases(
     :func:`single_profit` / :func:`freqassign.worstcase.worst_case_pair`.
     """
     geom = SceneGeometry(system.h_tx, user.h_rx)
-    p_t, c = system.p_t, system.constants.c
-    single = _worst_cases(geom, user.interval, hz, None, p_t, c)[0]
+    single = _worst_cases(geom, user.interval, hz, None, system.p_t)[0]
     i, j = np.triu_indices(hz.size, k=1)
     lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])
-    both = _worst_cases(geom, user.interval, lo, hi, p_t, c)[0]
+    both = _worst_cases(geom, user.interval, lo, hi, system.p_t)[0]
     upper = np.zeros((hz.size, hz.size))
     upper[i, j] = both - single[i] - single[j]
     return single, upper + upper.T  # exact symmetry, zero diagonal

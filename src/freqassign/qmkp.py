@@ -75,8 +75,8 @@ class Instance:
     def from_profit_table(cls, table: ProfitTable) -> "Instance":
         """Frequency instantiation: unit weights, capacity two per user."""
         joint = np.array(table.pair)
-        for u in range(table.n_users):
-            np.fill_diagonal(joint[u], 0.0)
+        diag = np.arange(table.n_frequencies)
+        joint[:, diag, diag] = 0.0
         return cls(
             weights=np.ones(table.n_frequencies),
             capacities=np.full(table.n_users, 2.0),
@@ -179,12 +179,7 @@ def knapsack_profit(instance: Instance, u: int, items) -> float:
 
 def objective(instance: Instance, assignment: Assignment) -> float:
     """Overall profit of a feasible assignment; each pair counted once."""
-    if not feasible(instance, assignment):
-        raise ValueError("assignment is infeasible")
-    return sum(
-        knapsack_profit(instance, u, items)
-        for u, items in enumerate(assignment.knapsacks)
-    )
+    return sum(per_knapsack_profits(instance, assignment))
 
 
 def value_density(instance: Instance, u: int, i: int, context) -> float:

@@ -20,11 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import (
-    DEFAULT_CONSTANTS,
+    SPEED_OF_LIGHT,
     TWO_PI,
     CarrierFrequency,
     FrequencyPair,
-    PhysicalConstants,
     SceneGeometry,
     _invert_path_difference,
     _k_max,
@@ -52,6 +51,11 @@ _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+# Oracle grid: the phase moves by at most this much per step [rad], and
+# every grid has at least this many points.
+_GRID_PHASE_STEP = 0.01
+_GRID_MIN_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,6 @@ def _worst_cases(
     f1,
     f2=None,
     p_t: float = 1.0,
-    c: float = DEFAULT_CONSTANTS.c,
 ):
     """Worst cases over one interval for a batch of carriers or pairs.
 
@@ -146,11 +149,11 @@ def _worst_cases(
         raise ValueError("transmit power must be positive and finite")
     if f2 is None:
         omega = TWO_PI * f1
-        coeffs = _single_coeffs(omega, p_t, c)
+        coeffs = _single_coeffs(omega, p_t)
         power = _single_power
     else:
         omega = TWO_PI * (f2 - f1)
-        coeffs = _lower_bound_coeffs(f1, f2, p_t, c)
+        coeffs = _lower_bound_coeffs(f1, f2, p_t)
         power = _lower_bound_power
     d_min, d_max = interval.d_min, interval.d_max
     at_min = _ray_terms(geom, d_min)
@@ -158,13 +161,13 @@ def _worst_cases(
 
     # First null at or below d_max: k is the ceiling of the phase there over
     # 2*pi, taken from below so that roundoff can only leave it one short.
-    k = np.maximum(1.0, np.ceil(omega / c * at_max[2] / TWO_PI - 1e-9))
-    d_k = _null_distance(geom, omega, k, c)
+    k = np.maximum(1.0, np.ceil(omega / SPEED_OF_LIGHT * at_max[2] / TWO_PI - 1e-9))
+    d_k = _null_distance(geom, omega, k)
     short = d_k > d_max
     if np.any(short):
         k = k + short
-        d_k = _null_distance(geom, omega, k, c)
-    has_null = k <= _k_max(geom, omega, c)
+        d_k = _null_distance(geom, omega, k)
+    has_null = k <= _k_max(geom, omega)
     # Without a null inside, the third candidate repeats d_min and ties it.
     d_null = np.where(has_null & (d_k >= d_min) & (d_k <= d_max), d_k, d_min)
 
@@ -177,7 +180,7 @@ def _worst_cases(
     if f2 is None:
         return best_p, best_x, kind
 
-    q_scale = c / omega
+    q_scale = SPEED_OF_LIGHT / omega
     d_hi = np.minimum(_invert_path_difference(geom, (TWO_PI * k - math.pi) * q_scale), d_max)
     d_lo = np.maximum(_invert_path_difference(geom, (TWO_PI * k + math.pi) * q_scale), d_min)
     rows = np.flatnonzero(has_null & (d_lo < d_hi))
@@ -207,7 +210,6 @@ def worst_case_single(
     interval: DistanceInterval,
     freq: CarrierFrequency,
     p_t: float = 1.0,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> WorstCaseResult:
     """Minimum single-carrier receive power over the interval.
 
@@ -215,7 +217,7 @@ def worst_case_single(
     distance d_k falling inside the closed interval.  When no null lies in
     the interval only the endpoints compete.
     """
-    return _one(_worst_cases(geom, interval, freq.f, None, p_t, constants.c))
+    return _one(_worst_cases(geom, interval, freq.f, None, p_t))
 
 
 def worst_case_pair(
@@ -223,7 +225,6 @@ def worst_case_pair(
     interval: DistanceInterval,
     pair: FrequencyPair,
     p_t: float = 1.0,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> WorstCaseResult:
     """Minimum of the two-carrier envelope bound over the interval.
 
@@ -234,24 +235,20 @@ def worst_case_pair(
     off the nominal null distance, so the basin around the deepest relevant
     null is additionally searched to the accuracy of a bounded Brent search.
     """
-    return _one(_worst_cases(geom, interval, pair.f1, pair.f2, p_t, constants.c))
+    return _one(_worst_cases(geom, interval, pair.f1, pair.f2, p_t))
 
 
 def phase_uniform_grid(
-    geom: SceneGeometry,
-    interval: DistanceInterval,
-    omega: float,
-    max_phase_step: float = 0.01,
-    min_points: int = 1024,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+    geom: SceneGeometry, interval: DistanceInterval, omega: float
 ) -> np.ndarray:
-    """Distance grid whose phase argument advances <= max_phase_step per step.
+    """Distance grid whose phase argument advances <= 0.01 rad per step.
 
     The two-ray phase (omega/c)*(l_ref - l_los) is monotone in d, so a grid
     uniform in the path difference q = l_ref - l_los resolves the fastest
     oscillation everywhere; uniform-in-d grids undersample small distances.
     ``omega`` is the angular rate of the oscillation of interest (the
     carrier for P_r, the spacing delta_omega for the envelope bound).
+    The grid has at least 1024 points.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
@@ -259,8 +256,8 @@ def phase_uniform_grid(
         return np.array([interval.d_min])
     q_hi = path_difference(geom, interval.d_min)
     q_lo = path_difference(geom, interval.d_max)
-    span = (q_hi - q_lo) * omega / constants.c
-    n = max(min_points, int(math.ceil(span / max_phase_step)) + 1)
+    span = (q_hi - q_lo) * omega / SPEED_OF_LIGHT
+    n = max(_GRID_MIN_POINTS, int(math.ceil(span / _GRID_PHASE_STEP)) + 1)
     d = _invert_path_difference(geom, np.linspace(q_hi, q_lo, n))
     d[0] = interval.d_min
     d[-1] = interval.d_max
@@ -268,10 +265,7 @@ def phase_uniform_grid(
 
 
 def grid_min(
-    power_fn: Callable,
-    interval: DistanceInterval,
-    grid: np.ndarray | None = None,
-    refine: bool = True,
+    power_fn: Callable, interval: DistanceInterval, grid: np.ndarray
 ) -> WorstCaseResult:
     """Global minimum of a power curve over the interval by exhaustive scan.
 
@@ -287,13 +281,11 @@ def grid_min(
     # theorem path and ``import freqassign`` free of scipy.optimize.
     from scipy.optimize import minimize_scalar
 
-    if grid is None:
-        grid = np.linspace(interval.d_min, interval.d_max, 4096)
     powers = np.asarray(power_fn(grid))
     candidates = [(float(powers[0]), float(grid[0]))]
     if grid.size > 1:
         candidates.append((float(powers[-1]), float(grid[-1])))
-    if refine and grid.size > 2:
+    if grid.size > 2:
         interior = powers[1:-1]
         is_min = (
             (interior <= powers[:-2])

@@ -247,6 +247,27 @@ class TestAssign:
         assert code != 0
         assert "entry 0" in err
 
+    @pytest.mark.parametrize("field", ["h_rx_m", "d_min_m", "d_max_m"])
+    def test_boolean_user_value_rejected(self, capsys, tmp_path, freqs_file, field):
+        # JSON true loads as a Python bool, an int subclass equal to 1
+        user = dict(USERS[0], **{field: True})
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps([USERS[1], user]))
+        code, out, err = run(
+            capsys, ["assign", "--users", str(bad), "--freqs", freqs_file]
+        )
+        assert code != 0 and out == ""
+        assert "entry 1" in err and field in err
+
+    def test_boolean_frequency_rejected(self, capsys, tmp_path, users_file):
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps([2.4e9, True, 2.45e9]))
+        code, out, err = run(
+            capsys, ["assign", "--users", users_file, "--freqs", str(bad)]
+        )
+        assert code != 0 and out == ""
+        assert "entry 1" in err
+
     def test_greedy_usually_beats_random(self, capsys, users_file):
         # reported, not asserted per instance: compare the two averages on
         # one fixed draw

@@ -139,7 +139,8 @@ class TestWorstCasePair:
 class TestGridMin:
     def test_constant_function_returns_endpoint(self):
         iv = DistanceInterval(10.0, 20.0)
-        result = grid_min(lambda d: np.full_like(np.asarray(d, dtype=float), 3.0), iv)
+        grid = np.linspace(iv.d_min, iv.d_max, 101)
+        result = grid_min(lambda d: np.full_like(np.asarray(d, dtype=float), 3.0), iv, grid)
         assert result.power == 3.0
         assert result.argmin_distance == 10.0
         assert result.candidate_kind == LOWER_ENDPOINT
@@ -173,7 +174,7 @@ class TestGridMin:
 
     def test_phase_grid_resolution(self):
         iv = DistanceInterval(5.0, 500.0)
-        grid = phase_uniform_grid(EX_GEOM, iv, EX_FREQ_HIGH.omega, max_phase_step=0.01)
+        grid = phase_uniform_grid(EX_GEOM, iv, EX_FREQ_HIGH.omega)
         assert grid[0] == iv.d_min and grid[-1] == iv.d_max
         assert np.all(np.diff(grid) > 0)
         phases = phase_shift(EX_GEOM, grid, EX_FREQ_HIGH)
