@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,10 @@ TWO_PI = 2.0 * math.pi
 
 def _positive_finite(*values) -> bool:
     """True when every value is a finite number above zero (NaN fails)."""
-    return all(math.isfinite(v) and v > 0 for v in values)
+    for v in values:  # a loop, not all(): the power kernels call this per query
+        if not 0.0 < v < math.inf:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,11 @@ class SceneGeometry:
     def __post_init__(self):
         if not _positive_finite(self.h_tx, self.h_rx):
             raise ValueError("antenna heights must be positive and finite")
+
+    @cached_property
+    def _heights(self):
+        """:func:`_height_terms` of this geometry, computed on first use."""
+        return _height_terms(self.h_tx, self.h_rx)
 
 
 @dataclass(frozen=True)
@@ -110,24 +119,31 @@ class PathLengths:
     l_ref: float
 
 
-def _ray_terms(geom: SceneGeometry, d):
+def _height_terms(h_tx, h_rx):
+    """(dh^2, hs^2, 4*h_tx*h_rx) for :func:`_ray_terms`, dh and hs the height
+    difference and sum; broadcasts, so rows may carry their own h_rx."""
+    dh = h_tx - h_rx
+    hs = h_tx + h_rx
+    return dh * dh, hs * hs, 4.0 * h_tx * h_rx
+
+
+def _ray_terms(heights, d):
     """Unchecked (l_los, l_ref, q) at distances d, q = l_ref - l_los; broadcasts."""
-    dh = geom.h_tx - geom.h_rx
-    hs = geom.h_tx + geom.h_rx
+    dh_sq, hs_sq, q_num = heights
     d_sq = d * d
-    l_los = np.sqrt(dh * dh + d_sq)
-    l_ref = np.sqrt(hs * hs + d_sq)
-    return l_los, l_ref, 4.0 * geom.h_tx * geom.h_rx / (l_los + l_ref)
+    l_los = np.sqrt(dh_sq + d_sq)
+    l_ref = np.sqrt(hs_sq + d_sq)
+    return l_los, l_ref, q_num / (l_los + l_ref)
 
 
 def _checked_ray_terms(geom: SceneGeometry, d, p_t: float):
     """Validate a power query and return its (l_los, l_ref, q)."""
-    if p_t <= 0:
-        raise ValueError("transmit power must be positive")
+    if not _positive_finite(p_t):
+        raise ValueError("transmit power must be positive and finite")
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("ground distance must be nonnegative")
-    l_los, l_ref, q = _ray_terms(geom, d)
+    l_los, l_ref, q = _ray_terms(geom._heights, d)
     if np.any(l_los == 0.0):
         raise ValueError("singular geometry: d=0 with h_tx == h_rx")
     return l_los, l_ref, q
@@ -144,7 +160,7 @@ def path_lengths(geom: SceneGeometry, d) -> PathLengths:
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("ground distance must be nonnegative")
-    l_los, l_ref, _ = _ray_terms(geom, d)
+    l_los, l_ref, _ = _ray_terms(geom._heights, d)
     if d.ndim == 0:
         return PathLengths(float(l_los), float(l_ref))
     return PathLengths(l_los, l_ref)
@@ -386,10 +402,10 @@ def to_decibel(p, reference: float = 1.0):
     """Convert a linear power ratio to decibels: 10*log10(p/reference).
 
     Zero powers map to -inf instead of raising; negative powers are
-    rejected.
+    rejected, and so is a reference that is not positive and finite.
     """
-    if reference <= 0:
-        raise ValueError("reference power must be positive")
+    if not _positive_finite(reference):
+        raise ValueError("reference power must be positive and finite")
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ValueError("power must be nonnegative")

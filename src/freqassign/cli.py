@@ -24,6 +24,7 @@ from .channel import (
     CarrierFrequency,
     FrequencyPair,
     SceneGeometry,
+    _positive_finite,
     null_distances,
     receive_power_single,
     sum_power_lower_bound,
@@ -73,8 +74,8 @@ def cmd_power_curve(args) -> int:
     geom = _geometry(args)
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
-    if not 0 < args.dmin <= args.dmax:
-        raise ValueError("distance range requires 0 < dmin <= dmax")
+    if not (_positive_finite(args.dmin, args.dmax) and args.dmin <= args.dmax):
+        raise ValueError("distance range requires finite 0 < dmin <= dmax")
     d = np.geomspace(args.dmin, args.dmax, args.samples)
     lines = [f"# reference_power_watts: {_fmt(args.pt)}"]
     if args.freq2 is None:
@@ -97,6 +98,9 @@ def cmd_power_curve(args) -> int:
 def cmd_minima(args) -> int:
     geom = _geometry(args)
     freq = CarrierFrequency(args.freq)
+    # Checked here too: with no minima the power kernel never runs.
+    if not _positive_finite(args.pt):
+        raise ValueError("transmit power must be positive and finite")
     nulls = null_distances(geom, freq)
     lines = [f"# reference_power_watts: {_fmt(args.pt)}", "k,distance_m,power_db"]
     for k, d_k in enumerate(nulls, start=1):

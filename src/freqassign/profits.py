@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
-from .worstcase import DistanceInterval, _worst_cases, worst_case_pair, worst_case_single
+from .worstcase import (
+    DistanceInterval,
+    _batch,
+    _candidates,
+    _lower_basins,
+    worst_case_pair,
+    worst_case_single,
+)
 
 
 @dataclass(frozen=True)
@@ -134,38 +141,46 @@ class ProfitTable:
         return cls.from_dict(json.loads(text))
 
 
-def _user_worst_cases(
-    user: UserProfile, hz: np.ndarray, system: SystemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """One user's single worst cases (N,) and symmetric joint profits (N, N).
-
-    One batched call covers all carriers and one covers every unordered
-    pair, so each entry is bit-identical to the scalar
-    :func:`single_profit` / :func:`freqassign.worstcase.worst_case_pair`.
-    """
-    geom = SceneGeometry(system.h_tx, user.h_rx)
-    single = _worst_cases(geom, user.interval, hz, None, system.p_t)[0]
-    i, j = np.triu_indices(hz.size, k=1)
-    lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])
-    both = _worst_cases(geom, user.interval, lo, hi, system.p_t)[0]
-    upper = np.zeros((hz.size, hz.size))
-    upper[i, j] = both - single[i] - single[j]
-    return single, upper + upper.T  # exact symmetry, zero diagonal
-
-
 def build_profit_table(
     users: list[UserProfile],
     freqs: list[CarrierFrequency],
     system: SystemConfig,
 ) -> ProfitTable:
-    """Evaluate all single and unordered-pair profits for every user."""
+    """Evaluate all single and unordered-pair profits for every user.
+
+    One pass per table: the frequency-only data of all carriers and all
+    unordered pairs is computed once, the endpoint and null candidates once
+    per user, and the null basins of every user are searched in one batch,
+    each row with its own receiver height.  Every entry is bit-identical
+    to the scalar :func:`single_profit` /
+    :func:`freqassign.worstcase.worst_case_pair`.
+    """
     if not users:
         raise ValueError("at least one user is required")
     hz = np.array([fr.f for fr in freqs])
     if np.unique(hz).size != hz.size:
         raise ValueError("frequencies must be pairwise distinct")
-    single = np.zeros((len(users), hz.size))
-    pair = np.zeros((len(users), hz.size, hz.size))
+    i, j = np.triu_indices(hz.size, k=1)
+    carriers = _batch(hz, None, system.p_t)
+    pairs = _batch(np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)
+    single = np.empty((len(users), hz.size))
+    both = np.empty((len(users), i.size))
+    basins = []  # per user: (pair rows, lo, hi) still to search
     for u, user in enumerate(users):
-        single[u], pair[u] = _user_worst_cases(user, hz, system)
+        geom = SceneGeometry(system.h_tx, user.h_rx)
+        single[u] = _candidates(geom, user.interval, carriers)[0]
+        both[u], _, _, basin = _candidates(geom, user.interval, pairs)
+        basins.append(basin)
+    rows, lo, hi = (np.concatenate(parts) for parts in zip(*basins))
+    if rows.size:
+        owner = np.repeat(np.arange(len(users)), [b[0].size for b in basins])
+        h_rx = np.array([user.h_rx for user in users])[owner]
+        coeffs = [a[rows] for a in pairs.coeffs]
+        flat = both.reshape(-1)  # a view: the search stores its lower powers in both
+        _lower_basins(system.h_tx, h_rx, coeffs, flat, owner * i.size + rows, lo, hi)
+    upper = both - single[:, i] - single[:, j]
+    pair = np.zeros((len(users), hz.size * hz.size))
+    pair[:, i * hz.size + j] = upper
+    pair[:, j * hz.size + i] = upper  # exact symmetry, zero diagonal
+    pair = pair.reshape(len(users), hz.size, hz.size)
     return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)

@@ -7,7 +7,9 @@ at the largest interference null inside the interval, so it can be read
 off from three closed-form evaluations.  For a carrier pair the slow
 spacing oscillation lets the distance-dependent amplitude move the true
 minimum measurably off its null, so the null's basin is searched as well.
-All of this runs on whole arrays of carriers at once.  An exhaustive
+All of this runs on whole arrays of carriers at once, and a profit table
+shares the frequency-only part between its users and searches the basins
+of all of them in one batch.  An exhaustive
 phase-resolved grid scan doubles as an independent oracle for the claim.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .channel import (
     CarrierFrequency,
     FrequencyPair,
     SceneGeometry,
+    _height_terms,
     _invert_path_difference,
     _k_max,
     _lower_bound_coeffs,
@@ -51,6 +54,9 @@ _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# Basin rows are searched this many at a time, which keeps the grid's
+# temporaries small enough to stay in cache.
+_BASIN_BLOCK = 256
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
 # every grid has at least this many points.
@@ -82,39 +88,167 @@ class WorstCaseResult:
     candidate_kind: str
 
 
-def _basin_minimum(geom: SceneGeometry, coeffs, lo: np.ndarray, hi: np.ndarray):
+class _Batch(NamedTuple):
+    """Frequency-only data of a batch of carriers or pairs.
+
+    Nothing here depends on the user, so a profit table builds it once and
+    shares it between all users.
+    """
+
+    omega: object  # angular rate of the oscillation: the carrier, or the pair's spacing
+    coeffs: tuple  # constants of ``power``; the last one is omega / c
+    power: Callable  # _single_power or _lower_bound_power
+    q_scale: object  # c / omega for pairs, None for carriers
+
+
+def _batch(f1, f2, p_t: float) -> _Batch:
+    """Carriers ``f1`` (``f2`` None) or pairs (f1[m], f2[m]), f1 < f2, at power ``p_t``.
+
+    Scalar carriers are a batch of one and give numpy scalars, which are
+    much cheaper than one-element arrays.
+    """
+    if not _positive_finite(p_t):
+        raise ValueError("transmit power must be positive and finite")
+    # [()] turns a 0-d array into a numpy scalar and leaves arrays as they are.
+    f1 = np.asarray(f1, dtype=float)[()]
+    if f2 is None:
+        omega = TWO_PI * f1
+        return _Batch(omega, _single_coeffs(omega, p_t), _single_power, None)
+    f2 = np.asarray(f2, dtype=float)[()]
+    omega = TWO_PI * (f2 - f1)
+    coeffs = _lower_bound_coeffs(f1, f2, p_t)
+    return _Batch(omega, coeffs, _lower_bound_power, SPEED_OF_LIGHT / omega)
+
+
+_NO_BASINS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))  # (rows, lo, hi)
+
+
+def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
+    """Best of the endpoints and the largest null inside, for every entry.
+
+    Returns ``(power, argmin_distance, kind, basins)``.  For pairs,
+    ``basins = (rows, lo, hi)`` lists the entries whose null basin (phase
+    2*pi*k +- pi, clipped to the interval) is not empty, for
+    :func:`_lower_basins` to search; for carriers it is empty.
+
+    Null distances fall with k, so the largest null at or below d_max has
+    the smallest k whose phase 2*pi*k is at least the phase at d_max, found
+    in closed form and confirmed on the computed d_k.  An entry whose k
+    exceeds its null count k_max has no null at or below d_max, so the null
+    candidate and the basin bracket are computed for the other entries
+    only; in a narrow band that is none of the pairs.
+    """
+    d_min, d_max = float(interval.d_min), float(interval.d_max)
+    heights = geom._heights
+    at_max = _ray_terms(heights, d_max)
+    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
+    p_hi = batch.power(batch.coeffs, *at_max)
+    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
+    at_lo = p_lo <= p_hi
+    best_p = np.where(at_lo, p_lo, p_hi)
+    kind = np.where(at_lo, 0, 1)
+    best_x = np.where(at_lo, d_min, d_max)
+
+    # k is the ceiling of the phase at d_max over 2*pi, taken from below so
+    # that roundoff can only leave it one short.
+    k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
+    k_max = _k_max(geom, batch.omega)
+    has = k <= k_max
+    if not has.any():
+        return best_p, best_x, kind, _NO_BASINS
+    # () selects every entry, and keeps a batch of one on numpy scalars.
+    rows = () if has.all() else np.flatnonzero(has)
+    omega, k, k_max = batch.omega[rows], k[rows], k_max[rows]
+    d_k = _null_distance(geom, omega, k)
+    short = d_k > d_max
+    if short.any():
+        k = k + short
+        d_k = _null_distance(geom, omega, k)
+    has_null = k <= k_max
+    # Without a null inside, the third candidate repeats d_min and ties it.
+    d_null = np.where(has_null & (d_k >= d_min) & (d_k <= d_max), d_k, d_min)
+    coeffs = [a[rows] for a in batch.coeffs]
+    p_null = batch.power(coeffs, *_ray_terms(heights, d_null))
+    lower = p_null < best_p[rows]
+    best_p[rows] = np.where(lower, p_null, best_p[rows])
+    best_x[rows] = np.where(lower, d_null, best_x[rows])
+    kind[rows] = np.where(lower, 2, kind[rows])
+    if batch.q_scale is None:
+        return best_p, best_x, kind, _NO_BASINS
+
+    # The amplitude shifts a pair's minimum off d_k towards larger d; nulls
+    # above d_max cannot matter because the shift never moves a minimum to
+    # smaller distances.
+    q_scale = batch.q_scale[rows]
+    d_hi = np.minimum(_invert_path_difference(geom, (TWO_PI * k - math.pi) * q_scale), d_max)
+    d_lo = np.maximum(_invert_path_difference(geom, (TWO_PI * k + math.pi) * q_scale), d_min)
+    search = has_null & (d_lo < d_hi)
+    basin_rows = np.flatnonzero(has)[np.flatnonzero(search)]
+    return best_p, best_x, kind, (basin_rows, d_lo[search], d_hi[search])
+
+
+def _per_row(values, rows):
+    """``values[rows]`` for an array of per-row values; a shared scalar passes through."""
+    return values[rows] if np.ndim(values) else values
+
+
+def _basin_minimum(h_tx: float, h_rx, coeffs, lo: np.ndarray, hi: np.ndarray):
     """Minimum of the envelope bound on each row's bracket [lo, hi].
 
-    A vectorised zooming grid: each round keeps, per row, the bracket
-    around its lowest sample.  A row stops once its sample spacing is
-    within sqrt(eps)*x + xatol/3 of its lowest sample x, the accuracy of
-    a bounded Brent search with xatol = max(1e-12, 1e-12*hi), and its
-    result is frozen there, so no row depends on which rows share its
-    batch.  Every bracket must be finite with 0 < lo < hi.
+    Row m has pair constants ``coeffs[.][m]`` and receiver height
+    ``h_rx[m]``, or ``h_rx`` when that is one height for all rows; the
+    transmitter height is shared.  A vectorised zooming grid: each round
+    keeps, per row, the bracket around its lowest sample.  A row stops once
+    its sample spacing is within sqrt(eps)*x + xatol/3 of its lowest sample
+    x, the accuracy of a bounded Brent search with
+    xatol = max(1e-12, 1e-12*hi), and its result is frozen there, so no row
+    depends on which rows share its batch.  Every bracket must be finite
+    with 0 < lo < hi.
     """
     out_p = np.empty(lo.size)
     out_x = np.empty(lo.size)
     rows = np.arange(lo.size)  # the output row of each row still searching
-    coeffs = [a[:, None] for a in coeffs]
+    heights = _height_terms(h_tx, h_rx)
     tol = np.maximum(1e-12, 1e-12 * hi) / 3.0
     while rows.size:
+        # Samples run down axis 0 and rows along axis 1, so per-row values
+        # broadcast along the contiguous axis.
         step = (hi - lo) / (_ZOOM_POINTS - 1)
-        x = lo[:, None] + step[:, None] * _ZOOM_STEPS
-        x[:, -1] = hi
-        p = _lower_bound_power(coeffs, *_ray_terms(geom, x))
-        at = p.argmin(axis=1)
+        x = lo + step * _ZOOM_STEPS[:, None]
+        x[-1] = hi
+        p = _lower_bound_power(coeffs, *_ray_terms(heights, x))
+        at = p.argmin(axis=0)
         r = np.arange(rows.size)
-        x_at = x[r, at]
-        lo = x[r, np.maximum(at - 1, 0)]
-        hi = x[r, np.minimum(at + 1, _ZOOM_POINTS - 1)]
+        x_at = x[at, r]
+        lo = x[np.maximum(at - 1, 0), r]
+        hi = x[np.minimum(at + 1, _ZOOM_POINTS - 1), r]
         done = step <= _SQRT_EPS * x_at + tol
         if done.any():
-            out_p[rows[done]] = p[r[done], at[done]]
+            out_p[rows[done]] = p[at[done], r[done]]
             out_x[rows[done]] = x_at[done]
             keep = ~done
             rows, lo, hi, tol = rows[keep], lo[keep], hi[keep], tol[keep]
             coeffs = [a[keep] for a in coeffs]
+            heights = [_per_row(a, keep) for a in heights]
     return out_p, out_x
+
+
+def _lower_basins(h_tx: float, h_rx, coeffs, best_p: np.ndarray, rows, lo, hi):
+    """Search the basins and store each one that beats ``best_p[rows]`` there.
+
+    Basin m is [lo[m], hi[m]] with pair constants ``coeffs[.][m]`` and
+    receiver height as in :func:`_basin_minimum`.  Returns the improved rows
+    of ``best_p`` and their argmin distances.
+    """
+    basin_p, basin_x = np.empty(rows.size), np.empty(rows.size)
+    for start in range(0, rows.size, _BASIN_BLOCK):
+        block = slice(start, start + _BASIN_BLOCK)
+        basin_p[block], basin_x[block] = _basin_minimum(
+            h_tx, _per_row(h_rx, block), [a[block] for a in coeffs], lo[block], hi[block]
+        )
+    lower = basin_p < best_p[rows]
+    best_p[rows[lower]] = basin_p[lower]
+    return rows[lower], basin_x[lower]
 
 
 def _worst_cases(
@@ -135,67 +269,18 @@ def _worst_cases(
     on numpy scalars, which is much cheaper than one-element arrays.
 
     Candidates are both endpoints and the largest null d_k of the
-    oscillation (the carrier, or the pair's spacing) inside the interval.
-    Null distances fall with k, so that is the smallest k whose phase
-    2*pi*k is at least the phase at d_max, found in closed form and
-    confirmed on the computed d_k.  For pairs the basin of that null
-    (phase 2*pi*k +- pi, clipped to the interval) is searched as well,
-    since the amplitude shifts the minimum off d_k towards larger d;
-    nulls above d_max cannot matter because the shift never moves a
-    minimum to smaller distances.  Every entry is computed elementwise,
-    so its result does not depend on the rest of the batch.
+    oscillation (the carrier, or the pair's spacing) inside the interval
+    (:func:`_candidates`); for pairs the basin of that null is searched as
+    well (:func:`_lower_basins`).  Every entry is computed elementwise, so
+    its result does not depend on the rest of the batch.
     """
-    if not _positive_finite(p_t):
-        raise ValueError("transmit power must be positive and finite")
-    if f2 is None:
-        omega = TWO_PI * f1
-        coeffs = _single_coeffs(omega, p_t)
-        power = _single_power
-    else:
-        omega = TWO_PI * (f2 - f1)
-        coeffs = _lower_bound_coeffs(f1, f2, p_t)
-        power = _lower_bound_power
-    d_min, d_max = interval.d_min, interval.d_max
-    at_min = _ray_terms(geom, d_min)
-    at_max = _ray_terms(geom, d_max)
-
-    # First null at or below d_max: k is the ceiling of the phase there over
-    # 2*pi, taken from below so that roundoff can only leave it one short.
-    k = np.maximum(1.0, np.ceil(omega / SPEED_OF_LIGHT * at_max[2] / TWO_PI - 1e-9))
-    d_k = _null_distance(geom, omega, k)
-    short = d_k > d_max
-    if np.any(short):
-        k = k + short
-        d_k = _null_distance(geom, omega, k)
-    has_null = k <= _k_max(geom, omega)
-    # Without a null inside, the third candidate repeats d_min and ties it.
-    d_null = np.where(has_null & (d_k >= d_min) & (d_k <= d_max), d_k, d_min)
-
-    p_lo = power(coeffs, *at_min)
-    p_hi = power(coeffs, *at_max)
-    best_p = np.minimum(np.minimum(p_lo, p_hi), power(coeffs, *_ray_terms(geom, d_null)))
-    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
-    kind = np.where(p_lo == best_p, 0, np.where(p_hi == best_p, 1, 2))
-    best_x = np.where(kind == 0, d_min, np.where(kind == 1, d_max, d_null))
-    if f2 is None:
-        return best_p, best_x, kind
-
-    q_scale = SPEED_OF_LIGHT / omega
-    d_hi = np.minimum(_invert_path_difference(geom, (TWO_PI * k - math.pi) * q_scale), d_max)
-    d_lo = np.maximum(_invert_path_difference(geom, (TWO_PI * k + math.pi) * q_scale), d_min)
-    rows = np.flatnonzero(has_null & (d_lo < d_hi))
+    batch = _batch(f1, f2, p_t)
+    best_p, best_x, kind, (rows, lo, hi) = _candidates(geom, interval, batch)
     if rows.size:
         best_p, best_x, kind = np.atleast_1d(best_p, best_x, kind)
-        basin_p, basin_x = _basin_minimum(
-            geom,
-            [np.atleast_1d(a)[rows] for a in coeffs],
-            np.atleast_1d(d_lo)[rows],
-            np.atleast_1d(d_hi)[rows],
-        )
-        lower = basin_p < best_p[rows]
-        rows = rows[lower]
-        best_p[rows] = basin_p[lower]
-        best_x[rows] = basin_x[lower]
+        coeffs = [np.atleast_1d(a)[rows] for a in batch.coeffs]
+        rows, x = _lower_basins(geom.h_tx, geom.h_rx, coeffs, best_p, rows, lo, hi)
+        best_x[rows] = x
         kind[rows] = 2
     return best_p, best_x, kind
 

@@ -205,6 +205,20 @@ class TestReceivePowerSingle:
         assert p3 == pytest.approx(3.0 * p1, rel=1e-14)
 
 
+POWER_KERNELS = [
+    lambda p_t: receive_power_single(EX_GEOM, 50.0, EX_FREQ_LOW, p_t),
+    lambda p_t: sum_power_two(EX_GEOM, 50.0, FrequencyPair(2.4e9, 2.45e9), p_t),
+    lambda p_t: sum_power_lower_bound(EX_GEOM, 50.0, FrequencyPair(2.4e9, 2.45e9), p_t),
+]
+
+
+@pytest.mark.parametrize("p_t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kernel", POWER_KERNELS, ids=["single", "sum", "lower_bound"])
+def test_transmit_power_must_be_positive_and_finite(kernel, p_t):
+    with pytest.raises(ValueError, match="transmit power"):
+        kernel(p_t)
+
+
 def half_power_splits():
     """Seeded (geom, d, pair, p_t, split) draws, split being the pair's two
     carriers each at P_t/2 through receive_power_single."""
@@ -302,6 +316,11 @@ class TestToDecibel:
             to_decibel(-1.0)
         with pytest.raises(ValueError):
             to_decibel(1.0, 0.0)
+
+    @pytest.mark.parametrize("reference", [math.nan, math.inf])
+    def test_non_finite_reference_rejected(self, reference):
+        with pytest.raises(ValueError, match="reference power"):
+            to_decibel(1.0, reference)
 
     def test_worst_case_running_example(self):
         d1 = null_distances(EX_GEOM, EX_FREQ_LOW)[0]

@@ -101,7 +101,30 @@ class TestPowerCurve:
         assert "error" in err.lower()
 
 
+    @pytest.mark.parametrize("flag,value", [("--pt", "nan"), ("--pt", "inf"), ("--dmax", "inf")])
+    def test_non_finite_flag_exits_2(self, capsys, flag, value):
+        argv = [
+            "power-curve",
+            "--htx", "10", "--hrx", "1.5", "--freq", "2.4e9",
+            "--dmin", "1", "--dmax", "10", "--samples", "3",
+        ]
+        code, out, err = run(capsys, argv + [flag, value])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestMinima:
+    @pytest.mark.parametrize("freq", ["2.4e9", "1e7"])  # with minima, and without any
+    @pytest.mark.parametrize("pt", ["inf", "nan"])
+    def test_non_finite_power_exits_2(self, capsys, freq, pt):
+        code, out, err = run(
+            capsys, ["minima", "--htx", "10", "--hrx", "1.5", "--freq", freq, "--pt", pt]
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_running_example_table(self, capsys):
         code, out, _ = run(
             capsys,

@@ -425,6 +425,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Instance(np.ones(3), [2.0], np.zeros((1, 3)), joint)
 
+    def test_joint_profits_within_scaled_tolerance_accepted(self):
+        # not exactly symmetric, so the scale-relative check decides
+        joint = random_instance(np.random.default_rng(31), 5, 3).joint_profits * 1e-8
+        noise = np.triu(np.random.default_rng(32).choice([-1.0, 1.0], size=joint.shape), 1)
+        joint = joint + 1e-12 * np.max(np.abs(joint)) * noise
+        assert not np.array_equal(joint, joint.transpose(0, 2, 1))
+        inst = Instance(np.ones(5), np.full(3, 2.0), np.zeros((3, 5)), joint)
+        assert np.array_equal(inst.joint_profits, joint)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["weights", "capacities", "profits", "joint_profits"])
     def test_non_finite_values_rejected(self, field, bad):
