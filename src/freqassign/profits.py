@@ -7,6 +7,11 @@ transmit power; a pair of frequencies is worth the two-carrier worst case,
 so the joint profit is defined as the difference to the two single
 profits.  Joint profits are therefore typically negative: the pair's
 worst case already carries the power split between the carriers.
+
+The worst cases come from :func:`freqassign.worstcase.worst_cases`, the
+one routine behind scalar queries and tables alike: a table is one call
+for all carriers and one for all unordered pairs, over all users, and
+only the profit arithmetic is done here.
 """
 
 from __future__ import annotations
@@ -17,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
-from .worstcase import (
-    DistanceInterval,
-    _batch,
-    _candidates,
-    _lower_basins,
-    worst_case_pair,
-    worst_case_single,
-)
+from .worstcase import DistanceInterval, worst_case_pair, worst_case_single, worst_cases
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class ProfitTable:
 
     ``single[u, i]`` is the single-frequency worst case of user u on
     frequency i; ``pair[u, i, j]`` the symmetric joint profit, with the
-    diagonal unused and kept at zero.
+    diagonal unused and kept at zero, also when a table is loaded.
     """
 
     users: list[UserProfile]
@@ -129,11 +127,14 @@ class ProfitTable:
             for u in data["users"]
         ]
         freqs = [CarrierFrequency(f) for f in data["frequencies_hz"]]
+        pair = np.array(data["pair_profits_w"], dtype=float)
+        diag = np.arange(len(freqs))
+        pair[:, diag, diag] = 0.0
         return cls(
             users=users,
             frequencies=freqs,
             single=np.asarray(data["single_profits_w"], dtype=float),
-            pair=np.asarray(data["pair_profits_w"], dtype=float),
+            pair=pair,
         )
 
     @classmethod
@@ -148,11 +149,11 @@ def build_profit_table(
 ) -> ProfitTable:
     """Evaluate all single and unordered-pair profits for every user.
 
-    One pass per table: the frequency-only data of all carriers and all
-    unordered pairs is computed once, the endpoint and null candidates once
-    per user, and the null basins of every user are searched in one batch,
-    each row with its own receiver height.  Every entry is bit-identical
-    to the scalar :func:`single_profit` /
+    Two calls of :func:`freqassign.worstcase.worst_cases` over all users,
+    one for all carriers and one for all unordered pairs, so the
+    frequency-only data is computed once per table and the null basins of
+    every user are searched in one batch.  Every entry is bit-identical to
+    the scalar :func:`single_profit` /
     :func:`freqassign.worstcase.worst_case_pair`.
     """
     if not users:
@@ -160,24 +161,10 @@ def build_profit_table(
     hz = np.array([fr.f for fr in freqs])
     if np.unique(hz).size != hz.size:
         raise ValueError("frequencies must be pairwise distinct")
+    where = [(SceneGeometry(system.h_tx, user.h_rx), user.interval) for user in users]
     i, j = np.triu_indices(hz.size, k=1)
-    carriers = _batch(hz, None, system.p_t)
-    pairs = _batch(np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)
-    single = np.empty((len(users), hz.size))
-    both = np.empty((len(users), i.size))
-    basins = []  # per user: (pair rows, lo, hi) still to search
-    for u, user in enumerate(users):
-        geom = SceneGeometry(system.h_tx, user.h_rx)
-        single[u] = _candidates(geom, user.interval, carriers)[0]
-        both[u], _, _, basin = _candidates(geom, user.interval, pairs)
-        basins.append(basin)
-    rows, lo, hi = (np.concatenate(parts) for parts in zip(*basins))
-    if rows.size:
-        owner = np.repeat(np.arange(len(users)), [b[0].size for b in basins])
-        h_rx = np.array([user.h_rx for user in users])[owner]
-        coeffs = [a[rows] for a in pairs.coeffs]
-        flat = both.reshape(-1)  # a view: the search stores its lower powers in both
-        _lower_basins(system.h_tx, h_rx, coeffs, flat, owner * i.size + rows, lo, hi)
+    single = worst_cases(where, hz, None, system.p_t)[0]
+    both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
     upper = both - single[:, i] - single[:, j]
     pair = np.zeros((len(users), hz.size * hz.size))
     pair[:, i * hz.size + j] = upper

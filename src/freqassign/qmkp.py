@@ -76,14 +76,11 @@ class Instance:
     @classmethod
     def from_profit_table(cls, table: ProfitTable) -> "Instance":
         """Frequency instantiation: unit weights, capacity two per user."""
-        joint = np.array(table.pair)
-        diag = np.arange(table.n_frequencies)
-        joint[:, diag, diag] = 0.0
         return cls(
             weights=np.ones(table.n_frequencies),
             capacities=np.full(table.n_users, 2.0),
             profits=np.array(table.single),
-            joint_profits=joint,
+            joint_profits=table.pair,  # not a copy: zero diagonal as built or loaded
         )
 
     def to_dict(self) -> dict:

@@ -7,10 +7,13 @@ at the largest interference null inside the interval, so it can be read
 off from three closed-form evaluations.  For a carrier pair the slow
 spacing oscillation lets the distance-dependent amplitude move the true
 minimum measurably off its null, so the null's basin is searched as well.
-All of this runs on whole arrays of carriers at once, and a profit table
-shares the frequency-only part between its users and searches the basins
-of all of them in one batch.  An exhaustive
-phase-resolved grid scan doubles as an independent oracle for the claim.
+One routine, :func:`worst_cases`, serves every caller: it takes a list of
+users (geometry and interval each) and a whole array of carriers or pairs,
+builds the frequency-only part once, and searches the basins of all users
+in one batch.  A profit table is one call for its carriers and one for its
+pairs; a single query is a table of one user and one entry.  An
+exhaustive phase-resolved grid scan doubles as an independent oracle for
+the claim.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .channel import (
     CarrierFrequency,
     FrequencyPair,
     SceneGeometry,
-    _height_terms,
     _invert_path_difference,
     _k_max,
     _lower_bound_coeffs,
@@ -54,8 +56,8 @@ _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# Basin rows are searched this many at a time, which keeps the grid's
-# temporaries small enough to stay in cache.
+# Basin rows of all users are searched this many at a time, which keeps the
+# grid's temporaries small enough to stay in cache.
 _BASIN_BLOCK = 256
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
@@ -91,8 +93,8 @@ class WorstCaseResult:
 class _Batch(NamedTuple):
     """Frequency-only data of a batch of carriers or pairs.
 
-    Nothing here depends on the user, so a profit table builds it once and
-    shares it between all users.
+    Nothing here depends on the user, so :func:`worst_cases` builds it once
+    and shares it between all users.
     """
 
     omega: object  # angular rate of the oscillation: the carrier, or the pair's spacing
@@ -129,14 +131,14 @@ def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
     Returns ``(power, argmin_distance, kind, basins)``.  For pairs,
     ``basins = (rows, lo, hi)`` lists the entries whose null basin (phase
     2*pi*k +- pi, clipped to the interval) is not empty, for
-    :func:`_lower_basins` to search; for carriers it is empty.
+    :func:`worst_cases` to search; for carriers it is empty.
 
     Null distances fall with k, so the largest null at or below d_max has
     the smallest k whose phase 2*pi*k is at least the phase at d_max, found
-    in closed form and confirmed on the computed d_k.  An entry whose k
-    exceeds its null count k_max has no null at or below d_max, so the null
-    candidate and the basin bracket are computed for the other entries
-    only; in a narrow band that is none of the pairs.
+    in closed form.  An entry whose k exceeds its null count k_max has no
+    null at or below d_max, so the null candidate and the basin bracket are
+    computed for the other entries only; in a narrow band that is none of
+    the pairs.
     """
     d_min, d_max = float(interval.d_min), float(interval.d_max)
     heights = geom._heights
@@ -150,7 +152,9 @@ def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
     best_x = np.where(at_lo, d_min, d_max)
 
     # k is the ceiling of the phase at d_max over 2*pi, taken from below so
-    # that roundoff can only leave it one short.
+    # that roundoff can only leave it one short.  That happens only when d_max
+    # lies within roundoff below the null d_k, which then falls outside; the
+    # endpoint d_max stands in for it, and the next null down is shallower.
     k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
     k_max = _k_max(geom, batch.omega)
     has = k <= k_max
@@ -160,10 +164,6 @@ def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
     rows = () if has.all() else np.flatnonzero(has)
     omega, k, k_max = batch.omega[rows], k[rows], k_max[rows]
     d_k = _null_distance(geom, omega, k)
-    short = d_k > d_max
-    if short.any():
-        k = k + short
-        d_k = _null_distance(geom, omega, k)
     has_null = k <= k_max
     # Without a null inside, the third candidate repeats d_min and ties it.
     d_null = np.where(has_null & (d_k >= d_min) & (d_k <= d_max), d_k, d_min)
@@ -187,28 +187,21 @@ def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
     return best_p, best_x, kind, (basin_rows, d_lo[search], d_hi[search])
 
 
-def _per_row(values, rows):
-    """``values[rows]`` for an array of per-row values; a shared scalar passes through."""
-    return values[rows] if np.ndim(values) else values
-
-
-def _basin_minimum(h_tx: float, h_rx, coeffs, lo: np.ndarray, hi: np.ndarray):
+def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     """Minimum of the envelope bound on each row's bracket [lo, hi].
 
-    Row m has pair constants ``coeffs[.][m]`` and receiver height
-    ``h_rx[m]``, or ``h_rx`` when that is one height for all rows; the
-    transmitter height is shared.  A vectorised zooming grid: each round
-    keeps, per row, the bracket around its lowest sample.  A row stops once
-    its sample spacing is within sqrt(eps)*x + xatol/3 of its lowest sample
-    x, the accuracy of a bounded Brent search with
-    xatol = max(1e-12, 1e-12*hi), and its result is frozen there, so no row
-    depends on which rows share its batch.  Every bracket must be finite
-    with 0 < lo < hi.
+    Row m has pair constants ``coeffs[.][m]`` and the height terms
+    ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  A
+    vectorised zooming grid: each round keeps, per row, the bracket around
+    its lowest sample.  A row stops once its sample spacing is within
+    sqrt(eps)*x + xatol/3 of its lowest sample x, the accuracy of a bounded
+    Brent search with xatol = max(1e-12, 1e-12*hi), and its result is
+    frozen there, so no row depends on which rows share its batch.  Every
+    bracket must be finite with 0 < lo < hi.
     """
     out_p = np.empty(lo.size)
     out_x = np.empty(lo.size)
     rows = np.arange(lo.size)  # the output row of each row still searching
-    heights = _height_terms(h_tx, h_rx)
     tol = np.maximum(1e-12, 1e-12 * hi) / 3.0
     while rows.size:
         # Samples run down axis 0 and rows along axis 1, so per-row values
@@ -229,64 +222,58 @@ def _basin_minimum(h_tx: float, h_rx, coeffs, lo: np.ndarray, hi: np.ndarray):
             keep = ~done
             rows, lo, hi, tol = rows[keep], lo[keep], hi[keep], tol[keep]
             coeffs = [a[keep] for a in coeffs]
-            heights = [_per_row(a, keep) for a in heights]
+            heights = [a[keep] for a in heights]
     return out_p, out_x
 
 
-def _lower_basins(h_tx: float, h_rx, coeffs, best_p: np.ndarray, rows, lo, hi):
-    """Search the basins and store each one that beats ``best_p[rows]`` there.
+def worst_cases(where, f1, f2=None, p_t: float = 1.0):
+    """Worst cases of a batch of carriers or pairs, for every user.
 
-    Basin m is [lo[m], hi[m]] with pair constants ``coeffs[.][m]`` and
-    receiver height as in :func:`_basin_minimum`.  Returns the improved rows
-    of ``best_p`` and their argmin distances.
-    """
-    basin_p, basin_x = np.empty(rows.size), np.empty(rows.size)
-    for start in range(0, rows.size, _BASIN_BLOCK):
-        block = slice(start, start + _BASIN_BLOCK)
-        basin_p[block], basin_x[block] = _basin_minimum(
-            h_tx, _per_row(h_rx, block), [a[block] for a in coeffs], lo[block], hi[block]
-        )
-    lower = basin_p < best_p[rows]
-    best_p[rows[lower]] = basin_p[lower]
-    return rows[lower], basin_x[lower]
-
-
-def _worst_cases(
-    geom: SceneGeometry,
-    interval: DistanceInterval,
-    f1,
-    f2=None,
-    p_t: float = 1.0,
-):
-    """Worst cases over one interval for a batch of carriers or pairs.
-
-    With ``f2`` None each entry of ``f1`` is a single carrier and the
-    power is :func:`freqassign.channel.receive_power_single`; otherwise
-    entry m is the pair (f1[m], f2[m]), f1 < f2, and the power is
+    ``where`` lists one ``(SceneGeometry, DistanceInterval)`` per user.
+    With ``f2`` None each entry of ``f1`` is a single carrier and the power
+    is :func:`freqassign.channel.receive_power_single`; otherwise entry m is
+    the pair (f1[m], f2[m]), f1 < f2, and the power is
     :func:`freqassign.channel.sum_power_lower_bound`.  Returns
-    ``(power, argmin_distance, kind)`` shaped like the carriers, ``kind``
-    indexing :data:`_KINDS`.  Scalar carriers are a batch of one and run
-    on numpy scalars, which is much cheaper than one-element arrays.
+    ``(power, argmin_distance, kind)``, each of shape (users, entries),
+    ``kind`` indexing :data:`_KINDS`.  A scalar carrier is one entry and
+    runs on numpy scalars, which is much cheaper than one-element arrays.
 
     Candidates are both endpoints and the largest null d_k of the
-    oscillation (the carrier, or the pair's spacing) inside the interval
-    (:func:`_candidates`); for pairs the basin of that null is searched as
-    well (:func:`_lower_basins`).  Every entry is computed elementwise, so
-    its result does not depend on the rest of the batch.
+    oscillation (the carrier, or the pair's spacing) inside the interval,
+    found once per user (:func:`_candidates`) on frequency-only data built
+    once (:func:`_batch`).  For pairs the basins of those nulls are then
+    searched for all users together, :data:`_BASIN_BLOCK` rows at a time,
+    each row with its own user's heights.  Every entry is computed
+    elementwise, so its result depends neither on the rest of the batch
+    nor on the other users.
     """
     batch = _batch(f1, f2, p_t)
-    best_p, best_x, kind, (rows, lo, hi) = _candidates(geom, interval, batch)
+    shape = (len(where), np.size(batch.omega))
+    power, argmin = np.empty(shape), np.empty(shape)
+    kind = np.empty(shape, dtype=int)
+    basins = []  # per user: (entries, lo, hi) of the basins to search
+    for u, (geom, interval) in enumerate(where):
+        power[u], argmin[u], kind[u], basin = _candidates(geom, interval, batch)
+        basins.append(basin)
+    rows, lo, hi = (np.concatenate(parts) for parts in zip(*basins))
     if rows.size:
-        best_p, best_x, kind = np.atleast_1d(best_p, best_x, kind)
+        owner = np.repeat(np.arange(len(where)), [b[0].size for b in basins])
+        heights = [np.array(terms)[owner] for terms in zip(*(g._heights for g, _ in where))]
         coeffs = [np.atleast_1d(a)[rows] for a in batch.coeffs]
-        rows, x = _lower_basins(geom.h_tx, geom.h_rx, coeffs, best_p, rows, lo, hi)
-        best_x[rows] = x
-        kind[rows] = 2
-    return best_p, best_x, kind
+        basin_p, basin_x = np.empty(rows.size), np.empty(rows.size)
+        for start in range(0, rows.size, _BASIN_BLOCK):
+            block = slice(start, start + _BASIN_BLOCK)
+            basin_p[block], basin_x[block] = _basin_minimum(
+                [a[block] for a in heights], [a[block] for a in coeffs], lo[block], hi[block]
+            )
+        lower = basin_p < power[owner, rows]
+        at = owner[lower], rows[lower]
+        power[at], argmin[at], kind[at] = basin_p[lower], basin_x[lower], 2
+    return power, argmin, kind
 
 
 def _one(result) -> WorstCaseResult:
-    power, argmin, kind = (np.asarray(a).item() for a in result)
+    power, argmin, kind = (a.item() for a in result)
     return WorstCaseResult(power, argmin, _KINDS[kind])
 
 
@@ -302,7 +289,7 @@ def worst_case_single(
     distance d_k falling inside the closed interval.  When no null lies in
     the interval only the endpoints compete.
     """
-    return _one(_worst_cases(geom, interval, freq.f, None, p_t))
+    return _one(worst_cases([(geom, interval)], freq.f, None, p_t))
 
 
 def worst_case_pair(
@@ -320,7 +307,7 @@ def worst_case_pair(
     off the nominal null distance, so the basin around the deepest relevant
     null is additionally searched to the accuracy of a bounded Brent search.
     """
-    return _one(_worst_cases(geom, interval, pair.f1, pair.f2, p_t))
+    return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 
 
 def phase_uniform_grid(

@@ -25,8 +25,9 @@ from freqassign import (
     worst_case_pair,
     worst_case_single,
 )
+from freqassign.bench import ScenarioConfig, generate_scenario
 from freqassign.channel import TWO_PI
-from freqassign.worstcase import _KINDS, WorstCaseResult, _worst_cases
+from freqassign.worstcase import _KINDS, WorstCaseResult, worst_cases
 
 
 def _reference_min_over_candidates(power_fn, interval, nulls):
@@ -94,8 +95,9 @@ def all_pairs(hz):
     return hz[i], hz[j]
 
 
-def as_rows(result):
-    return list(zip(*(np.atleast_1d(a).tolist() for a in result)))
+def as_rows(result, user=0):
+    """(power, argmin, kind) of every entry of one user."""
+    return list(zip(*(a[user].tolist() for a in result)))
 
 
 class TestBatchIndependence:
@@ -104,13 +106,13 @@ class TestBatchIndependence:
         rng = np.random.default_rng(seed)
         geom, iv, hz = wideband_user(rng)
         f1, f2 = all_pairs(hz)
-        full = as_rows(_worst_cases(geom, iv, f1, f2))
+        full = as_rows(worst_cases([(geom, iv)], f1, f2))
         assert 2 in {kind for _, _, kind in full}  # basin searches took part
         order = rng.permutation(f1.size)
-        shuffled = as_rows(_worst_cases(geom, iv, f1[order], f2[order]))
+        shuffled = as_rows(worst_cases([(geom, iv)], f1[order], f2[order]))
         for m in range(f1.size):
-            alone = as_rows(_worst_cases(geom, iv, f1[m : m + 1], f2[m : m + 1]))[0]
-            scalar = as_rows(_worst_cases(geom, iv, float(f1[m]), float(f2[m])))[0]
+            alone = as_rows(worst_cases([(geom, iv)], f1[m : m + 1], f2[m : m + 1]))[0]
+            scalar = as_rows(worst_cases([(geom, iv)], float(f1[m]), float(f2[m])))[0]
             assert full[m] == alone == scalar
         assert [full[m] for m in order] == shuffled
 
@@ -118,17 +120,46 @@ class TestBatchIndependence:
     def test_singles_alone_full_and_shuffled(self, seed):
         rng = np.random.default_rng(seed)
         geom, iv, hz = wideband_user(rng)
-        full = as_rows(_worst_cases(geom, iv, hz))
+        full = as_rows(worst_cases([(geom, iv)], hz))
         assert 2 in {kind for _, _, kind in full}  # carrier nulls took part
         order = rng.permutation(hz.size)
-        shuffled = as_rows(_worst_cases(geom, iv, hz[order]))
+        shuffled = as_rows(worst_cases([(geom, iv)], hz[order]))
         for m in range(hz.size):
-            alone = as_rows(_worst_cases(geom, iv, hz[m : m + 1]))[0]
-            scalar = as_rows(_worst_cases(geom, iv, float(hz[m])))[0]
+            alone = as_rows(worst_cases([(geom, iv)], hz[m : m + 1]))[0]
+            scalar = as_rows(worst_cases([(geom, iv)], float(hz[m])))[0]
             assert full[m] == alone == scalar
             result = worst_case_single(geom, iv, CarrierFrequency(float(hz[m])))
             assert (result.power, result.argmin_distance) == full[m][:2]
         assert [full[m] for m in order] == shuffled
+
+
+class TestUsersIndependence:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_user_row_matches_one_user_and_scalar_calls(self, seed):
+        config = ScenarioConfig(n_users=8, n_freqs=24, band=(0.4e9, 3e9), master_seed=seed)
+        users, freqs = generate_scenario(config, 0)
+        where = [(SceneGeometry(config.h_tx, u.h_rx), u.interval) for u in users]
+        hz = np.array([fr.f for fr in freqs])
+        f1, f2 = all_pairs(hz)
+        singles = worst_cases(where, hz, None, config.p_t)
+        pairs = worst_cases(where, f1, f2, config.p_t)
+        assert {a.shape for a in singles} == {(len(users), hz.size)}
+        assert {a.shape for a in pairs} == {(len(users), f1.size)}
+        assert set(pairs[2].ravel().tolist()) == {0, 1, 2}  # every candidate kind occurs
+        for u, (geom, iv) in enumerate(where):
+            alone = worst_cases([(geom, iv)], hz, None, config.p_t)
+            assert as_rows(singles, u) == as_rows(alone)
+            for m, fr in enumerate(freqs):
+                result = worst_case_single(geom, iv, fr, config.p_t)
+                power, argmin, kind = as_rows(singles, u)[m]
+                assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+            alone = worst_cases([(geom, iv)], f1, f2, config.p_t)
+            assert as_rows(pairs, u) == as_rows(alone)
+            for m in range(f1.size):
+                pair = FrequencyPair(float(f1[m]), float(f2[m]))
+                result = worst_case_pair(geom, iv, pair, config.p_t)
+                power, argmin, kind = as_rows(pairs, u)[m]
+                assert result == WorstCaseResult(power, argmin, _KINDS[kind])
 
 
 def differential_cases():

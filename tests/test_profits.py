@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from freqassign import (
     CarrierFrequency,
     DistanceInterval,
     FrequencyPair,
+    Instance,
     ProfitTable,
     SceneGeometry,
     SystemConfig,
@@ -178,6 +180,21 @@ class TestProfitTableJson:
         assert np.array_equal(restored.pair, table.pair)
         assert [fr.f for fr in restored.frequencies] == [fr.f for fr in table.frequencies]
         assert [u.h_rx for u in restored.users] == [u.h_rx for u in table.users]
+
+    def test_loaded_diagonal_is_zero(self):
+        # the diagonal is unused; loading zeroes it, so an Instance can take
+        # the pair tensor as it is
+        rng = np.random.default_rng(47)
+        users = [random_user(rng) for _ in range(2)]
+        table = build_profit_table(users, random_band_freqs(rng, 3), SYSTEM)
+        data = table.to_dict()
+        for u in range(2):
+            for i in range(3):
+                data["pair_profits_w"][u][i][i] = -1.0e-6 * (u + i + 1)
+        restored = ProfitTable.from_json(json.dumps(data))
+        assert restored.pair.tobytes() == table.pair.tobytes()
+        instance = Instance.from_profit_table(restored)
+        assert instance.joint_profits.tobytes() == table.pair.tobytes()
 
 
 class TestTypes:

@@ -20,6 +20,7 @@ from freqassign import (
     SceneGeometry,
     SystemConfig,
     UserProfile,
+    WorstCaseResult,
     build_profit_table,
     null_distances,
     worst_case_pair,
@@ -37,6 +38,7 @@ from freqassign.channel import (
     _single_coeffs,
     _single_power,
 )
+from freqassign.worstcase import _KINDS
 
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
@@ -207,19 +209,22 @@ def edge_users():
 
 
 def users_ending_below_nulls(hz, h_tx=10.0, h_rx=1.5):
-    """Intervals whose d_max sits one float below a null distance.
+    """Intervals whose d_max sits 0-3 floats below a null distance.
 
-    The phase at d_max then lies a hair above 2*pi*k, so the closed-form k
-    comes out one short and has to be corrected on the computed d_k.
+    Below the null the phase at d_max lies a hair above 2*pi*k, so the
+    closed-form k can come out one short, with its null just outside.
     """
     geom = SceneGeometry(h_tx, h_rx)
     spacing = CarrierFrequency(float(hz[-1] - hz[0]))
     nulls = [null_distances(geom, CarrierFrequency(float(hz[0])))[k] for k in (0, 1, -1)]
     nulls += list(null_distances(geom, spacing)[:2])
-    return [
-        UserProfile(h_rx, DistanceInterval(d / 3.0, float(np.nextafter(d, 0.0))))
-        for d in nulls
-    ]
+    users = []
+    for d in nulls:
+        d_max = float(d)
+        for _ in range(4):
+            users.append(UserProfile(h_rx, DistanceInterval(d / 3.0, d_max)))
+            d_max = float(np.nextafter(d_max, 0.0))
+    return users
 
 
 @pytest.mark.parametrize("hz", [WIDEBAND_HZ, NARROWBAND_HZ], ids=["wideband", "narrowband"])
@@ -233,6 +238,23 @@ def test_edge_users_match_reference(hz, p_t):
 def test_intervals_ending_below_a_null_match_reference():
     freqs = [CarrierFrequency(float(f)) for f in WIDEBAND_HZ]
     assert_matches_reference(users_ending_below_nulls(WIDEBAND_HZ), freqs, SystemConfig(10.0))
+
+
+@pytest.mark.parametrize("hz", [WIDEBAND_HZ, NARROWBAND_HZ], ids=["wideband", "narrowband"])
+def test_queries_ending_below_a_null_match_reference(hz):
+    # argmin and kind as well as the power, for every carrier and pair
+    i, j = np.triu_indices(hz.size, k=1)
+    for user in users_ending_below_nulls(hz):
+        geom = SceneGeometry(10.0, user.h_rx)
+        iv = user.interval
+        expected = zip(*_reference_worst_cases(geom, iv, hz))
+        for f, (power, argmin, kind) in zip(hz, expected):
+            result = worst_case_single(geom, iv, CarrierFrequency(float(f)))
+            assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+        expected = zip(*_reference_worst_cases(geom, iv, hz[i], hz[j]))
+        for f1, f2, (power, argmin, kind) in zip(hz[i], hz[j], expected):
+            result = worst_case_pair(geom, iv, FrequencyPair(float(f1), float(f2)))
+            assert result == WorstCaseResult(power, argmin, _KINDS[kind])
 
 
 @pytest.mark.parametrize("seed", [3, 4])
