@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +46,23 @@ SOLVERS = {
 SCHEMES = tuple(SOLVERS)
 
 
+def _is_number(value) -> bool:
+    """A finite real number; bool is an int, but never a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# Type checks of ScenarioConfig's fields by annotation, run before any
+# comparison: a config file may hold any JSON value.
+_FIELD_CHECKS = {
+    "int": lambda v: _is_number(v) and isinstance(v, numbers.Integral),
+    "float": _is_number,
+    "tuple[float, float]": lambda v: (
+        isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_number, v))
+    ),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Distributions and sizes for scenario generation."""
@@ -61,6 +80,10 @@ class ScenarioConfig:
     freq_mode: str = "uniform"  # "uniform": i.i.d. draws; "grid": evenly spaced
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.n_users < 1 or self.n_freqs < 1:
             raise ValueError("need at least one user and one frequency")
         if not 0 < self.band[0] < self.band[1]:
@@ -76,26 +99,20 @@ class ScenarioConfig:
             raise ValueError("freq_mode must be 'uniform' or 'grid'")
 
     def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_freqs": self.n_freqs,
-            "band": list(self.band),
-            "h_tx": self.h_tx,
-            "p_t": self.p_t,
-            "h_rx_range": list(self.h_rx_range),
-            "d_min_range": list(self.d_min_range),
-            "span_range": list(self.span_range),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "freq_mode": self.freq_mode,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        data = dict(data)
-        for key in ("band", "h_rx_range", "d_min_range", "span_range"):
-            if key in data:
-                data[key] = tuple(data[key])
+        if not isinstance(data, dict):
+            raise ValueError("scenario config must be a JSON object")
+        names = {f.name: f for f in fields(cls)}
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown scenario config key {key!r}")
+        for f in names.values():
+            if f.default is MISSING and f.name not in data:
+                raise ValueError(f"scenario config lacks {f.name!r}")
+        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
         return cls(**data)
 
 

@@ -183,7 +183,7 @@ def _invert_path_difference(geom: SceneGeometry, q):
     l_los = (4*h_tx*h_rx - q^2)/(2q) and d^2 = l_los^2 - (h_tx - h_rx)^2;
     q above its supremum 2*min(h_tx, h_rx) maps to d = 0.  Broadcasts.
     """
-    q = np.minimum(q, 2.0 * min(geom.h_tx, geom.h_rx))
+    q = np.minimum(q, 2.0 * np.minimum(geom.h_tx, geom.h_rx))
     l_los = (4.0 * geom.h_tx * geom.h_rx - q * q) / (2.0 * q)
     dh = geom.h_tx - geom.h_rx
     return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))
@@ -200,8 +200,8 @@ def phase_shift(geom: SceneGeometry, d, freq: CarrierFrequency):
 
 
 def _max_phase(geom: SceneGeometry, omega):
-    """Phase supremum 2*omega*min(h_tx, h_rx)/c at rate(s) omega; broadcasts."""
-    return 2.0 * omega * min(geom.h_tx, geom.h_rx) / SPEED_OF_LIGHT
+    """Phase supremum 2*omega*min(h_tx, h_rx)/c; broadcasts over omega and the heights."""
+    return 2.0 * omega * np.minimum(geom.h_tx, geom.h_rx) / SPEED_OF_LIGHT
 
 
 def max_phase_shift(geom: SceneGeometry, freq: CarrierFrequency) -> float:
@@ -209,7 +209,7 @@ def max_phase_shift(geom: SceneGeometry, freq: CarrierFrequency) -> float:
 
     Equals 2*omega*min(h_tx, h_rx)/c.
     """
-    return _max_phase(geom, freq.omega)
+    return float(_max_phase(geom, freq.omega))
 
 
 def _k_max(geom: SceneGeometry, omega):
@@ -223,7 +223,7 @@ def k_max(geom: SceneGeometry, freq: CarrierFrequency) -> int:
 
 
 def _null_distance(geom: SceneGeometry, omega, k):
-    """Distance of the k-th null at angular rate omega; broadcasts over both.
+    """Distance of the k-th null at angular rate omega; broadcasts over all three.
 
     Only meaningful for 1 <= k <= k_max; see :func:`null_distances`.
     """

@@ -183,10 +183,12 @@ def _load_frequencies(args) -> list[CarrierFrequency]:
     else:
         if args.nfreqs is None:
             raise ValueError("provide --freqs FILE or --band LO HI with --nfreqs")
+        if args.nfreqs < 1:
+            raise ValueError("--nfreqs must be at least 1")
         rng = np.random.default_rng(args.seed)
         lo, hi = args.band
-        if not 0 < lo < hi:
-            raise ValueError("band must satisfy 0 < lo < hi")
+        if not (_positive_finite(lo, hi) and lo < hi):
+            raise ValueError("band must satisfy 0 < lo < hi, both finite")
         hz = list(rng.uniform(lo, hi, size=args.nfreqs))
     # Ascending order: positional schemes index items by frequency rank.
     return [CarrierFrequency(f) for f in sorted(hz)]

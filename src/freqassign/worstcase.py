@@ -9,11 +9,11 @@ spacing oscillation lets the distance-dependent amplitude move the true
 minimum measurably off its null, so the null's basin is searched as well.
 One routine, :func:`worst_cases`, serves every caller: it takes a list of
 users (geometry and interval each) and a whole array of carriers or pairs,
-builds the frequency-only part once, and searches the basins of all users
-in one batch.  A profit table is one call for its carriers and one for its
-pairs; a single query is a table of one user and one entry.  An
-exhaustive phase-resolved grid scan doubles as an independent oracle for
-the claim.
+finds the candidates of every (user, entry) in one numpy broadcast, and
+searches the basins of all users in one batch.  A profit table is one call
+for its carriers and one for its pairs; a single query is the same
+broadcast on (1, 1) arrays.  An exhaustive phase-resolved grid scan doubles
+as an independent oracle for the claim.
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ class WorstCaseResult:
 
 
 class _Batch(NamedTuple):
-    """Frequency-only data of a batch of carriers or pairs.
+    """Frequency-only data of a batch of carriers or pairs, as (entries,) arrays.
 
     Nothing here depends on the user, so :func:`worst_cases` builds it once
     and shares it between all users.
     """
 
-    omega: object  # angular rate of the oscillation: the carrier, or the pair's spacing
+    omega: np.ndarray  # angular rate of the oscillation: the carrier, or the pair's spacing
     coeffs: tuple  # constants of ``power``; the last one is omega / c
     power: Callable  # _single_power or _lower_bound_power
     q_scale: object  # c / omega for pairs, None for carriers
@@ -106,85 +106,24 @@ class _Batch(NamedTuple):
 def _batch(f1, f2, p_t: float) -> _Batch:
     """Carriers ``f1`` (``f2`` None) or pairs (f1[m], f2[m]), f1 < f2, at power ``p_t``.
 
-    Scalar carriers are a batch of one and give numpy scalars, which are
-    much cheaper than one-element arrays.
+    A scalar carrier or pair is a batch of one.
     """
     if not _positive_finite(p_t):
         raise ValueError("transmit power must be positive and finite")
-    # [()] turns a 0-d array into a numpy scalar and leaves arrays as they are.
-    f1 = np.asarray(f1, dtype=float)[()]
+    f1 = np.array(f1, dtype=float, ndmin=1)
     if f2 is None:
         omega = TWO_PI * f1
         return _Batch(omega, _single_coeffs(omega, p_t), _single_power, None)
-    f2 = np.asarray(f2, dtype=float)[()]
+    f2 = np.array(f2, dtype=float, ndmin=1)
     omega = TWO_PI * (f2 - f1)
     coeffs = _lower_bound_coeffs(f1, f2, p_t)
     return _Batch(omega, coeffs, _lower_bound_power, SPEED_OF_LIGHT / omega)
 
 
-_NO_BASINS = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))  # (rows, lo, hi)
-
-
-def _candidates(geom: SceneGeometry, interval: DistanceInterval, batch: _Batch):
-    """Best of the endpoints and the largest null inside, for every entry.
-
-    Returns ``(power, argmin_distance, kind, basins)``.  For pairs,
-    ``basins = (rows, lo, hi)`` lists the entries whose null basin (phase
-    2*pi*k +- pi, clipped to the interval) is not empty, for
-    :func:`worst_cases` to search; for carriers it is empty.
-
-    Null distances fall with k, so the largest null at or below d_max has
-    the smallest k whose phase 2*pi*k is at least the phase at d_max, found
-    in closed form.  An entry whose k exceeds its null count k_max has no
-    null at or below d_max, so the null candidate and the basin bracket are
-    computed for the other entries only; in a narrow band that is none of
-    the pairs.
-    """
-    d_min, d_max = float(interval.d_min), float(interval.d_max)
-    heights = geom._heights
-    at_max = _ray_terms(heights, d_max)
-    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
-    p_hi = batch.power(batch.coeffs, *at_max)
-    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
-    at_lo = p_lo <= p_hi
-    best_p = np.where(at_lo, p_lo, p_hi)
-    kind = np.where(at_lo, 0, 1)
-    best_x = np.where(at_lo, d_min, d_max)
-
-    # k is the ceiling of the phase at d_max over 2*pi, taken from below so
-    # that roundoff can only leave it one short.  That happens only when d_max
-    # lies within roundoff below the null d_k, which then falls outside; the
-    # endpoint d_max stands in for it, and the next null down is shallower.
-    k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
-    k_max = _k_max(geom, batch.omega)
-    has = k <= k_max
-    if not has.any():
-        return best_p, best_x, kind, _NO_BASINS
-    # () selects every entry, and keeps a batch of one on numpy scalars.
-    rows = () if has.all() else np.flatnonzero(has)
-    omega, k, k_max = batch.omega[rows], k[rows], k_max[rows]
-    d_k = _null_distance(geom, omega, k)
-    has_null = k <= k_max
-    # Without a null inside, the third candidate repeats d_min and ties it.
-    d_null = np.where(has_null & (d_k >= d_min) & (d_k <= d_max), d_k, d_min)
-    coeffs = [a[rows] for a in batch.coeffs]
-    p_null = batch.power(coeffs, *_ray_terms(heights, d_null))
-    lower = p_null < best_p[rows]
-    best_p[rows] = np.where(lower, p_null, best_p[rows])
-    best_x[rows] = np.where(lower, d_null, best_x[rows])
-    kind[rows] = np.where(lower, 2, kind[rows])
-    if batch.q_scale is None:
-        return best_p, best_x, kind, _NO_BASINS
-
-    # The amplitude shifts a pair's minimum off d_k towards larger d; nulls
-    # above d_max cannot matter because the shift never moves a minimum to
-    # smaller distances.
-    q_scale = batch.q_scale[rows]
-    d_hi = np.minimum(_invert_path_difference(geom, (TWO_PI * k - math.pi) * q_scale), d_max)
-    d_lo = np.maximum(_invert_path_difference(geom, (TWO_PI * k + math.pi) * q_scale), d_min)
-    search = has_null & (d_lo < d_hi)
-    basin_rows = np.flatnonzero(has)[np.flatnonzero(search)]
-    return best_p, best_x, kind, (basin_rows, d_lo[search], d_hi[search])
+# Antenna heights of many users or rows, in place of a SceneGeometry: the
+# private helpers of freqassign.channel read only h_tx and h_rx, and
+# broadcast over them.
+_Heights = NamedTuple("_Heights", [("h_tx", np.ndarray), ("h_rx", np.ndarray)])
 
 
 def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
@@ -226,6 +165,15 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     return out_p, out_x
 
 
+def _take_lower(result, at, power, argmin) -> None:
+    """Where ``power`` undercuts ``result`` at the (user, entry) rows ``at``,
+    write it there as an interior null; ties keep the earlier candidate."""
+    best_p, best_x, kind = result
+    lower = power < best_p[at]
+    at = tuple(a[lower] for a in at)
+    best_p[at], best_x[at], kind[at] = power[lower], argmin[lower], 2
+
+
 def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     """Worst cases of a batch of carriers or pairs, for every user.
 
@@ -233,43 +181,75 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     With ``f2`` None each entry of ``f1`` is a single carrier and the power
     is :func:`freqassign.channel.receive_power_single`; otherwise entry m is
     the pair (f1[m], f2[m]), f1 < f2, and the power is
-    :func:`freqassign.channel.sum_power_lower_bound`.  Returns
-    ``(power, argmin_distance, kind)``, each of shape (users, entries),
-    ``kind`` indexing :data:`_KINDS`.  A scalar carrier is one entry and
-    runs on numpy scalars, which is much cheaper than one-element arrays.
+    :func:`freqassign.channel.sum_power_lower_bound`.  A scalar is one
+    entry.  Returns ``(power, argmin_distance, kind)``, each of shape
+    (users, entries), ``kind`` indexing :data:`_KINDS`.
 
     Candidates are both endpoints and the largest null d_k of the
-    oscillation (the carrier, or the pair's spacing) inside the interval,
-    found once per user (:func:`_candidates`) on frequency-only data built
-    once (:func:`_batch`).  For pairs the basins of those nulls are then
-    searched for all users together, :data:`_BASIN_BLOCK` rows at a time,
-    each row with its own user's heights.  Every entry is computed
-    elementwise, so its result depends neither on the rest of the batch
-    nor on the other users.
+    oscillation (the carrier, or the pair's spacing) inside the interval.
+    The endpoints and the null index k are one broadcast of the users'
+    heights and intervals, as (users, 1) columns, against the
+    frequency-only data built once (:func:`_batch`).  The null and, for
+    pairs, its basin are then computed only on the (user, entry) rows that
+    have a null, each row with its own user's heights; the basins are
+    searched :data:`_BASIN_BLOCK` rows at a time.  Every entry is computed
+    elementwise, so its result depends neither on the rest of the batch nor
+    on the other users.
     """
     batch = _batch(f1, f2, p_t)
-    shape = (len(where), np.size(batch.omega))
-    power, argmin = np.empty(shape), np.empty(shape)
-    kind = np.empty(shape, dtype=int)
-    basins = []  # per user: (entries, lo, hi) of the basins to search
-    for u, (geom, interval) in enumerate(where):
-        power[u], argmin[u], kind[u], basin = _candidates(geom, interval, batch)
-        basins.append(basin)
-    rows, lo, hi = (np.concatenate(parts) for parts in zip(*basins))
-    if rows.size:
-        owner = np.repeat(np.arange(len(where)), [b[0].size for b in basins])
-        heights = [np.array(terms)[owner] for terms in zip(*(g._heights for g, _ in where))]
-        coeffs = [np.atleast_1d(a)[rows] for a in batch.coeffs]
-        basin_p, basin_x = np.empty(rows.size), np.empty(rows.size)
-        for start in range(0, rows.size, _BASIN_BLOCK):
-            block = slice(start, start + _BASIN_BLOCK)
-            basin_p[block], basin_x[block] = _basin_minimum(
-                [a[block] for a in heights], [a[block] for a in coeffs], lo[block], hi[block]
-            )
-        lower = basin_p < power[owner, rows]
-        at = owner[lower], rows[lower]
-        power[at], argmin[at], kind[at] = basin_p[lower], basin_x[lower], 2
-    return power, argmin, kind
+    # One row per user: its heights, their cached height terms, its interval.
+    users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
+    h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
+    at_max = _ray_terms(heights, d_max)
+    # Null distances fall with k, so the largest null at or below d_max has
+    # the smallest k whose phase 2*pi*k is at least the phase at d_max.  k is
+    # that phase over 2*pi, rounded up from below so that roundoff can only
+    # leave it one short.  That happens only when d_max lies within roundoff
+    # below the null d_k, which then falls outside; the endpoint d_max stands
+    # in for it, and the next null down is shallower.  A row whose k exceeds
+    # its null count k_max has no null at or below d_max and is skipped; in a
+    # narrow band that is every pair.  This runs before the endpoint powers
+    # so that its (users, entries) temporaries are freed before those exist.
+    k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
+    at = np.nonzero(k <= _k_max(_Heights(h_tx, h_rx), batch.omega))
+    k = k[at]
+
+    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
+    p_hi = batch.power(batch.coeffs, *at_max)
+    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
+    at_lo = p_lo <= p_hi
+    result = np.where(at_lo, p_lo, p_hi), np.where(at_lo, d_min, d_max), np.where(at_lo, 0, 1)
+
+    u, m = at
+    h_tx, h_rx, *heights, d_min, d_max = users[u].T
+    rows = _Heights(h_tx, h_rx)
+    coeffs = [a[m] for a in batch.coeffs]
+    d_k = _null_distance(rows, batch.omega[m], k)
+    # Without a null inside, the third candidate repeats d_min and ties it.
+    d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
+    _take_lower(result, at, batch.power(coeffs, *_ray_terms(heights, d_null)), d_null)
+    if batch.q_scale is None:
+        return result
+
+    # The amplitude shifts a pair's minimum off d_k towards larger d; nulls
+    # above d_max cannot matter because the shift never moves a minimum to
+    # smaller distances.
+    q_scale = batch.q_scale[m]
+    d_hi = np.minimum(_invert_path_difference(rows, (TWO_PI * k - math.pi) * q_scale), d_max)
+    d_lo = np.maximum(_invert_path_difference(rows, (TWO_PI * k + math.pi) * q_scale), d_min)
+    search = d_lo < d_hi
+    at = u[search], m[search]
+    heights = [a[search] for a in heights]
+    coeffs = [a[search] for a in coeffs]
+    d_lo, d_hi = d_lo[search], d_hi[search]
+    basin_p, basin_x = np.empty(d_lo.size), np.empty(d_lo.size)
+    for start in range(0, d_lo.size, _BASIN_BLOCK):
+        block = slice(start, start + _BASIN_BLOCK)
+        basin_p[block], basin_x[block] = _basin_minimum(
+            [a[block] for a in heights], [a[block] for a in coeffs], d_lo[block], d_hi[block]
+        )
+    _take_lower(result, at, basin_p, basin_x)
+    return result
 
 
 def _one(result) -> WorstCaseResult:

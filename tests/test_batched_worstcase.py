@@ -161,6 +161,41 @@ class TestUsersIndependence:
                 power, argmin, kind = as_rows(pairs, u)[m]
                 assert result == WorstCaseResult(power, argmin, _KINDS[kind])
 
+    @pytest.mark.parametrize("seed", [81, 82])
+    def test_mixed_geometries_match_one_user_and_scalar_calls(self, seed):
+        # Each user has its own h_tx: h_rx above h_tx makes min(h_tx, h_rx)
+        # pick h_tx on some rows and h_rx on others, and h_rx == h_tx has no
+        # height difference at all.
+        rng = np.random.default_rng(seed)
+        heights = [(10.0, 3.0), (4.0, 9.0), (2.5, 12.0), (6.0, 6.0), (12.0, 1.5), (3.0, 3.5)]
+        where = []
+        for h_tx, h_rx in heights:
+            d_min = float(rng.uniform(5.0, 35.0))
+            span = float(rng.uniform(40.0, 90.0))
+            where.append((SceneGeometry(h_tx, h_rx), DistanceInterval(d_min, d_min + span)))
+        # Beyond the largest null of most carriers, so endpoints win there.
+        where.append((SceneGeometry(3.0, 1.0), DistanceInterval(60.0, 140.0)))
+        # Close in and higher than the first user, so its nulls there have
+        # indices k above the first user's null count k_max.
+        where.append((SceneGeometry(9.0, 12.0), DistanceInterval(2.0, 15.0)))
+        hz = np.sort(rng.uniform(0.4e9, 3e9, 12))
+        f1, f2 = all_pairs(hz)
+        singles = worst_cases(where, hz)
+        pairs = worst_cases(where, f1, f2)
+        assert set(singles[2].ravel().tolist()) == {0, 1, 2}  # every candidate kind occurs
+        assert set(pairs[2].ravel().tolist()) == {0, 1, 2}
+        for u, (geom, iv) in enumerate(where):
+            assert as_rows(singles, u) == as_rows(worst_cases([(geom, iv)], hz))
+            assert as_rows(pairs, u) == as_rows(worst_cases([(geom, iv)], f1, f2))
+            for m, f in enumerate(hz.tolist()):
+                power, argmin, kind = as_rows(singles, u)[m]
+                result = worst_case_single(geom, iv, CarrierFrequency(f))
+                assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+            for m in range(f1.size):
+                power, argmin, kind = as_rows(pairs, u)[m]
+                result = worst_case_pair(geom, iv, FrequencyPair(float(f1[m]), float(f2[m])))
+                assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+
 
 def differential_cases():
     """(label, geometry, interval, pair) on fixed seeds."""

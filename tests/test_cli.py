@@ -291,6 +291,18 @@ class TestAssign:
         assert code != 0 and out == ""
         assert "entry 1" in err
 
+    @pytest.mark.parametrize(
+        "band, nfreqs",
+        [(("1", "inf"), "3"), (("2.4e9", "2.5e9"), "0")],
+        ids=["infinite-band", "no-frequencies"],
+    )
+    def test_invalid_band_draw_rejected(self, capsys, users_file, band, nfreqs):
+        code, out, err = run(
+            capsys, ["assign", "--users", users_file, "--band", *band, "--nfreqs", nfreqs]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_greedy_usually_beats_random(self, capsys, users_file):
         # reported, not asserted per instance: compare the two averages on
         # one fixed draw
@@ -335,6 +347,28 @@ class TestBench:
         code, out, _ = run(capsys, ["bench", "--config", str(cfg), "--format", "csv"])
         assert code == 0
         assert out.startswith("K,N,scheme")
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"n_users": 2, "n_freqs": 6, "trials": 2, "colour": "red"}, "colour"),
+            ({"n_users": 2, "n_freqs": 6, "trials": 2.5}, "trials"),
+            ({"n_users": 2, "n_freqs": 6, "h_rx_range": [1.0, "3"]}, "h_rx_range"),
+            ([2, 6], "object"),
+            ({"n_users": True, "n_freqs": 6, "trials": 2}, "n_users"),
+            ({"n_users": 2, "n_freqs": 6, "band": [2.4e9, float("inf")]}, "band"),
+            ({"n_users": 2, "n_freqs": 6, "h_rx_range": [1.0, float("inf")]}, "h_rx_range"),
+            ({"n_freqs": 6}, "n_users"),
+        ],
+        ids=["unknown-key", "fractional-trials", "string-in-range", "array", "boolean-count",
+             "infinite-band", "infinite-range", "missing-count"],
+    )
+    def test_invalid_config_file_is_usage_error(self, capsys, tmp_path, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))  # inf is written as the JSON extension Infinity
+        code, out, err = run(capsys, ["bench", "--config", str(cfg), "--format", "csv"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err
 
     def test_zero_users_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["bench", "-K", "0", "-N", "6", "--trials", "1"])
