@@ -15,6 +15,9 @@ import io
 import json
 import math
 import numbers
+import os
+import sys
+import tempfile
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -131,10 +134,12 @@ def generate_scenario(
     if config.freq_mode == "grid":
         hz = np.linspace(f_lo, f_hi, config.n_freqs)
     else:
-        while True:
+        for _ in range(8):  # in a sane band a draw collides with probability ~1e-11
             hz = rng.uniform(f_lo, f_hi, size=config.n_freqs)
             if np.unique(hz).size == config.n_freqs:
                 break
+        else:
+            raise ValueError(f"band too narrow for n_freqs={config.n_freqs} distinct draws")
         hz = np.sort(hz)
     freqs = [CarrierFrequency(float(f)) for f in hz]
     users = []
@@ -269,19 +274,39 @@ def run_benchmark(config: ScenarioConfig) -> BenchReport:
     return BenchReport(config, mean_db, stats, results)
 
 
+def write_output(text: str, destination) -> None:
+    """Write ``text`` to a file-like object, to stdout (None or "-"), or to a path.
+
+    A path is written whole or not at all: the text goes to a temporary file
+    in the destination's directory, which is then renamed over it.
+    """
+    if destination is None or destination == "-":
+        destination = sys.stdout
+    if hasattr(destination, "write"):
+        destination.write(text)
+        return
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(destination)), suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, destination)
+    except OSError as exc:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise OSError(f"cannot write {destination}: {exc}") from exc
+
+
 def export_report(report: BenchReport, fmt: str, destination) -> None:
-    """Write a report as CSV or JSON to a path or file-like object."""
+    """Write a report as CSV or JSON with :func:`write_output`."""
     if fmt == "csv":
         text = report.to_csv()
     elif fmt == "json":
         text = report.to_json(indent=2) + "\n"
     else:
         raise ValueError("format must be 'csv' or 'json'")
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination}: {exc}") from exc
+    write_output(text, destination)

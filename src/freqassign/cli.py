@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .bench import SOLVERS, ScenarioConfig, export_report, run_benchmark
+from .bench import SOLVERS, ScenarioConfig, _is_number, export_report, run_benchmark, write_output
 from .channel import (
     CarrierFrequency,
     FrequencyPair,
@@ -32,7 +30,7 @@ from .channel import (
     to_decibel,
 )
 from .profits import SystemConfig, UserProfile, build_profit_table
-from .qmkp import Instance, objective, per_knapsack_profits
+from .qmkp import Instance, per_knapsack_profits
 from .worstcase import (
     DistanceInterval,
     grid_min,
@@ -49,33 +47,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write atomically so a failure never leaves a partial file."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _geometry(args) -> SceneGeometry:
-    return SceneGeometry(args.htx, args.hrx)
-
-
-def cmd_power_curve(args) -> int:
-    geom = _geometry(args)
+def cmd_power_curve(args) -> None:
+    geom = SceneGeometry(args.htx, args.hrx)
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
-    if not (_positive_finite(args.dmin, args.dmax) and args.dmin <= args.dmax):
-        raise ValueError("distance range requires finite 0 < dmin <= dmax")
+    DistanceInterval(args.dmin, args.dmax)  # checks the range
     d = np.geomspace(args.dmin, args.dmax, args.samples)
     lines = [f"# reference_power_watts: {_fmt(args.pt)}"]
     if args.freq2 is None:
@@ -91,12 +67,11 @@ def cmd_power_curve(args) -> int:
         lines += [
             f"{_fmt(di)},{_fmt(si)},{_fmt(li)}" for di, si, li in zip(d, p_sum, p_low)
         ]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    write_output("\n".join(lines) + "\n", args.out)
 
 
-def cmd_minima(args) -> int:
-    geom = _geometry(args)
+def cmd_minima(args) -> None:
+    geom = SceneGeometry(args.htx, args.hrx)
     freq = CarrierFrequency(args.freq)
     # Checked here too: with no minima the power kernel never runs.
     if not _positive_finite(args.pt):
@@ -108,12 +83,11 @@ def cmd_minima(args) -> int:
         lines.append(f"{k},{_fmt(d_k)},{_fmt(p)}")
     if nulls.size == 0:
         lines.append("# no interference minima: the maximal phase shift stays below 2*pi")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    write_output("\n".join(lines) + "\n", args.out)
 
 
-def cmd_worst_case(args) -> int:
-    geom = _geometry(args)
+def cmd_worst_case(args) -> None:
+    geom = SceneGeometry(args.htx, args.hrx)
     interval = DistanceInterval(args.dmin, args.dmax)
     if args.freq2 is None:
         freq = CarrierFrequency(args.freq)
@@ -125,61 +99,51 @@ def cmd_worst_case(args) -> int:
         result = worst_case_pair(geom, interval, pair, args.pt)
         power_fn = lambda d: sum_power_lower_bound(geom, d, pair, args.pt)
         osc_omega = pair.delta_omega
+    worst_db = to_decibel(result.power, args.pt)
     lines = [
-        f"worst_case_db: {_fmt(to_decibel(result.power, args.pt))}",
+        f"worst_case_db: {_fmt(worst_db)}",
         f"argmin_distance_m: {_fmt(result.argmin_distance)}",
         f"candidate_kind: {result.candidate_kind}",
     ]
     if args.verify_grid:
-        oracle = grid_min(
-            power_fn, interval, phase_uniform_grid(geom, interval, osc_omega)
-        )
-        gap = abs(
-            to_decibel(result.power, args.pt) - to_decibel(oracle.power, args.pt)
-        )
-        lines.append(f"grid_oracle_db: {_fmt(to_decibel(oracle.power, args.pt))}")
-        lines.append(f"grid_discrepancy_db: {_fmt(gap)}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+        grid = phase_uniform_grid(geom, interval, osc_omega)
+        oracle_db = to_decibel(grid_min(power_fn, interval, grid).power, args.pt)
+        lines.append(f"grid_oracle_db: {_fmt(oracle_db)}")
+        lines.append(f"grid_discrepancy_db: {_fmt(abs(worst_db - oracle_db))}")
+    write_output("\n".join(lines) + "\n", args.out)
 
 
-def _json_number(value, where: str) -> float:
-    """``value`` as a float; rejects non-numbers and JSON booleans (bool is an int)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {json.dumps(value)}")
+def _number(value, name: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{name}: expected a finite number, got {json.dumps(value)}")
     return float(value)
 
 
-def _load_users(path: str) -> list[UserProfile]:
+def _user(entry) -> UserProfile:
+    h_rx, d_min, d_max = (_number(entry[key], key) for key in ("h_rx_m", "d_min_m", "d_max_m"))
+    return UserProfile(h_rx, DistanceInterval(d_min, d_max))
+
+
+def _load_entries(path: str, what: str, parse) -> list:
+    """``parse`` of each entry of the nonempty JSON array of ``what`` in ``path``."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{path}: expected a nonempty JSON array of user objects")
-    users = []
+        raise ValueError(f"{path}: expected a nonempty JSON array of {what}")
+    entries = []
     for idx, entry in enumerate(raw):
         try:
-            h_rx, d_min, d_max = (
-                _json_number(entry[key], key) for key in ("h_rx_m", "d_min_m", "d_max_m")
-            )
-            users.append(UserProfile(h_rx, DistanceInterval(d_min, d_max)))
+            entries.append(parse(entry))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: user entry {idx}: {exc}") from exc
-    return users
+            raise ValueError(f"{path}: entry {idx}: {exc}") from exc
+    return entries
 
 
 def _load_frequencies(args) -> list[CarrierFrequency]:
     if args.freqs is not None:
-        with open(args.freqs, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list) or not raw:
-            raise ValueError(f"{args.freqs}: expected a nonempty JSON array of Hz values")
-        hz = []
-        for idx, value in enumerate(raw):
-            where = f"{args.freqs}: entry {idx}"
-            f = _json_number(value, where)
-            if f <= 0:
-                raise ValueError(f"{where}: not a positive frequency")
-            hz.append(f)
+        freqs = _load_entries(
+            args.freqs, "Hz values", lambda v: CarrierFrequency(_number(v, "frequency"))
+        )
     else:
         if args.nfreqs is None:
             raise ValueError("provide --freqs FILE or --band LO HI with --nfreqs")
@@ -189,13 +153,13 @@ def _load_frequencies(args) -> list[CarrierFrequency]:
         lo, hi = args.band
         if not (_positive_finite(lo, hi) and lo < hi):
             raise ValueError("band must satisfy 0 < lo < hi, both finite")
-        hz = list(rng.uniform(lo, hi, size=args.nfreqs))
+        freqs = [CarrierFrequency(f) for f in rng.uniform(lo, hi, size=args.nfreqs)]
     # Ascending order: positional schemes index items by frequency rank.
-    return [CarrierFrequency(f) for f in sorted(hz)]
+    return sorted(freqs, key=lambda fr: fr.f)
 
 
-def cmd_assign(args) -> int:
-    users = _load_users(args.users)
+def cmd_assign(args) -> None:
+    users = _load_entries(args.users, "user objects", _user)
     freqs = _load_frequencies(args)
     system = SystemConfig(h_tx=args.htx, p_t=args.pt)
     table = build_profit_table(users, freqs, system)
@@ -205,7 +169,7 @@ def cmd_assign(args) -> int:
     for scheme in schemes:
         assignment = SOLVERS[scheme.replace("-", "_")](instance, args.seed)
         per_user = per_knapsack_profits(instance, assignment)
-        total = objective(instance, assignment)
+        total = sum(per_user)  # the objective, as qmkp.objective sums it
         avg = total / len(users)
         blocks.append(
             {
@@ -220,12 +184,13 @@ def cmd_assign(args) -> int:
             }
         )
     payload = blocks[0] if len(blocks) == 1 else blocks
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    write_output(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     if args.config is not None:
+        if args.num_users is not None or args.num_freqs is not None:
+            raise ValueError("-K/-N cannot be combined with --config")
         with open(args.config, encoding="utf-8") as fh:
             config = ScenarioConfig.from_dict(json.load(fh))
     else:
@@ -242,21 +207,11 @@ def cmd_bench(args) -> int:
     if base is None or base == "-":
         fmt = args.format or "csv"
         export_report(report, fmt, sys.stdout)
-        return 0
+        return
     formats = [args.format] if args.format else ["csv", "json"]
     for fmt in formats:
         export_report(report, fmt, f"{base}.{fmt}")
         print(f"wrote {base}.{fmt}")
-    return 0
-
-
-def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--htx", type=float, required=True, help="transmitter height [m]")
-    parser.add_argument("--hrx", type=float, required=True, help="receiver height [m]")
-
-
-def _add_power_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pt", type=float, default=1.0, help="transmit power [W] (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,37 +221,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("power-curve", help="emit receive power over distance as CSV")
-    _add_geometry_flags(p)
-    _add_power_flag(p)
-    p.add_argument("--freq", type=float, required=True, help="carrier frequency [Hz]")
-    p.add_argument("--freq2", type=float, help="second carrier [Hz]; enables pair mode")
-    p.add_argument("--dmin", type=float, required=True, help="smallest distance [m]")
-    p.add_argument("--dmax", type=float, required=True, help="largest distance [m]")
+    # Flags of one link, shared by power-curve, minima and worst-case.
+    link = argparse.ArgumentParser(add_help=False)
+    link.add_argument("--htx", type=float, required=True, help="transmitter height [m]")
+    link.add_argument("--hrx", type=float, required=True, help="receiver height [m]")
+    link.add_argument("--pt", type=float, default=1.0, help="transmit power [W] (default 1)")
+    link.add_argument("--freq", type=float, required=True, help="carrier frequency [Hz]")
+    link.add_argument("--out", help="output path (default stdout)")
+    # A second carrier and a distance range, shared by power-curve and worst-case.
+    span = argparse.ArgumentParser(add_help=False)
+    span.add_argument("--freq2", type=float, help="second carrier [Hz]; enables pair mode")
+    span.add_argument("--dmin", type=float, required=True, help="smallest distance [m]")
+    span.add_argument("--dmax", type=float, required=True, help="largest distance [m]")
+
+    p = sub.add_parser(
+        "power-curve", parents=[link, span], help="emit receive power over distance as CSV"
+    )
     p.add_argument("--samples", type=int, default=500, help="log-spaced sample count")
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_power_curve)
 
-    p = sub.add_parser("minima", help="list interference null distances")
-    _add_geometry_flags(p)
-    _add_power_flag(p)
-    p.add_argument("--freq", type=float, required=True, help="carrier frequency [Hz]")
-    p.add_argument("--out", help="output path (default stdout)")
+    p = sub.add_parser("minima", parents=[link], help="list interference null distances")
     p.set_defaults(func=cmd_minima)
 
-    p = sub.add_parser("worst-case", help="worst-case power over a distance interval")
-    _add_geometry_flags(p)
-    _add_power_flag(p)
-    p.add_argument("--freq", type=float, required=True, help="carrier frequency [Hz]")
-    p.add_argument("--freq2", type=float, help="second carrier [Hz]; enables pair mode")
-    p.add_argument("--dmin", type=float, required=True, help="interval lower end [m]")
-    p.add_argument("--dmax", type=float, required=True, help="interval upper end [m]")
+    p = sub.add_parser(
+        "worst-case", parents=[link, span], help="worst-case power over a distance interval"
+    )
     p.add_argument(
         "--verify-grid",
         action="store_true",
         help="also run the grid-scan oracle and report the discrepancy",
     )
-    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_worst_case)
 
     p = sub.add_parser("assign", help="assign frequencies to users from JSON inputs")
@@ -312,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nfreqs", type=int, help="number of random band frequencies")
     p.add_argument("--htx", type=float, default=10.0, help="transmitter height [m]")
-    _add_power_flag(p)
+    p.add_argument("--pt", type=float, default=1.0, help="transmit power [W] (default 1)")
     p.add_argument("--scheme", choices=SCHEME_CHOICES, default="greedy")
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
     p.add_argument("--out", help="output path (default stdout)")
@@ -335,7 +289,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,12 @@ class TestGenerateScenario:
         hz = np.array([fr.f for fr in freqs])
         np.testing.assert_allclose(hz, np.linspace(2.4e9, 2.5e9, 11), rtol=1e-15)
 
+    def test_band_too_narrow_for_distinct_draws_raises(self):
+        # at most three floats lie in this band, so ten distinct draws never come
+        config = ScenarioConfig(n_users=1, n_freqs=10, trials=1, band=(1e9, 1.0000000000000002e9))
+        with pytest.raises(ValueError, match="band.*n_freqs=10"):
+            generate_scenario(config, 0)
+
 
 class TestRunTrial:
     def test_records_all_schemes(self):
@@ -199,3 +205,17 @@ class TestExport:
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             export_report(report, "csv", str(missing))
+
+    def test_write_failure_leaves_no_temp_file(self, tmp_path):
+        report = run_benchmark(SMALL)
+        (tmp_path / "x.csv").mkdir()
+        with pytest.raises(OSError, match="x.csv"):
+            export_report(report, "csv", tmp_path / "x.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_rewrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("stale " * 10_000)
+        report = run_benchmark(SMALL)
+        export_report(report, "json", path)
+        assert BenchReport.from_json(path.read_text()).mean_db == report.mean_db

@@ -1,9 +1,11 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
-from freqassign.cli import main
+from freqassign.cli import build_parser, main
 
 from conftest import EX_FREQ_LOW
 
@@ -112,6 +114,18 @@ class TestPowerCurve:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    def test_one_sample_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "power-curve",
+                "--htx", "10", "--hrx", "1.5", "--freq", "2.4e9",
+                "--dmin", "30", "--dmax", "100", "--samples", "1",
+            ],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "samples" in err
 
 
 class TestMinima:
@@ -303,6 +317,11 @@ class TestAssign:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    def test_no_frequency_source_is_usage_error(self, capsys, users_file):
+        code, out, err = run(capsys, ["assign", "--users", users_file])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--nfreqs" in err
+
     def test_greedy_usually_beats_random(self, capsys, users_file):
         # reported, not asserted per instance: compare the two averages on
         # one fixed draw
@@ -370,6 +389,28 @@ class TestBench:
         assert code == 2 and out == ""
         assert err.startswith("error:") and named in err
 
+    def test_no_scenario_source_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["bench", "--trials", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--config" in err
+
+    @pytest.mark.parametrize("flags", [["-K", "5"], ["-N", "40"], ["-K", "5", "-N", "40"]])
+    def test_counts_with_config_file_are_usage_error(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_users": 2, "n_freqs": 6, "trials": 1}))
+        code, out, err = run(capsys, ["bench", "--config", str(cfg), *flags])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--config" in err
+
+    def test_band_too_narrow_for_distinct_draws_is_usage_error(self, capsys, tmp_path):
+        # at most three floats lie in this band, so ten distinct draws never come
+        config = {"n_users": 1, "n_freqs": 10, "trials": 1, "band": [1e9, 1.0000000000000002e9]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, ["bench", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "band" in err and "n_freqs" in err
+
     def test_zero_users_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["bench", "-K", "0", "-N", "6", "--trials", "1"])
         assert code != 0
@@ -418,3 +459,176 @@ class TestOutputDiscipline:
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+BAD_USERS = {
+    "infinite": '[{"h_rx_m": 1.5, "d_min_m": 30, "d_max_m": 100}, '
+    '{"h_rx_m": 1.5, "d_min_m": 30, "d_max_m": Infinity}]',
+    "boolean": '[{"h_rx_m": 1.5, "d_min_m": 30, "d_max_m": 100}, true]',
+}
+BAD_FREQS = {
+    "infinite": "[2.4e9, Infinity]",
+    "boolean": "[2.4e9, true]",
+}
+
+
+class TestInputFiles:
+    """Both JSON inputs go through one loader and one rule for a number."""
+
+    @pytest.fixture(params=["--users", "--freqs"])
+    def which(self, request):
+        return request.param
+
+    def assign(self, capsys, which, path, users_file, freqs_file):
+        files = {"--users": users_file, "--freqs": freqs_file, which: str(path)}
+        return run(capsys, ["assign", *(x for kv in files.items() for x in kv)])
+
+    @pytest.mark.parametrize("text", ["[]", '{"a": 1}', "2.4e9"], ids=["empty", "object", "number"])
+    def test_not_a_nonempty_array(self, capsys, tmp_path, users_file, freqs_file, which, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = self.assign(capsys, which, path, users_file, freqs_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err and "nonempty JSON array" in err
+
+    @pytest.mark.parametrize("bad", ["infinite", "boolean"])
+    def test_entry_not_a_number(self, capsys, tmp_path, users_file, freqs_file, which, bad):
+        path = tmp_path / "input.json"
+        path.write_text((BAD_USERS if which == "--users" else BAD_FREQS)[bad])
+        code, out, err = self.assign(capsys, which, path, users_file, freqs_file)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: entry 1:")
+
+    def test_nonpositive_frequency_names_its_entry(self, capsys, tmp_path, users_file):
+        path = tmp_path / "freqs.json"
+        path.write_text("[2.4e9, 2.45e9, -1.0]")
+        code, out, err = run(capsys, ["assign", "--users", users_file, "--freqs", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: entry 2:") and "positive" in err
+
+
+POWER_CURVE = [
+    "power-curve", "--htx", "10", "--hrx", "1.5", "--freq", "2.4e9",
+    "--dmin", "10", "--dmax", "20", "--samples", "4",
+]
+
+
+class TestOutputFiles:
+    """Every file output is written whole or not at all, by one writer."""
+
+    def test_out_at_existing_directory(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run(capsys, POWER_CURVE + ["--out", str(target)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert list(tmp_path.glob("*.tmp")) == [] and list(target.iterdir()) == []
+
+    def test_bench_out_into_missing_directory(self, capsys, tmp_path):
+        base = tmp_path / "missing" / "rep"
+        code, out, err = run(
+            capsys, ["bench", "-K", "2", "-N", "4", "--trials", "1", "--out", str(base)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "rep.csv" in err
+        assert list(tmp_path.rglob("*.tmp")) == [] and not base.parent.exists()
+
+    def test_bench_out_over_existing_directory_leaves_no_temp_file(self, capsys, tmp_path):
+        (tmp_path / "rep.csv").mkdir()
+        code, out, err = run(
+            capsys,
+            ["bench", "-K", "2", "-N", "4", "--trials", "1", "--out", str(tmp_path / "rep")],
+        )
+        assert code == 2 and out == ""
+        assert "rep.csv" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.csv"]
+
+    def test_files_get_the_mode_open_would_give(self, capsys, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            assert main(POWER_CURVE + ["--out", str(tmp_path / "curve.csv")]) == 0
+            assert main(["bench", "-K", "2", "-N", "4", "--trials", "1",
+                         "--out", str(tmp_path / "rep")]) == 0
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+        for name in ("curve.csv", "rep.csv", "rep.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+    def test_file_and_stdout_outputs_are_equal(self, capsys, tmp_path):
+        _, out, _ = run(capsys, POWER_CURVE)
+        assert main(POWER_CURVE + ["--out", str(tmp_path / "c.csv")]) == 0
+        assert (tmp_path / "c.csv").read_text() == out
+
+
+# (type, default, required, choices, nargs) of every option, as the parser
+# had them before the shared flags moved into parent parsers.
+PARSER_TABLE = {
+    "power-curve": {
+        ("--htx",): (float, None, True, None, None),
+        ("--hrx",): (float, None, True, None, None),
+        ("--pt",): (float, 1.0, False, None, None),
+        ("--freq",): (float, None, True, None, None),
+        ("--freq2",): (float, None, False, None, None),
+        ("--dmin",): (float, None, True, None, None),
+        ("--dmax",): (float, None, True, None, None),
+        ("--samples",): (int, 500, False, None, None),
+        ("--out",): (None, None, False, None, None),
+    },
+    "minima": {
+        ("--htx",): (float, None, True, None, None),
+        ("--hrx",): (float, None, True, None, None),
+        ("--pt",): (float, 1.0, False, None, None),
+        ("--freq",): (float, None, True, None, None),
+        ("--out",): (None, None, False, None, None),
+    },
+    "worst-case": {
+        ("--htx",): (float, None, True, None, None),
+        ("--hrx",): (float, None, True, None, None),
+        ("--pt",): (float, 1.0, False, None, None),
+        ("--freq",): (float, None, True, None, None),
+        ("--freq2",): (float, None, False, None, None),
+        ("--dmin",): (float, None, True, None, None),
+        ("--dmax",): (float, None, True, None, None),
+        ("--verify-grid",): (None, False, False, None, 0),
+        ("--out",): (None, None, False, None, None),
+    },
+    "assign": {
+        ("--users",): (None, None, True, None, None),
+        ("--freqs",): (None, None, False, None, None),
+        ("--band",): (float, (2400000000.0, 2500000000.0), False, None, 2),
+        ("--nfreqs",): (int, None, False, None, None),
+        ("--htx",): (float, 10.0, False, None, None),
+        ("--pt",): (float, 1.0, False, None, None),
+        ("--scheme",): (
+            None, "greedy", False,
+            ("greedy", "random", "rr-simple", "rr-block", "rr-profits", "all"), None,
+        ),
+        ("--seed",): (int, 0, False, None, None),
+        ("--out",): (None, None, False, None, None),
+    },
+    "bench": {
+        ("--config",): (None, None, False, None, None),
+        ("-K", "--num-users"): (int, None, False, None, None),
+        ("-N", "--num-freqs"): (int, None, False, None, None),
+        ("--trials",): (int, 100, False, None, None),
+        ("--seed",): (int, 0, False, None, None),
+        ("--format",): (None, None, False, ("csv", "json"), None),
+        ("--out",): (None, None, False, None, None),
+    },
+}
+
+
+def test_parser_options_are_pinned():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    table = {
+        name: {
+            tuple(a.option_strings): (a.type, a.default, a.required, a.choices, a.nargs)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert table == PARSER_TABLE
