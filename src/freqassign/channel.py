@@ -178,12 +178,11 @@ def path_difference(geom: SceneGeometry, d):
 
 
 def _invert_path_difference(geom: SceneGeometry, q):
-    """Distance at which l_ref - l_los equals q, clamped to q's valid range.
+    """Distance at which l_ref - l_los equals q, 0 < q <= 2*min(h_tx, h_rx).
 
-    l_los = (4*h_tx*h_rx - q^2)/(2q) and d^2 = l_los^2 - (h_tx - h_rx)^2;
-    q above its supremum 2*min(h_tx, h_rx) maps to d = 0.  Broadcasts.
+    l_los = (4*h_tx*h_rx - q^2)/(2q) and d^2 = l_los^2 - (h_tx - h_rx)^2,
+    clamped at zero against roundoff at the supremum.  Broadcasts.
     """
-    q = np.minimum(q, 2.0 * np.minimum(geom.h_tx, geom.h_rx))
     l_los = (4.0 * geom.h_tx * geom.h_rx - q * q) / (2.0 * q)
     dh = geom.h_tx - geom.h_rx
     return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))

@@ -141,6 +141,8 @@ def _load_entries(path: str, what: str, parse) -> list:
 
 def _load_frequencies(args) -> list[CarrierFrequency]:
     if args.freqs is not None:
+        if args.band is not None or args.nfreqs is not None:
+            raise ValueError("--band/--nfreqs cannot be combined with --freqs")
         freqs = _load_entries(
             args.freqs, "Hz values", lambda v: CarrierFrequency(_number(v, "frequency"))
         )
@@ -150,7 +152,7 @@ def _load_frequencies(args) -> list[CarrierFrequency]:
         if args.nfreqs < 1:
             raise ValueError("--nfreqs must be at least 1")
         rng = np.random.default_rng(args.seed)
-        lo, hi = args.band
+        lo, hi = args.band or (2.4e9, 2.5e9)
         if not (_positive_finite(lo, hi) and lo < hi):
             raise ValueError("band must satisfy 0 < lo < hi, both finite")
         freqs = [CarrierFrequency(f) for f in rng.uniform(lo, hi, size=args.nfreqs)]
@@ -189,18 +191,18 @@ def cmd_assign(args) -> None:
 
 def cmd_bench(args) -> None:
     if args.config is not None:
-        if args.num_users is not None or args.num_freqs is not None:
-            raise ValueError("-K/-N cannot be combined with --config")
+        if any(v is not None for v in (args.num_users, args.num_freqs, args.trials, args.seed)):
+            raise ValueError("-K/-N/--trials/--seed cannot be combined with --config")
         with open(args.config, encoding="utf-8") as fh:
             config = ScenarioConfig.from_dict(json.load(fh))
     else:
         if args.num_users is None or args.num_freqs is None:
             raise ValueError("provide --config FILE or both -K and -N")
+        given = {"trials": args.trials, "master_seed": args.seed}
         config = ScenarioConfig(
             n_users=args.num_users,
             n_freqs=args.num_freqs,
-            trials=args.trials,
-            master_seed=args.seed,
+            **{key: value for key, value in given.items() if value is not None},
         )
     report = run_benchmark(config)
     base = args.out
@@ -261,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs=2,
         metavar=("LO", "HI"),
-        default=(2.4e9, 2.5e9),
-        help="band for random frequencies when --freqs is not given",
+        help="band for random frequencies when --freqs is not given (default 2.4e9 2.5e9)",
     )
     p.add_argument("--nfreqs", type=int, help="number of random band frequencies")
     p.add_argument("--htx", type=float, default=10.0, help="transmitter height [m]")
@@ -276,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="ScenarioConfig as a JSON file")
     p.add_argument("-K", "--num-users", type=int, help="number of users")
     p.add_argument("-N", "--num-freqs", type=int, help="number of frequencies")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--trials", type=int, help="number of trials (default 100)")
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--format", choices=("csv", "json"), help="single output format")
     p.add_argument("--out", help="output base path; writes BASE.csv and BASE.json")
     p.set_defaults(func=cmd_bench)

@@ -72,8 +72,6 @@ def pair_profit(
     Defined so that single_i + single_j + pair_ij reconstructs the
     two-frequency worst case exactly; symmetric in the two frequencies.
     """
-    if freq_i.f == freq_j.f:
-        raise ValueError("joint profit requires two distinct frequencies")
     geom = SceneGeometry(system.h_tx, user.h_rx)
     pair = FrequencyPair.of(freq_i.f, freq_j.f)
     both = worst_case_pair(geom, user.interval, pair, system.p_t).power

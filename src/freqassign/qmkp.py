@@ -79,8 +79,8 @@ class Instance:
         return cls(
             weights=np.ones(table.n_frequencies),
             capacities=np.full(table.n_users, 2.0),
-            profits=np.array(table.single),
-            joint_profits=table.pair,  # not a copy: zero diagonal as built or loaded
+            profits=table.single,  # neither is a copy: the solvers only read them
+            joint_profits=table.pair,  # zero diagonal as built or loaded
         )
 
     def to_dict(self) -> dict:

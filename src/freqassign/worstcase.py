@@ -233,7 +233,9 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
 
     # The amplitude shifts a pair's minimum off d_k towards larger d; nulls
     # above d_max cannot matter because the shift never moves a minimum to
-    # smaller distances.
+    # smaller distances.  For k = k_max the phase 2*pi*k + pi can lie beyond
+    # the supremum, where d_lo means nothing; it then trims only the part of
+    # the basin next to the mast, where 1/l^2 makes the bound fall with d.
     q_scale = batch.q_scale[m]
     d_hi = np.minimum(_invert_path_difference(rows, (TWO_PI * k - math.pi) * q_scale), d_max)
     d_lo = np.maximum(_invert_path_difference(rows, (TWO_PI * k + math.pi) * q_scale), d_min)

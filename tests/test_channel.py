@@ -19,6 +19,7 @@ from freqassign import (
     sum_power_two,
     to_decibel,
 )
+from freqassign.channel import _lower_bound_coeffs, path_difference
 from conftest import EX_FREQ_HIGH, EX_FREQ_LOW, EX_GEOM
 
 TWO_PI = 2.0 * math.pi
@@ -165,6 +166,15 @@ class TestNullDistances:
             nulls = null_distances(geom, freq)
             assert np.all(np.isfinite(nulls))
 
+    def test_null_at_the_mast_is_zero(self):
+        # one float below 33*c/(2*h_rx) the phase supremum rounds to 33 full
+        # turns, while (c*pi*33)^2 - (omega*h_rx)^2 rounds above zero
+        freq = CarrierFrequency(float(np.nextafter(33 * SPEED_OF_LIGHT / 4.0, 0.0)))
+        geom = SceneGeometry(10.0, 2.0)
+        nulls = null_distances(geom, freq)
+        assert nulls.size == k_max(geom, freq) == 33
+        assert nulls[-1] == 0.0 and np.all(nulls[:-1] > 0.0)
+
 
 class TestReceivePowerSingle:
     def test_low_band_endpoint(self):
@@ -277,6 +287,24 @@ class TestSumPowerLowerBound:
         d = np.linspace(20.0, 26.0, 200_001)  # window around d_1(delta) = 22.9
         gap = sum_power_two(EX_GEOM, d, pair) - sum_power_lower_bound(EX_GEOM, d, pair)
         assert gap.min() < 1e-6
+
+    def test_finite_where_the_envelope_rounds_below_zero(self):
+        # With (f2 - f1)/f1 = 4e-9 the envelope's floor (a1 - a2)^2 lies below
+        # the roundoff of a1^2 + a2^2, and for this pair a1^2 + a2^2 - 2*a1*a2
+        # rounds to a negative number.  Heights of c/(4*delta_f) bring the
+        # spacing phase pi, where cos = -1, into reach.
+        f1, delta_f = 2493507242.378777, 10.0
+        pair = FrequencyPair(f1, f1 + delta_f)
+        geom = SceneGeometry(1e7, 1e7)
+        # phase pi at q = c/(2*delta_f); with equal heights d = (4h^2 - q^2)/(2q)
+        q = SPEED_OF_LIGHT / (2.0 * delta_f)
+        d0 = (4.0 * 1e14 - q * q) / (2.0 * q)
+        d = d0 * (1.0 + np.linspace(-1e-7, 1e-7, 1001))
+        env_const, env_cross, rate = _lower_bound_coeffs(f1, f1 + delta_f, 1.0)[1:]
+        env_sq = env_const + env_cross * np.cos(rate * path_difference(geom, d))
+        assert np.any(env_sq < 0.0)  # the case occurs on this grid
+        bound = sum_power_lower_bound(geom, d, pair)
+        assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
 
 
 class TestEnvelopeIdentity:

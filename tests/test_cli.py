@@ -213,6 +213,20 @@ class TestWorstCase:
         fields = dict(line.split(": ") for line in out.strip().split("\n"))
         assert float(fields["grid_discrepancy_db"]) <= 0.01
 
+    def test_equal_pair_frequencies_name_the_cause(self, capsys):
+        # two equal carriers would fail "f1 < f2"; FrequencyPair.of names
+        # the cause instead
+        code, out, err = run(
+            capsys,
+            [
+                "worst-case",
+                "--htx", "10", "--hrx", "1.5", "--freq", "2.4e9", "--freq2", "2.4e9",
+                "--dmin", "30", "--dmax", "100",
+            ],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "distinct" in err
+
 
 class TestAssign:
     def test_single_user_gets_both_frequencies(self, capsys, tmp_path):
@@ -322,6 +336,27 @@ class TestAssign:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--nfreqs" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--band", "1e9", "2e9"], ["--nfreqs", "3"], ["--band", "1e9", "2e9", "--nfreqs", "3"]],
+        ids=["band", "nfreqs", "both"],
+    )
+    def test_band_draw_with_frequency_file_is_usage_error(
+        self, capsys, users_file, freqs_file, flags
+    ):
+        code, out, err = run(
+            capsys, ["assign", "--users", users_file, "--freqs", freqs_file, *flags]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--freqs" in err
+
+    def test_band_defaults_to_2_4_to_2_5_ghz(self, capsys, users_file):
+        args = ["assign", "--users", users_file, "--nfreqs", "6", "--seed", "3"]
+        code, default_band, _ = run(capsys, args)
+        assert code == 0
+        _, given_band, _ = run(capsys, args + ["--band", "2.4e9", "2.5e9"])
+        assert default_band == given_band
+
     def test_greedy_usually_beats_random(self, capsys, users_file):
         # reported, not asserted per instance: compare the two averages on
         # one fixed draw
@@ -401,6 +436,25 @@ class TestBench:
         code, out, err = run(capsys, ["bench", "--config", str(cfg), *flags])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--config" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "1"], ["--seed", "5"], ["--trials", "1", "--seed", "5"]]
+    )
+    def test_trials_or_seed_with_config_file_are_usage_error(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_users": 2, "n_freqs": 7, "trials": 3, "master_seed": 4}))
+        code, out, err = run(capsys, ["bench", "--config", str(cfg), "--format", "json", *flags])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--config" in err
+
+    @pytest.mark.parametrize(
+        "flags, trials, seed", [(["--seed", "3"], 100, 3), (["--trials", "1"], 1, 0)]
+    )
+    def test_trials_and_seed_default_to_scenario_config(self, capsys, flags, trials, seed):
+        code, out, _ = run(capsys, ["bench", "-K", "1", "-N", "2", "--format", "json", *flags])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["trials"], config["master_seed"]) == (trials, seed)
 
     def test_band_too_narrow_for_distinct_draws_is_usage_error(self, capsys, tmp_path):
         # at most three floats lie in this band, so ten distinct draws never come
@@ -596,7 +650,7 @@ PARSER_TABLE = {
     "assign": {
         ("--users",): (None, None, True, None, None),
         ("--freqs",): (None, None, False, None, None),
-        ("--band",): (float, (2400000000.0, 2500000000.0), False, None, 2),
+        ("--band",): (float, None, False, None, 2),
         ("--nfreqs",): (int, None, False, None, None),
         ("--htx",): (float, 10.0, False, None, None),
         ("--pt",): (float, 1.0, False, None, None),
@@ -611,8 +665,8 @@ PARSER_TABLE = {
         ("--config",): (None, None, False, None, None),
         ("-K", "--num-users"): (int, None, False, None, None),
         ("-N", "--num-freqs"): (int, None, False, None, None),
-        ("--trials",): (int, 100, False, None, None),
-        ("--seed",): (int, 0, False, None, None),
+        ("--trials",): (int, None, False, None, None),
+        ("--seed",): (int, None, False, None, None),
         ("--format",): (None, None, False, ("csv", "json"), None),
         ("--out",): (None, None, False, None, None),
     },

@@ -170,6 +170,23 @@ class TestBuildProfitTable:
                     assert math.isclose(recon, direct, rel_tol=1e-12)
 
 
+    def test_frequency_order_only_permutes_the_table(self):
+        # wideband pairs have spacing nulls inside the intervals, so a pair
+        # read in the wrong order would lose its null candidates
+        rng = np.random.default_rng(12)
+        users = [random_user(rng) for _ in range(4)]
+        freqs = [CarrierFrequency(float(f)) for f in np.sort(rng.uniform(0.4e9, 3e9, 9))]
+        perm = rng.permutation(len(freqs))
+        ordered = build_profit_table(users, freqs, SYSTEM)
+        shuffled = build_profit_table(users, [freqs[p] for p in perm], SYSTEM)
+        assert shuffled.single.tobytes() == ordered.single[:, perm].tobytes()
+        # one_pair - single_i - single_j subtracts in index order, so a pair
+        # may round differently once its two indices swap
+        expected = ordered.pair[:, perm][:, :, perm]
+        slack = 4 * np.finfo(float).eps * np.abs(ordered.single).max()
+        np.testing.assert_allclose(shuffled.pair, expected, rtol=0, atol=slack)
+
+
 class TestProfitTableJson:
     def test_round_trip(self):
         rng = np.random.default_rng(46)

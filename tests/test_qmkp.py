@@ -27,6 +27,7 @@ from freqassign import (
     value_density_matrix,
     worst_case_pair,
 )
+from freqassign.bench import SOLVERS
 from freqassign.qmkp import knapsack_profit
 
 
@@ -124,6 +125,20 @@ class TestObjective:
                 geom, users[u].interval, FrequencyPair.of(freqs[i].f, freqs[j].f)
             ).power
         assert objective(inst, a) == pytest.approx(expected, rel=1e-12)
+
+    def test_solvers_leave_the_shared_table_untouched(self):
+        # the instance holds the table's arrays themselves, not copies
+        rng = np.random.default_rng(8)
+        users = [UserProfile(rng.uniform(1, 3), DistanceInterval(25.0, 90.0)) for _ in range(3)]
+        freqs = [CarrierFrequency(float(f)) for f in np.sort(rng.uniform(2.4e9, 2.5e9, 7))]
+        table = build_profit_table(users, freqs, SystemConfig(h_tx=10.0))
+        single, pair = table.single.copy(), table.pair.copy()
+        inst = Instance.from_profit_table(table)
+        assert inst.profits is table.single and inst.joint_profits is table.pair
+        for solve in SOLVERS.values():
+            objective(inst, solve(inst, 0))
+        assert table.single.tobytes() == single.tobytes()
+        assert table.pair.tobytes() == pair.tobytes()
 
 
 class TestValueDensity:

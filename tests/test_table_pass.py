@@ -3,9 +3,10 @@
 ``reference_build_profit_table`` is the table as it stood before the
 one-pass build: one batched worst-case call for all carriers and one for
 all pairs, per user, each pair batch with its own basin search.  Its
-worst-case routine and basin search are copied here as they were, so the
-test compares against the whole old path.  The new table must equal it
-bit for bit.
+worst-case routine, basin search and the null and basin-edge helpers of
+``freqassign.channel`` are copied here as they were, so the test compares
+against the whole old path and a change to a shared helper cannot hide
+behind the reference.  The new table must equal it bit for bit.
 """
 
 import math
@@ -30,19 +31,39 @@ from freqassign.bench import ScenarioConfig, generate_scenario
 from freqassign.channel import (
     SPEED_OF_LIGHT,
     TWO_PI,
-    _invert_path_difference,
-    _k_max,
     _lower_bound_coeffs,
     _lower_bound_power,
-    _null_distance,
     _single_coeffs,
     _single_power,
+    receive_power_single,
+    sum_power_lower_bound,
 )
 from freqassign.worstcase import _KINDS
 
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _invert_path_difference(geom, q):
+    q = np.minimum(q, 2.0 * np.minimum(geom.h_tx, geom.h_rx))
+    l_los = (4.0 * geom.h_tx * geom.h_rx - q * q) / (2.0 * q)
+    dh = geom.h_tx - geom.h_rx
+    return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))
+
+
+def _k_max(geom, omega):
+    return np.floor(2.0 * omega * np.minimum(geom.h_tx, geom.h_rx) / SPEED_OF_LIGHT / TWO_PI)
+
+
+def _null_distance(geom, omega, k):
+    ck = SPEED_OF_LIGHT * math.pi * k
+    w_rx = omega * geom.h_rx
+    w_tx = omega * geom.h_tx
+    a = ck * ck - w_rx * w_rx
+    b = ck * ck - w_tx * w_tx
+    scale = omega * SPEED_OF_LIGHT * math.pi * k
+    return np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))
 
 
 def _reference_ray_terms(geom, d):
@@ -255,6 +276,82 @@ def test_queries_ending_below_a_null_match_reference(hz):
         for f1, f2, (power, argmin, kind) in zip(hz[i], hz[j], expected):
             result = worst_case_pair(geom, iv, FrequencyPair(float(f1), float(f2)))
             assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+
+
+def queries_ending_above_nulls(hz, h_tx=10.0, h_rx=1.5):
+    """(f1, f2, d_k, interval) with the interval [d_k/2, d_k + 1 float] for
+    every null d_k of every carrier (f2 None) and of every pair's spacing.
+
+    One float above d_k the phase at d_max lies a hair below 2*pi*k, where
+    the closed-form k can come out one too large and miss d_k.
+    """
+    geom = SceneGeometry(h_tx, h_rx)
+    i, j = np.triu_indices(hz.size, k=1)
+    entries = [(float(f), None, float(f)) for f in hz]
+    entries += [(float(f1), float(f2), float(f2 - f1)) for f1, f2 in zip(hz[i], hz[j])]
+    queries = []
+    for f1, f2, rate in entries:
+        for d_k in null_distances(geom, CarrierFrequency(rate)):
+            d_max = float(np.nextafter(d_k, np.inf))
+            queries.append((f1, f2, float(d_k), DistanceInterval(d_k / 2.0, d_max)))
+    return geom, queries
+
+
+def test_queries_ending_one_float_above_a_null_match_reference():
+    # argmin and kind as well as the power; the null inside the interval is
+    # a candidate, so no worst case may exceed the power there
+    geom, queries = queries_ending_above_nulls(WIDEBAND_HZ)
+    for f1, f2, d_k, iv in queries:
+        power, argmin, kind = (a.item() for a in _reference_worst_cases(geom, iv, f1, f2))
+        if f2 is None:
+            result = worst_case_single(geom, iv, CarrierFrequency(f1))
+            at_null = receive_power_single(geom, d_k, CarrierFrequency(f1))
+        else:
+            result = worst_case_pair(geom, iv, FrequencyPair(f1, f2))
+            at_null = sum_power_lower_bound(geom, d_k, FrequencyPair(f1, f2))
+        assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+        assert result.power <= at_null
+
+
+def test_pairs_without_a_spacing_null_match_reference():
+    # spacings of 1 mHz-1 kHz have no spacing null at these heights, so only
+    # the endpoints compete
+    spacings = np.geomspace(1e-3, 1e3, 13)
+    hz = 2.4e9 + np.concatenate([[0.0], spacings])
+    geom = SceneGeometry(10.0, 1.5)
+    for d in (50.0, 500.0, 5000.0):
+        iv = DistanceInterval(d, 3.0 * d)
+        expected = _reference_worst_cases(geom, iv, np.full(spacings.size, hz[0]), hz[1:])
+        for f2, (power, argmin, kind) in zip(hz[1:], zip(*expected)):
+            result = worst_case_pair(geom, iv, FrequencyPair(float(hz[0]), float(f2)))
+            assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+            assert result.candidate_kind != "interior_null"
+
+
+def near_mast_queries():
+    """(h_rx, f1, f2, interval) around spacing nulls a few micrometres from
+    the mast, where the spacing puts the k-th null just beyond d = 0.  Only
+    at such distances does the floor of the basin search's tolerance bind."""
+    h_tx, f1 = 10.0, 2.4e9
+    queries = []
+    for h_rx in (1.5, 2.0):
+        for k in (1, 2, 3):
+            for eps in np.geomspace(1e-14, 1e-11, 12):
+                f2 = f1 + k * SPEED_OF_LIGHT / (2.0 * h_rx) * (1.0 + eps)
+                geom = SceneGeometry(h_tx, h_rx)
+                d_k = float(_null_distance(geom, TWO_PI * (f2 - f1), k))
+                for lo, hi in ((0.999 * d_k, 1.001 * d_k), (0.5 * d_k, 2.0 * d_k)):
+                    queries.append((h_rx, f1, f2, DistanceInterval(lo, hi)))
+    return h_tx, queries
+
+
+def test_queries_near_the_mast_match_reference():
+    h_tx, queries = near_mast_queries()
+    for h_rx, f1, f2, iv in queries:
+        geom = SceneGeometry(h_tx, h_rx)
+        power, argmin, kind = (a.item() for a in _reference_worst_cases(geom, iv, f1, f2))
+        result = worst_case_pair(geom, iv, FrequencyPair(f1, f2))
+        assert result == WorstCaseResult(power, argmin, _KINDS[kind])
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -17,7 +17,8 @@ from freqassign import (
     worst_case_pair,
     worst_case_single,
 )
-from freqassign.worstcase import INTERIOR_NULL, LOWER_ENDPOINT, UPPER_ENDPOINT
+from freqassign.channel import _height_terms, _lower_bound_coeffs
+from freqassign.worstcase import INTERIOR_NULL, LOWER_ENDPOINT, UPPER_ENDPOINT, _basin_minimum
 
 from conftest import EX_FREQ_HIGH, EX_FREQ_LOW, EX_GEOM, EX_INTERVAL, EX_PAIR
 
@@ -186,3 +187,33 @@ class TestGridMin:
         assert grid.tolist() == [30.0]
         result = grid_min(lambda d: receive_power_single(EX_GEOM, d, EX_FREQ_HIGH), iv, grid)
         assert result.argmin_distance == 30.0
+
+    @pytest.mark.parametrize("argmin", [1.03, 1.97])
+    def test_minimum_between_an_endpoint_and_its_neighbour(self, argmin):
+        # no interior sample is a local minimum, so only the edge bracket
+        # (grid[0], grid[1]) or (grid[-2], grid[-1]) can find it
+        iv = DistanceInterval(1.0, 2.0)
+        grid = np.linspace(iv.d_min, iv.d_max, 11)
+        result = grid_min(lambda d: (d - argmin) ** 2 + 1.0, iv, grid)
+        assert result.power == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert result.argmin_distance == pytest.approx(argmin, rel=1e-5)
+        assert result.candidate_kind == INTERIOR_NULL
+
+
+class TestBasinMinimum:
+    def test_samples_end_at_the_bracket_end(self):
+        # lo + 32*((hi - lo)/32) can round one float above hi; on a bound
+        # that falls towards hi the search must still stop at hi
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(10.0, 100.0, 2000)
+        hi = rng.uniform(20.0, 300.0, 2000)
+        over = (lo < hi) & (lo + 32.0 * ((hi - lo) / 32.0) > hi)
+        lo, hi = lo[over], hi[over]
+        assert lo.size > 10
+        # 1 MHz apart: no spacing null, so the bound falls with distance
+        f1, f2 = np.full(lo.size, 2.400e9), np.full(lo.size, 2.401e9)
+        heights = _height_terms(np.full(lo.size, 10.0), np.full(lo.size, 1.5))
+        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), lo, hi)
+        assert argmin.tolist() == hi.tolist()
+        pair = FrequencyPair(2.400e9, 2.401e9)
+        assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), hi, pair).tolist()
