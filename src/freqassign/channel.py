@@ -141,10 +141,10 @@ def _checked_ray_terms(geom: SceneGeometry, d, p_t: float):
     if not _positive_finite(p_t):
         raise ValueError("transmit power must be positive and finite")
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("ground distance must be nonnegative")
     l_los, l_ref, q = _ray_terms(geom._heights, d)
-    if np.any(l_los == 0.0):
+    if (l_los == 0.0).any():
         raise ValueError("singular geometry: d=0 with h_tx == h_rx")
     return l_los, l_ref, q
 
@@ -158,7 +158,7 @@ def path_lengths(geom: SceneGeometry, d) -> PathLengths:
     ``d`` may be a scalar or an ndarray of ground distances in meters.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("ground distance must be nonnegative")
     l_los, l_ref, _ = _ray_terms(geom._heights, d)
     if d.ndim == 0:
@@ -283,10 +283,19 @@ def _lower_bound_coeffs(f1, f2, p_t: float):
 def _lower_bound_power(coeffs, l_los, l_ref, q):
     """Envelope lower bound from :func:`_lower_bound_coeffs` and ray terms."""
     radial_coeff, env_const, env_cross, rate = coeffs
-    radial = 1.0 / (l_los * l_los) + 1.0 / (l_ref * l_ref)
+    inv_ll = 1.0 / (l_los * l_ref)
+    radial = q * inv_ll  # 1/l - 1/lr
+    # In place: a profit table evaluates this on its whole pair tensor.
+    gap = np.sin(0.5 * rate * q)
+    gap *= gap
+    gap *= 2.0 * env_cross
     # env_sq >= (a1 - a2)^2 analytically; clamp fp undershoot.
-    env_sq = np.maximum(env_const + env_cross * np.cos(rate * q), 0.0)
-    return radial_coeff * radial - 2.0 / (l_los * l_ref) * np.sqrt(env_sq)
+    root = np.sqrt(np.maximum(env_const + env_cross - gap, 0.0))
+    root += radial_coeff
+    gap /= root
+    gap *= 2.0 * inv_ll
+    gap += radial_coeff * (radial * radial)
+    return gap
 
 
 def receive_power_single(
@@ -359,7 +368,10 @@ def sum_power_lower_bound(
          - (2/(l*lr)) * sqrt(1/omega1^4 + 1/omega2^4
                              + 2*cos(delta_omega*(lr-l)/c)/(omega1^2*omega2^2)) ]
 
-    Guaranteed <= sum_power_two(d) for every distance.
+    Guaranteed <= sum_power_two(d) for every distance.  With a_i the two
+    carriers' weights and gap = 4*a1*a2*sin^2(delta_omega*(lr-l)/(2c)), it is
+    evaluated as (a1+a2)*(1/l-1/lr)^2 + (2/(l*lr))*gap/((a1+a2) + sqrt(env)),
+    env = (a1+a2)^2 - gap: no two large terms cancel, unlike in the form above.
     """
     terms = _checked_ray_terms(geom, d, p_t)
     coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)

@@ -6,9 +6,10 @@ two-carrier envelope bound) is attained either at an interval endpoint or
 at the largest interference null inside the interval, so it can be read
 off from three closed-form evaluations.  For a carrier pair the slow
 spacing oscillation lets the distance-dependent amplitude move the true
-minimum measurably off its null, so the null's basin is searched as well.
-One routine, :func:`worst_cases`, serves every caller: it takes a list of
-users (geometry and interval each) and a whole array of carriers or pairs,
+minimum measurably off its null, so the null's basin is searched as well,
+by 33 samples and then bounded Brent on numpy arrays of rows.  One routine,
+:func:`worst_cases`, serves every caller: it takes a list of users
+(geometry and interval each) and a whole array of carriers or pairs,
 finds the candidates of every (user, entry) in one numpy broadcast, and
 searches the basins of all users in one batch.  A profit table is one call
 for its carriers and one for its pairs; a single query is the same
@@ -50,14 +51,14 @@ UPPER_ENDPOINT = "upper_endpoint"
 INTERIOR_NULL = "interior_null"
 _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1, 2
 
-# Basin search: every round samples each bracket at _ZOOM_POINTS evenly
-# spaced distances and keeps the two spacings around the lowest sample,
-# so the bracket shrinks 16-fold per round.
-_ZOOM_POINTS = 33
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+# Basin search: _BASIN_POINTS evenly spaced samples of each bracket, then
+# bounded Brent on the two spacings around the lowest one.
+_BASIN_POINTS = 33
+_BASIN_STEPS = np.arange(_BASIN_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# Basin rows of all users are searched this many at a time, which keeps the
-# grid's temporaries small enough to stay in cache.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# The locating round samples this many rows at a time, which keeps its
+# (samples, rows) temporaries small enough to stay in cache.
 _BASIN_BLOCK = 256
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
@@ -130,39 +131,90 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     """Minimum of the envelope bound on each row's bracket [lo, hi].
 
     Row m has pair constants ``coeffs[.][m]`` and the height terms
-    ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  A
-    vectorised zooming grid: each round keeps, per row, the bracket around
-    its lowest sample.  A row stops once its sample spacing is within
-    sqrt(eps)*x + xatol/3 of its lowest sample x, the accuracy of a bounded
-    Brent search with xatol = max(1e-12, 1e-12*hi), and its result is
-    frozen there, so no row depends on which rows share its batch.  Every
-    bracket must be finite with 0 < lo < hi.
+    ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  One
+    locating round samples every bracket at 33 evenly spaced distances.  A
+    row whose lowest sample is a bracket end x, and whose bound rises within
+    tol = sqrt(eps)*x + max(1e-12, 1e-12*hi)/3 of it, takes that end.  Every
+    other row runs scipy's bounded Brent search (``_minimize_scalar_bounded``)
+    on the two sample spacings around its lowest sample, seeded with that
+    sample and its neighbours.  Rows iterate together as arrays, each frozen
+    on scipy's stopping test, so no row depends on its batch; 0 < lo < hi.
     """
-    out_p = np.empty(lo.size)
-    out_x = np.empty(lo.size)
-    rows = np.arange(lo.size)  # the output row of each row still searching
-    tol = np.maximum(1e-12, 1e-12 * hi) / 3.0
-    while rows.size:
+    xatol3 = np.maximum(1e-12, 1e-12 * hi) / 3.0
+    # Per row: the lowest sample, its lower and its upper neighbour (the
+    # sample itself at a bracket end), each as (distance, power).
+    near = np.empty((3, 2, lo.size))
+    for start in range(0, lo.size, _BASIN_BLOCK):
+        block = slice(start, start + _BASIN_BLOCK)
         # Samples run down axis 0 and rows along axis 1, so per-row values
         # broadcast along the contiguous axis.
-        step = (hi - lo) / (_ZOOM_POINTS - 1)
-        x = lo + step * _ZOOM_STEPS[:, None]
-        x[-1] = hi
-        p = _lower_bound_power(coeffs, *_ray_terms(heights, x))
+        step = (hi[block] - lo[block]) / (_BASIN_POINTS - 1)
+        x = lo[block] + step * _BASIN_STEPS[:, None]
+        x[-1] = hi[block]
+        terms = _ray_terms([a[block] for a in heights], x)
+        p = _lower_bound_power([a[block] for a in coeffs], *terms)
         at = p.argmin(axis=0)
-        r = np.arange(rows.size)
-        x_at = x[at, r]
-        lo = x[np.maximum(at - 1, 0), r]
-        hi = x[np.minimum(at + 1, _ZOOM_POINTS - 1), r]
-        done = step <= _SQRT_EPS * x_at + tol
-        if done.any():
-            out_p[rows[done]] = p[at[done], r[done]]
-            out_x[rows[done]] = x_at[done]
-            keep = ~done
-            rows, lo, hi, tol = rows[keep], lo[keep], hi[keep], tol[keep]
-            coeffs = [a[keep] for a in coeffs]
-            heights = [a[keep] for a in heights]
-    return out_p, out_x
+        at3 = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, _BASIN_POINTS - 1)])
+        near[:, :, block] = np.stack([x[at3, np.arange(at.size)], p[at3, np.arange(at.size)]], 1)
+
+    (x, fx), lower, upper = near
+    inward = (lower[0] == x) - (upper[0] == x) * 1.0  # +1 at lo, -1 at hi, else 0
+    ends = np.flatnonzero(inward)
+    probe = x[ends] + inward[ends] * (_SQRT_EPS * x[ends] + xatol3[ends])
+    terms = _ray_terms([a[ends] for a in heights], probe)
+    settled = np.zeros(lo.size, dtype=bool)
+    settled[ends] = _lower_bound_power([a[ends] for a in coeffs], *terms) >= fx[ends]
+    rows = np.flatnonzero(~settled)
+
+    # Brent's state per row: bracket [a, b]; lowest point x, second lowest w
+    # and previous w, v, each with its power; step before last e and last
+    # step rat, seeded so that the first step may fit the three samples.
+    w, v = np.where(lower[1] <= upper[1], near[1:], near[:0:-1])
+    e = upper[0] - lower[0]
+    state = np.vstack([lower[0], upper[0], x, fx, w, v, e, 0.5 * e, xatol3])[:, rows]
+    out = near[0].copy()
+    coeffs, heights = [c[rows] for c in coeffs], [h[rows] for h in heights]
+    while rows.size:
+        a, b, x, fx, w, fw, v, fv, e, rat, xatol3 = state
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * x + xatol3
+        tol2 = 2.0 * tol1
+        run = np.abs(x - xm) > tol2 - 0.5 * (b - a)
+        if not run.all():
+            out[:, rows[~run]] = state[2:4, ~run]
+            state, rows = state[:, run], rows[run]
+            coeffs, heights = [c[run] for c in coeffs], [h[run] for h in heights]
+            continue
+        # The parabola through x, w and v where it falls well inside the
+        # bracket and moves less than half the step before last; otherwise
+        # a golden-section step into the larger side.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+        parabolic &= (p > q * (a - x)) & (p < q * (b - x))
+        golden = np.where(x >= xm, a - x, b - x)
+        e = np.where(parabolic, rat, golden)
+        rat = np.divide(p, q, out=_GOLDEN * golden, where=parabolic)
+        edge = parabolic & ((x + rat - a < tol2) | (b - (x + rat) < tol2))
+        rat = np.where(edge, np.where(xm < x, -tol1, tol1), rat)
+        u = x + np.where(rat < 0.0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
+        fu = _lower_bound_power(coeffs, *_ray_terms(heights, u))
+
+        better = fu <= fx
+        shift = better | (fu <= fw) | (w == x)
+        fresh_v = ~shift & ((fu <= fv) | (v == x) | (v == w))
+        new_end = np.where(better, x, u)
+        state[:2] = np.where(better == (u >= x), (new_end, b), (a, new_end))
+        U, X, W, V = np.stack([u, fu]), state[2:4], state[4:6], state[6:8]
+        new_x = np.where(better, U, X)
+        new_w = np.where(better, X, np.where(shift, U, W))
+        new_v = np.where(shift, W, np.where(fresh_v, U, V))
+        state[2:10] = *new_x, *new_w, *new_v, e, rat
+    return out[1], out[0]
 
 
 def _take_lower(result, at, power, argmin) -> None:
@@ -191,10 +243,10 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     heights and intervals, as (users, 1) columns, against the
     frequency-only data built once (:func:`_batch`).  The null and, for
     pairs, its basin are then computed only on the (user, entry) rows that
-    have a null, each row with its own user's heights; the basins are
-    searched :data:`_BASIN_BLOCK` rows at a time.  Every entry is computed
-    elementwise, so its result depends neither on the rest of the batch nor
-    on the other users.
+    have a null, each row with its own user's heights; the basins of all
+    users are searched in one call of :func:`_basin_minimum`.  Every entry
+    is computed elementwise, so its result depends neither on the rest of
+    the batch nor on the other users.
     """
     batch = _batch(f1, f2, p_t)
     # One row per user: its heights, their cached height terms, its interval.
@@ -204,12 +256,13 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     # Null distances fall with k, so the largest null at or below d_max has
     # the smallest k whose phase 2*pi*k is at least the phase at d_max.  k is
     # that phase over 2*pi, rounded up from below so that roundoff can only
-    # leave it one short.  That happens only when d_max lies within roundoff
-    # below the null d_k, which then falls outside; the endpoint d_max stands
-    # in for it, and the next null down is shallower.  A row whose k exceeds
-    # its null count k_max has no null at or below d_max and is skipped; in a
-    # narrow band that is every pair.  This runs before the endpoint powers
-    # so that its (users, entries) temporaries are freed before those exist.
+    # leave it one short, with d_k just above d_max, where d_max stands in
+    # for it and the next null down is shallower.  d_k then lies within
+    # roundoff of d_max, or up to 7e-4 relative next to the mast, where the
+    # phase and the bound are flat in d.  A row whose k exceeds its null
+    # count k_max has no null at or below d_max and is skipped; in a narrow
+    # band that is every pair.  This runs before the endpoint powers so that
+    # its (users, entries) temporaries are freed before those exist.
     k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
     at = np.nonzero(k <= _k_max(_Heights(h_tx, h_rx), batch.omega))
     k = k[at]
@@ -231,26 +284,20 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     if batch.q_scale is None:
         return result
 
-    # The amplitude shifts a pair's minimum off d_k towards larger d; nulls
-    # above d_max cannot matter because the shift never moves a minimum to
-    # smaller distances.  For k = k_max the phase 2*pi*k + pi can lie beyond
-    # the supremum, where d_lo means nothing; it then trims only the part of
-    # the basin next to the mast, where 1/l^2 makes the bound fall with d.
+    # The amplitude shifts a pair's minimum off d_k towards larger d, so the
+    # basins of nulls above d_max hold nothing below the bound at d_max; next
+    # to the mast, where a basin is flat to 1e-14 relative, only to roundoff.
+    # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
+    # d_lo means nothing; it then trims only the part of the basin next to
+    # the mast, where 1/l^2 makes the bound fall with d.
     q_scale = batch.q_scale[m]
     d_hi = np.minimum(_invert_path_difference(rows, (TWO_PI * k - math.pi) * q_scale), d_max)
     d_lo = np.maximum(_invert_path_difference(rows, (TWO_PI * k + math.pi) * q_scale), d_min)
     search = d_lo < d_hi
     at = u[search], m[search]
-    heights = [a[search] for a in heights]
-    coeffs = [a[search] for a in coeffs]
+    heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
     d_lo, d_hi = d_lo[search], d_hi[search]
-    basin_p, basin_x = np.empty(d_lo.size), np.empty(d_lo.size)
-    for start in range(0, d_lo.size, _BASIN_BLOCK):
-        block = slice(start, start + _BASIN_BLOCK)
-        basin_p[block], basin_x[block] = _basin_minimum(
-            [a[block] for a in heights], [a[block] for a in coeffs], d_lo[block], d_hi[block]
-        )
-    _take_lower(result, at, basin_p, basin_x)
+    _take_lower(result, at, *_basin_minimum(heights, coeffs, d_lo, d_hi))
     return result
 
 
@@ -287,7 +334,7 @@ def worst_case_pair(
     and the envelope lower bound as the evaluated power.  Because the
     spacing oscillation is slow, the interior minimum can sit measurably
     off the nominal null distance, so the basin around the deepest relevant
-    null is additionally searched to the accuracy of a bounded Brent search.
+    null is additionally searched: 33 samples, then bounded Brent.
     """
     return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 

@@ -4,6 +4,9 @@
 the batched routine: endpoint and null candidates picked one at a time,
 and the null's basin polished by scipy's bounded Brent search.  It lives
 here only as the reference of the differential test.
+``seeded_bounded_brent`` is scipy's bounded Brent loop on plain floats,
+started from a given state; the basin search's port to arrays of rows
+must take the same steps, bit for bit.
 """
 
 import math
@@ -25,9 +28,10 @@ from freqassign import (
     worst_case_pair,
     worst_case_single,
 )
+from freqassign import worstcase
 from freqassign.bench import ScenarioConfig, generate_scenario
-from freqassign.channel import TWO_PI
-from freqassign.worstcase import _KINDS, WorstCaseResult, worst_cases
+from freqassign.channel import TWO_PI, _lower_bound_power, _ray_terms
+from freqassign.worstcase import _BASIN_BLOCK, _KINDS, WorstCaseResult, worst_cases
 
 
 def _reference_min_over_candidates(power_fn, interval, nulls):
@@ -100,6 +104,33 @@ def as_rows(result, user=0):
     return list(zip(*(a[user].tolist() for a in result)))
 
 
+def wideband_trial(seed):
+    """Users (geometry, interval) of trial 0 of the wideband benchmark
+    workload, its carriers and all their pairs, and the transmit power."""
+    config = ScenarioConfig(n_users=8, n_freqs=24, band=(0.4e9, 3e9), master_seed=seed)
+    users, freqs = generate_scenario(config, 0)
+    where = [(SceneGeometry(config.h_tx, u.h_rx), u.interval) for u in users]
+    hz = np.array([fr.f for fr in freqs])
+    return where, freqs, hz, all_pairs(hz), config.p_t
+
+
+def basin_rows(monkeypatch, *args):
+    """``worst_cases(*args)`` and the (heights, coeffs, lo, hi) rows it
+    passed to the basin search."""
+    rows = []
+    search = worstcase._basin_minimum
+
+    def record(heights, coeffs, lo, hi):
+        rows.append((heights, coeffs, lo, hi))
+        return search(heights, coeffs, lo, hi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(worstcase, "_basin_minimum", record)
+        result = worst_cases(*args)
+    (row,) = rows
+    return result, row
+
+
 class TestBatchIndependence:
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_pairs_alone_full_and_shuffled(self, seed):
@@ -135,29 +166,29 @@ class TestBatchIndependence:
 
 class TestUsersIndependence:
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_each_user_row_matches_one_user_and_scalar_calls(self, seed):
-        config = ScenarioConfig(n_users=8, n_freqs=24, band=(0.4e9, 3e9), master_seed=seed)
-        users, freqs = generate_scenario(config, 0)
-        where = [(SceneGeometry(config.h_tx, u.h_rx), u.interval) for u in users]
-        hz = np.array([fr.f for fr in freqs])
-        f1, f2 = all_pairs(hz)
-        singles = worst_cases(where, hz, None, config.p_t)
-        pairs = worst_cases(where, f1, f2, config.p_t)
-        assert {a.shape for a in singles} == {(len(users), hz.size)}
-        assert {a.shape for a in pairs} == {(len(users), f1.size)}
+    def test_each_user_row_matches_one_user_and_scalar_calls(self, seed, monkeypatch):
+        where, freqs, hz, (f1, f2), p_t = wideband_trial(seed)
+        singles = worst_cases(where, hz, None, p_t)
+        # Basin rows of all users are searched together: enough of them to
+        # span several locating blocks, and to leave Brent at different
+        # iterations.
+        pairs, (_, _, lo, _) = basin_rows(monkeypatch, where, f1, f2, p_t)
+        assert lo.size > 4 * _BASIN_BLOCK
+        assert {a.shape for a in singles} == {(len(where), hz.size)}
+        assert {a.shape for a in pairs} == {(len(where), f1.size)}
         assert set(pairs[2].ravel().tolist()) == {0, 1, 2}  # every candidate kind occurs
         for u, (geom, iv) in enumerate(where):
-            alone = worst_cases([(geom, iv)], hz, None, config.p_t)
+            alone = worst_cases([(geom, iv)], hz, None, p_t)
             assert as_rows(singles, u) == as_rows(alone)
             for m, fr in enumerate(freqs):
-                result = worst_case_single(geom, iv, fr, config.p_t)
+                result = worst_case_single(geom, iv, fr, p_t)
                 power, argmin, kind = as_rows(singles, u)[m]
                 assert result == WorstCaseResult(power, argmin, _KINDS[kind])
-            alone = worst_cases([(geom, iv)], f1, f2, config.p_t)
+            alone = worst_cases([(geom, iv)], f1, f2, p_t)
             assert as_rows(pairs, u) == as_rows(alone)
             for m in range(f1.size):
                 pair = FrequencyPair(float(f1[m]), float(f2[m]))
-                result = worst_case_pair(geom, iv, pair, config.p_t)
+                result = worst_case_pair(geom, iv, pair, p_t)
                 power, argmin, kind = as_rows(pairs, u)[m]
                 assert result == WorstCaseResult(power, argmin, _KINDS[kind])
 
@@ -241,3 +272,101 @@ class TestAgainstScipyReference:
         )
         gap_db = abs(to_decibel(new.power) - to_decibel(oracle.power))
         assert gap_db <= 0.01, f"{gap_db:.3g} dB off the grid oracle"
+
+
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
+GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def locating_round(heights, coeffs, lo, hi):
+    """Each row's lowest of 33 evenly spaced samples of its bracket, and
+    its lower and upper neighbour (the sample itself at a bracket end), as
+    (3, rows) distances and powers; and the lowest sample's index."""
+    x = lo + (hi - lo) / 32.0 * np.arange(33.0)[:, None]
+    x[-1] = hi
+    p = _lower_bound_power(coeffs, *_ray_terms(heights, x))
+    at = p.argmin(axis=0)
+    near = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, 32)]), np.arange(lo.size)
+    return x[near], p[near], at
+
+
+def seeded_bounded_brent(f, a, b, x, w, v, fx, fw, fv, e, rat, xatol):
+    """The loop of scipy's ``_minimize_scalar_bounded`` on plain floats,
+    started from the given state instead of the golden-section point."""
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = SQRT_EPS * x + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            return fx, x
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                rat = p / q
+                if x + rat - a < tol2 or b - (x + rat) < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if golden:
+            e = a - x if x >= xm else b - x
+            rat = GOLDEN * e
+        u = x + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def reference_basin_minimum(f, lo, hi, x3, f3, at):
+    """One row of the basin search, from its locating round, on floats."""
+    (x, x_lo, x_hi), (fx, f_lo, f_hi) = x3, f3
+    xatol = max(1e-12, 1e-12 * hi)
+    if at in (0, 32):
+        inward = 1.0 if at == 0 else -1.0
+        if f(x + inward * (SQRT_EPS * x + xatol / 3.0)) >= fx:
+            return fx, x
+    # x is the lowest point, w the lower of its neighbours, v the other
+    w, v, fw, fv = (x_lo, x_hi, f_lo, f_hi) if f_lo <= f_hi else (x_hi, x_lo, f_hi, f_lo)
+    width = x_hi - x_lo
+    return seeded_bounded_brent(f, x_lo, x_hi, x, w, v, fx, fw, fv, width, 0.5 * width, xatol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
+    # Every basin row of a wideband trial.  The vectorised search takes
+    # scipy's steps bit for bit from the same start, and comes out no more
+    # than 1e-9 above scipy's own search with the same xatol on the bracket
+    # the locating round leaves.
+    where, _, _, (f1, f2), p_t = wideband_trial(seed)
+    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
+    x3, f3, at = locating_round(heights, coeffs, lo, hi)
+    scipy_p = np.empty(lo.size)
+    for m in range(lo.size):
+        row_coeffs, row_heights = [c[m] for c in coeffs], [h[m] for h in heights]
+        bound = lambda d: float(_lower_bound_power(row_coeffs, *_ray_terms(row_heights, d)))
+        expected = reference_basin_minimum(bound, lo[m], hi[m], x3[:, m].tolist(), f3[:, m].tolist(), at[m])
+        assert (basin_p[m], basin_x[m]) == expected, f"row {m}"
+        res = minimize_scalar(
+            bound,
+            bounds=(x3[1, m], x3[2, m]),
+            method="bounded",
+            options={"xatol": max(1e-12, 1e-12 * x3[2, m])},
+        )
+        scipy_p[m] = res.fun
+    rel = (basin_p - scipy_p) / scipy_p
+    assert rel.max() <= 1e-9, f"row {rel.argmax()} above scipy by {rel.max():.3g}"
+    assert np.all((lo <= basin_x) & (basin_x <= hi))

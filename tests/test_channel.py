@@ -50,8 +50,10 @@ class TestPathLengths:
         assert lens.l_ref == pytest.approx(7.0)
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ground distance must be nonnegative"):
             path_lengths(EX_GEOM, -1.0)
+        with pytest.raises(ValueError, match="ground distance must be nonnegative"):
+            path_lengths(EX_GEOM, np.array([10.0, -1e-9, 30.0]))
 
     def test_length_identity(self):
         # l_ref^2 - l_los^2 = 4 h_tx h_rx regardless of distance; the
@@ -204,10 +206,11 @@ class TestReceivePowerSingle:
             assert np.all(receive_power_single(geom, d, freq) >= 0.0)
 
     def test_equal_heights_singular_at_zero(self):
-        with pytest.raises(ValueError):
-            receive_power_single(SceneGeometry(5.0, 5.0), 0.0, EX_FREQ_LOW)
-        # distinct heights keep d = 0 regular
-        receive_power_single(SceneGeometry(5.0, 4.0), 0.0, EX_FREQ_LOW)
+        for d in (0.0, np.array([10.0, 0.0, 30.0])):
+            with pytest.raises(ValueError, match="singular geometry"):
+                receive_power_single(SceneGeometry(5.0, 5.0), d, EX_FREQ_LOW)
+            # distinct heights keep d = 0 regular
+            receive_power_single(SceneGeometry(5.0, 4.0), d, EX_FREQ_LOW)
 
     def test_transmit_power_scaling(self):
         p1 = receive_power_single(EX_GEOM, 50.0, EX_FREQ_LOW, 1.0)
@@ -288,11 +291,26 @@ class TestSumPowerLowerBound:
         gap = sum_power_two(EX_GEOM, d, pair) - sum_power_lower_bound(EX_GEOM, d, pair)
         assert gap.min() < 1e-6
 
+    def test_far_field_bound_does_not_cancel(self):
+        # 1 mHz apart the spacing phase is ~1e-12 rad, so the bound is
+        # (a1 + a2)*(1/l - 1/lr)^2 = (a1 + a2)*(q/(l*lr))^2 to ~1e-20: ten
+        # digits below the two terms whose difference it is, and it falls
+        # with d.  The difference of those terms was off by up to 4e-6 here.
+        geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.4e9, 2.4e9 + 1e-3)
+        d = np.linspace(1498.5, 1500.0, 2001)
+        lens = path_lengths(geom, d)
+        ratio = path_difference(geom, d) / (lens.l_los * lens.l_ref)
+        exact = _lower_bound_coeffs(pair.f1, pair.f2, 1.0)[0] * ratio * ratio
+        bound = sum_power_lower_bound(geom, d, pair)
+        assert np.max(np.abs(bound / exact - 1.0)) <= 1e-12
+        assert np.all(np.diff(bound) <= 0.0)
+
     def test_finite_where_the_envelope_rounds_below_zero(self):
         # With (f2 - f1)/f1 = 4e-9 the envelope's floor (a1 - a2)^2 lies below
-        # the roundoff of a1^2 + a2^2, and for this pair a1^2 + a2^2 - 2*a1*a2
-        # rounds to a negative number.  Heights of c/(4*delta_f) bring the
-        # spacing phase pi, where cos = -1, into reach.
+        # the roundoff of a1^2 + a2^2, and for this pair
+        # (a1 + a2)^2 - 4*a1*a2*sin^2(phase/2) rounds to a negative number.
+        # Heights of c/(4*delta_f) bring the spacing phase pi, where
+        # sin^2 = 1, into reach.
         f1, delta_f = 2493507242.378777, 10.0
         pair = FrequencyPair(f1, f1 + delta_f)
         geom = SceneGeometry(1e7, 1e7)
@@ -301,7 +319,8 @@ class TestSumPowerLowerBound:
         d0 = (4.0 * 1e14 - q * q) / (2.0 * q)
         d = d0 * (1.0 + np.linspace(-1e-7, 1e-7, 1001))
         env_const, env_cross, rate = _lower_bound_coeffs(f1, f1 + delta_f, 1.0)[1:]
-        env_sq = env_const + env_cross * np.cos(rate * path_difference(geom, d))
+        half = np.sin(0.5 * rate * path_difference(geom, d))
+        env_sq = env_const + env_cross - 2.0 * env_cross * (half * half)
         assert np.any(env_sq < 0.0)  # the case occurs on this grid
         bound = sum_power_lower_bound(geom, d, pair)
         assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)

@@ -2,14 +2,20 @@
 
 ``reference_build_profit_table`` is the table as it stood before the
 one-pass build: one batched worst-case call for all carriers and one for
-all pairs, per user, each pair batch with its own basin search.  Its
-worst-case routine, basin search and the null and basin-edge helpers of
-``freqassign.channel`` are copied here as they were, so the test compares
-against the whole old path and a change to a shared helper cannot hide
-behind the reference.  The new table must equal it bit for bit.
+all pairs, per user, each pair batch with its own basin search, a
+zooming grid.  Its worst-case routine, basin search and the null and
+basin-edge helpers of ``freqassign.channel`` are copied here as they were,
+so the test compares against the whole old path and a change to a shared
+helper cannot hide behind the reference.  The power kernels themselves
+are shared with ``src/``; ``tests/test_channel.py`` checks them.  The new
+table must equal the reference bit for bit, except for the pair worst
+cases that the reference's basin search set: the basin is now searched by
+bounded Brent, and those worst cases are compared as powers, within
+:data:`BASIN_REL`.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +44,7 @@ from freqassign.channel import (
     receive_power_single,
     sum_power_lower_bound,
 )
-from freqassign.worstcase import _KINDS
+from freqassign.worstcase import _KINDS, INTERIOR_NULL, worst_cases
 
 _ZOOM_POINTS = 33
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
@@ -180,12 +186,62 @@ def assert_bitwise_equal(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+# A worst case the reference's basin search set may move by this much
+# relative to it, and may never rise by more: the grid and bounded Brent
+# both stop within sqrt(eps)*x + xatol/3 of the minimum, not on it.
+BASIN_REL = 1e-9
+
+
+def _never_lower(geom, coeffs, lo, hi):
+    return np.full(lo.size, np.inf), lo
+
+
+def reference_with_basin_mask(geom, interval, f1, f2, p_t=1.0):
+    """The reference worst cases of pairs (f1[m], f2[m]), and a mask of the
+    entries its basin search set: those that change when the search can
+    never undercut a candidate."""
+    expected = _reference_worst_cases(geom, interval, f1, f2, p_t)
+    with mock.patch.dict(globals(), {"_reference_basin_minimum": _never_lower}):
+        candidates = _reference_worst_cases(geom, interval, f1, f2, p_t)
+    return expected, expected[0] != candidates[0]
+
+
+def assert_basin_power(power, expected):
+    rel = (power - expected) / expected
+    assert np.all(power <= expected * (1.0 + BASIN_REL)), f"above the reference by {rel}"
+    assert np.all(np.abs(rel) <= BASIN_REL), f"off the reference by {rel}"
+
+
 def assert_matches_reference(users, freqs, system):
+    """Singles and every pair entry outside the reference's basin search bit
+    for bit; the worst cases of the others as powers, within BASIN_REL."""
     table = build_profit_table(users, freqs, system)
     single, pair = reference_build_profit_table(users, freqs, system)
     assert_bitwise_equal(table.single, single)
-    assert_bitwise_equal(table.pair, pair)
+    hz = np.array([fr.f for fr in freqs])
+    i, j = np.triu_indices(hz.size, k=1)
+    lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])
+    for u, user in enumerate(users):
+        geom = SceneGeometry(system.h_tx, user.h_rx)
+        (expected, _, _), basin = reference_with_basin_mask(geom, user.interval, lo, hi, system.p_t)
+        both = worst_cases([(geom, user.interval)], lo, hi, system.p_t)[0][0]
+        assert_bitwise_equal(table.pair[u, i, j], both - single[u, i] - single[u, j])
+        assert_bitwise_equal(table.pair[u, i, j][~basin], pair[u, i, j][~basin])
+        assert_basin_power(both[basin], expected[basin])
+    assert_bitwise_equal(table.pair, table.pair.transpose(0, 2, 1))
     return table
+
+
+def assert_query_matches(result, expected, basin):
+    """A scalar query equals its reference entry bit for bit, or, where the
+    reference's basin search set it, is an interior null whose power matches
+    within BASIN_REL."""
+    power, argmin, kind = expected
+    if not basin:
+        assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+        return
+    assert_basin_power(result.power, power)
+    assert result.candidate_kind == INTERIOR_NULL
 
 
 # The three trial workloads of the benchmark in perfbench/workloads.py.
@@ -272,10 +328,10 @@ def test_queries_ending_below_a_null_match_reference(hz):
         for f, (power, argmin, kind) in zip(hz, expected):
             result = worst_case_single(geom, iv, CarrierFrequency(float(f)))
             assert result == WorstCaseResult(power, argmin, _KINDS[kind])
-        expected = zip(*_reference_worst_cases(geom, iv, hz[i], hz[j]))
-        for f1, f2, (power, argmin, kind) in zip(hz[i], hz[j], expected):
-            result = worst_case_pair(geom, iv, FrequencyPair(float(f1), float(f2)))
-            assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+        expected, basin = reference_with_basin_mask(geom, iv, hz[i], hz[j])
+        for m, entry in enumerate(zip(*expected)):
+            result = worst_case_pair(geom, iv, FrequencyPair(float(hz[i][m]), float(hz[j][m])))
+            assert_query_matches(result, entry, basin[m])
 
 
 def queries_ending_above_nulls(hz, h_tx=10.0, h_rx=1.5):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from freqassign import (
     CarrierFrequency,
@@ -217,3 +218,47 @@ class TestBasinMinimum:
         assert argmin.tolist() == hi.tolist()
         pair = FrequencyPair(2.400e9, 2.401e9)
         assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), hi, pair).tolist()
+
+    def test_samples_start_at_the_bracket_start(self):
+        # 500 MHz apart at these heights, the bound rises with distance from
+        # its spacing null at 49 m to the crest near 85 m; the search must
+        # stop at lo and report the power there
+        rng = np.random.default_rng(8)
+        lo = rng.uniform(49.5, 65.0, 200)
+        hi = lo + rng.uniform(1e-6, 15.0, 200)
+        f1, f2 = np.full(lo.size, 2.0e9), np.full(lo.size, 2.5e9)
+        heights = _height_terms(np.full(lo.size, 10.0), np.full(lo.size, 1.5))
+        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), lo, hi)
+        assert argmin.tolist() == lo.tolist()
+        pair = FrequencyPair(2.0e9, 2.5e9)
+        assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), lo, pair).tolist()
+
+    def test_flat_bound_settles_at_the_bracket_start(self):
+        # nanometres from the mast d^2 lies below the roundoff of the height
+        # terms, so the bound is one number on the whole bracket; ties go
+        # to the lower end, as between candidates
+        geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
+        lo = np.array([1e-9, 2e-9, 5e-9])
+        hi = 3.0 * lo
+        flat = sum_power_lower_bound(geom, np.linspace(lo, hi, 1001), pair)
+        assert np.all(flat == flat[0])  # the case occurs
+        heights = _height_terms(np.full(3, 10.0), np.full(3, 1.5))
+        coeffs = _lower_bound_coeffs(np.full(3, 2.0e9), np.full(3, 2.5e9), 1.0)
+        power, argmin = _basin_minimum(heights, coeffs, lo, hi)
+        assert argmin.tolist() == lo.tolist()
+        assert power.tolist() == flat[0].tolist()
+
+    def test_bound_dipping_inside_the_bracket(self):
+        # On [28, 80] m the bound rises from lo to a crest near 33 m, falls
+        # into the spacing null near 49 m and rises again to hi: it rises at
+        # both ends, yet its minimum is inside, far below either end
+        geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
+        heights = _height_terms(np.array([10.0]), np.array([1.5]))
+        coeffs = _lower_bound_coeffs(np.array([2.0e9]), np.array([2.5e9]), 1.0)
+        power, argmin = _basin_minimum(heights, coeffs, np.array([28.0]), np.array([80.0]))
+        bound = lambda d: float(sum_power_lower_bound(geom, d, pair))
+        near_null = minimize_scalar(bound, bounds=(45.0, 55.0), method="bounded", options={"xatol": 55e-12})
+        assert 45.0 < argmin[0] < 55.0
+        assert power[0] <= near_null.fun * (1.0 + 1e-9)
+        assert power[0] < 1e-3 * min(bound(28.0), bound(80.0))
+        assert power[0] == bound(argmin[0])
