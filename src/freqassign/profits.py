@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
-from .worstcase import DistanceInterval, worst_case_pair, worst_case_single, worst_cases
+from .worstcase import (
+    DistanceInterval,
+    _users_per_block,
+    worst_case_pair,
+    worst_case_single,
+    worst_cases,
+)
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,10 @@ def build_profit_table(
     Two calls of :func:`freqassign.worstcase.worst_cases` over all users,
     one for all carriers and one for all unordered pairs, so the
     frequency-only data is computed once per table and the null basins of
-    every user are searched in one batch.  Every entry is bit-identical to
-    the scalar :func:`single_profit` /
+    every user are searched in one batch.  The joint profits are formed and
+    scattered into the pair tensor over the same blocks of users as the
+    worst cases' endpoint stage, so that their temporaries stay in cache.
+    Every entry is bit-identical to the scalar :func:`single_profit` /
     :func:`freqassign.worstcase.worst_case_pair`.
     """
     if not users:
@@ -163,9 +171,13 @@ def build_profit_table(
     i, j = np.triu_indices(hz.size, k=1)
     single = worst_cases(where, hz, None, system.p_t)[0]
     both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
-    upper = both - single[:, i] - single[:, j]
+    upper_at, lower_at = i * hz.size + j, j * hz.size + i
     pair = np.zeros((len(users), hz.size * hz.size))
-    pair[:, i * hz.size + j] = upper
-    pair[:, j * hz.size + i] = upper  # exact symmetry, zero diagonal
+    per_block = _users_per_block(i.size)
+    for start in range(0, len(users), per_block):
+        block = slice(start, start + per_block)
+        upper = both[block] - single[block, i] - single[block, j]
+        pair[block, upper_at] = upper
+        pair[block, lower_at] = upper  # exact symmetry, zero diagonal
     pair = pair.reshape(len(users), hz.size, hz.size)
     return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)

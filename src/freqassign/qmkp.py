@@ -11,8 +11,11 @@ combination of highest value density that still fits, then refreshes the
 densities of the remaining items against the knapsack contents.  The
 densities live in one (N, K) array.  A placement into knapsack u changes
 only column u, so each step costs one masked argmax over the N*K entries
-plus one O(N*|S_u|) refresh of that column, where S_u is the content of
-knapsack u.  An exhaustive enumerator serves as the optimality oracle on
+plus a refresh of that column: one contiguous add of N joint profits per
+item of S_u, the content of knapsack u.  The joint profits are read from
+one copy of the tensor with its columns stored as rows and its diagonal
+set to -0.0, which adds nothing bit for bit, so no item is sliced around.
+An exhaustive enumerator serves as the optimality oracle on
 small instances, and four baseline schemes cover the frequency-assignment
 instantiation (unit weights, capacity two).
 """
@@ -198,18 +201,27 @@ def value_density(instance: Instance, u: int, i: int, context) -> float:
     return float(total / w)
 
 
-def _profit_sums(profits: np.ndarray, joint: np.ndarray, context) -> np.ndarray:
+def _joint_columns(joint: np.ndarray) -> np.ndarray:
+    """Copy of ``joint`` (..., N, N) with column j of each matrix stored as
+    the contiguous row ``[..., j, :]``, and with the diagonal set to -0.0."""
+    columns = np.swapaxes(joint, -1, -2).copy()
+    diag = np.arange(columns.shape[-1])
+    columns[..., diag, diag] = -0.0
+    return columns
+
+
+def _profit_sums(profits: np.ndarray, columns: np.ndarray, context) -> np.ndarray:
     """``profits[..., i] + sum_{j in context, j != i} joint[..., i, j]`` for every item i.
 
-    The terms are added one context item at a time, in the context's
-    iteration order: the same additions, in the same order, that
-    ``value_density`` makes for each entry, so the sums agree bit for bit.
-    The ``j == i`` term is skipped by slicing around it, not assumed zero.
+    ``columns`` is :func:`_joint_columns` of ``joint``.  Each context item
+    costs one add of its row, in the context's iteration order: the same
+    additions, in the same order, that ``value_density`` makes for each
+    entry, so the sums agree bit for bit.  The ``j == i`` term adds the
+    -0.0 of the diagonal, and x + (-0.0) == x for every x, -0.0 included.
     """
     total = np.array(profits, dtype=float)
     for j in context:
-        total[..., :j] += joint[..., :j, j]
-        total[..., j + 1 :] += joint[..., j + 1 :, j]
+        total += columns[..., j, :]
     return total
 
 
@@ -223,7 +235,8 @@ def value_density_matrix(instance: Instance, context) -> np.ndarray:
         raise ValueError("context item index out of range")
     if instance.n_knapsacks and np.any(instance.weights == 0):
         raise ValueError("value density undefined for zero-weight items")
-    return (_profit_sums(instance.profits, instance.joint_profits, ctx) / instance.weights).T
+    columns = _joint_columns(instance.joint_profits)
+    return (_profit_sums(instance.profits, columns, ctx) / instance.weights).T
 
 
 GreedyStep = namedtuple("GreedyStep", ["item", "knapsack", "density"])
@@ -249,7 +262,9 @@ def greedy_construct(
     from the unassigned set to the knapsack contents, so all columns are
     rebuilt once; after that a placement into knapsack u changes only
     column u.  Each step therefore costs one argmax over the N*K entries,
-    masked to free items that fit, plus one O(N*|S_u|) column refresh.  A
+    masked to free items that fit, plus one column refresh of one add of N
+    joint profits per item in knapsack u (:func:`_profit_sums`).  The mask
+    of free items that fit is updated in place: row i and column u.  A
     row-major argmax picks the first maximum, which is the tie-break above.
 
     With ``return_trace`` the assigned (item, knapsack, density) steps are
@@ -271,26 +286,30 @@ def greedy_construct(
     free[list(unassigned)] = True
     if k and np.any(w[free] == 0):
         raise ValueError("value density undefined for zero-weight items")
+    columns = _joint_columns(jp)
     # Rows of items that are not free are never read.
     density = np.divide(
-        _profit_sums(p, jp, unassigned).T,
+        _profit_sums(p, columns, unassigned).T,
         w[:, None],
         out=np.full((instance.n_items, k), -np.inf),
         where=free[:, None],
     )
+    fits = free[:, None] & (w[:, None] <= remaining)
 
     trace: list[GreedyStep] = []
     while True:
-        fits = np.flatnonzero(free[:, None] & (w[:, None] <= remaining))
-        if fits.size == 0:
+        candidates = np.flatnonzero(fits)
+        if candidates.size == 0:
             break
-        i, u = divmod(int(fits[np.argmax(density.ravel()[fits])]), k)
+        i, u = divmod(int(candidates[np.argmax(density.ravel()[candidates])]), k)
         contents[u].add(i)
         free[i] = False
         remaining[u] -= w[i]
+        fits[i] = False
+        fits[:, u] &= w <= remaining[u]
         trace.append(GreedyStep(i, u, density[i, u]))
         for v in range(k) if len(trace) == 1 else (u,):
-            np.divide(_profit_sums(p[v], jp[v], contents[v]), w, out=density[:, v], where=free)
+            np.divide(_profit_sums(p[v], columns[v], contents[v]), w, out=density[:, v], where=free)
 
     result = Assignment(tuple(frozenset(s) for s in contents))
     if return_trace:
@@ -399,12 +418,13 @@ def assign_rr_profits(instance: Instance) -> Assignment:
     n, k = instance.n_items, instance.n_knapsacks
     lists: list[list[int]] = [[] for _ in range(k)]
     free = np.ones(n, dtype=bool)
+    columns = _joint_columns(instance.joint_profits)
     for _ in range(2):
         for u in range(k):
             candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 break
-            density = _profit_sums(instance.profits[u], instance.joint_profits[u], lists[u])
+            density = _profit_sums(instance.profits[u], columns[u], lists[u])
             density /= instance.weights
             best = int(candidates[np.argmax(density[candidates])])
             lists[u].append(best)

@@ -10,11 +10,14 @@ minimum measurably off its null, so the null's basin is searched as well,
 by 33 samples and then bounded Brent on numpy arrays of rows.  One routine,
 :func:`worst_cases`, serves every caller: it takes a list of users
 (geometry and interval each) and a whole array of carriers or pairs,
-finds the candidates of every (user, entry) in one numpy broadcast, and
-searches the basins of all users in one batch.  A profit table is one call
+finds the candidates of every (user, entry) by numpy broadcasts over
+blocks of users sized to stay in cache, and searches the basins of all
+users in one batch.  Entries that have no null for the tallest user (the
+largest min(h_tx, h_rx)) have none for any user, so a batch of several
+users drops them from the null test up front.  A profit table is one call
 for its carriers and one for its pairs; a single query is the same
-broadcast on (1, 1) arrays.  An exhaustive phase-resolved grid scan doubles
-as an independent oracle for the claim.
+broadcast on (1, 1) arrays, one block and no prefilter.  An exhaustive
+phase-resolved grid scan doubles as an independent oracle for the claim.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # The locating round samples this many rows at a time, which keeps its
 # (samples, rows) temporaries small enough to stay in cache.
 _BASIN_BLOCK = 256
+
+# The endpoint stage of worst_cases runs over blocks of users whose
+# (users, entries) temporaries hold about this many elements.
+_USER_BLOCK = 24576
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
 # every grid has at least this many points.
@@ -226,6 +233,45 @@ def _take_lower(result, at, power, argmin) -> None:
     best_p[at], best_x[at], kind[at] = power[lower], argmin[lower], 2
 
 
+def _endpoints(batch: _Batch, users: np.ndarray, rate: np.ndarray, omega: np.ndarray):
+    """The endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
+    against every entry of ``batch``, and the null index k of each (user,
+    entry) row that has a null at or below d_max, among the entries whose
+    rate and angular rate are ``rate`` and ``omega``.
+
+    Returns ``(power, argmin, kind)`` of shape (users, entries), the rows
+    ``(u, m)`` that have a null, m indexing ``rate``, and their k.
+    """
+    h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
+    at_max = _ray_terms(heights, d_max)
+    # Null distances fall with k, so the largest null at or below d_max has
+    # the smallest k whose phase 2*pi*k is at least the phase at d_max.  k is
+    # that phase over 2*pi, rounded up from below so that roundoff can only
+    # leave it one short, with d_k just above d_max, where d_max stands in
+    # for it and the next null down is shallower.  d_k then lies within
+    # roundoff of d_max, or up to 7e-4 relative next to the mast, where the
+    # phase and the bound are flat in d.  A row whose k exceeds its null
+    # count k_max has no null at or below d_max and is skipped.  This runs
+    # before the endpoint powers so that its temporaries are freed before
+    # those exist.
+    k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))
+    at = np.nonzero(k <= _k_max(_Heights(h_tx, h_rx), omega))
+    k = k[at]
+
+    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
+    p_hi = batch.power(batch.coeffs, *at_max)
+    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
+    at_lo = p_lo <= p_hi
+    result = np.where(at_lo, p_lo, p_hi), np.where(at_lo, d_min, d_max), np.where(at_lo, 0, 1)
+    return result, at, k
+
+
+def _users_per_block(n_entries: int) -> int:
+    """Users per block of a batch of ``n_entries`` entries: (users, entries)
+    temporaries of about :data:`_USER_BLOCK` elements, one user at least."""
+    return max(1, _USER_BLOCK // max(1, n_entries))
+
+
 def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     """Worst cases of a batch of carriers or pairs, for every user.
 
@@ -239,41 +285,46 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
 
     Candidates are both endpoints and the largest null d_k of the
     oscillation (the carrier, or the pair's spacing) inside the interval.
-    The endpoints and the null index k are one broadcast of the users'
+    The endpoints and the null index k are broadcasts of the users'
     heights and intervals, as (users, 1) columns, against the
-    frequency-only data built once (:func:`_batch`).  The null and, for
-    pairs, its basin are then computed only on the (user, entry) rows that
-    have a null, each row with its own user's heights; the basins of all
-    users are searched in one call of :func:`_basin_minimum`.  Every entry
-    is computed elementwise, so its result depends neither on the rest of
-    the batch nor on the other users.
+    frequency-only data built once (:func:`_batch`), run over blocks of
+    users whose (block, entries) temporaries hold about
+    :data:`_USER_BLOCK` elements, so that they stay in cache; a batch that
+    fits in one block, a single query among them, is one broadcast.  With
+    more than one user, entries without a null even at the largest
+    min(h_tx, h_rx) of the batch are dropped from the null test first, on
+    (entries,) arrays: the null count grows with that height, so no entry
+    dropped has a null for any user.  In a narrow band that is every pair.
+    The null and, for pairs, its basin are then computed only on the
+    (user, entry) rows that have a null, each row with its own user's
+    heights; the basins of all users are searched in one call of
+    :func:`_basin_minimum`.  Every entry is computed elementwise, so its
+    result depends neither on the rest of the batch nor on the other users.
     """
     batch = _batch(f1, f2, p_t)
     # One row per user: its heights, their cached height terms, its interval.
     users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
-    h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
-    at_max = _ray_terms(heights, d_max)
-    # Null distances fall with k, so the largest null at or below d_max has
-    # the smallest k whose phase 2*pi*k is at least the phase at d_max.  k is
-    # that phase over 2*pi, rounded up from below so that roundoff can only
-    # leave it one short, with d_k just above d_max, where d_max stands in
-    # for it and the next null down is shallower.  d_k then lies within
-    # roundoff of d_max, or up to 7e-4 relative next to the mast, where the
-    # phase and the bound are flat in d.  A row whose k exceeds its null
-    # count k_max has no null at or below d_max and is skipped; in a narrow
-    # band that is every pair.  This runs before the endpoint powers so that
-    # its (users, entries) temporaries are freed before those exist.
-    k = np.maximum(1.0, np.ceil(batch.coeffs[-1] * at_max[2] / TWO_PI - 1e-9))
-    at = np.nonzero(k <= _k_max(_Heights(h_tx, h_rx), batch.omega))
-    k = k[at]
-
-    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
-    p_hi = batch.power(batch.coeffs, *at_max)
-    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
-    at_lo = p_lo <= p_hi
-    result = np.where(at_lo, p_lo, p_hi), np.where(at_lo, d_min, d_max), np.where(at_lo, 0, 1)
-
-    u, m = at
+    rate, omega, entries = batch.coeffs[-1], batch.omega, None
+    if len(users) > 1:
+        top = np.minimum(users[:, 0], users[:, 1]).max()
+        entries = np.flatnonzero(_k_max(_Heights(top, top), omega) >= 1.0)
+        rate, omega = rate[entries], omega[entries]
+    per_block = _users_per_block(batch.omega.size)
+    if len(users) <= per_block:
+        result, (u, m), k = _endpoints(batch, users, rate, omega)
+    else:
+        result = tuple(np.empty((len(users), batch.omega.size), t) for t in (float, float, int))
+        found = []
+        for start in range(0, len(users), per_block):
+            block = slice(start, start + per_block)
+            part, (u, m), k = _endpoints(batch, users[block], rate, omega)
+            for out, a in zip(result, part):
+                out[block] = a
+            found.append((u + start, m, k))
+        u, m, k = (np.concatenate(a) for a in zip(*found))
+    if entries is not None:
+        m = entries[m]
+    at = u, m
     h_tx, h_rx, *heights, d_min, d_max = users[u].T
     rows = _Heights(h_tx, h_rx)
     coeffs = [a[m] for a in batch.coeffs]

@@ -3,11 +3,12 @@
 The seeded differential tests and the reference solvers are in
 ``test_incremental_greedy.py``; this module adds randomly drawn instances
 with integer-valued data (exact sums, real density ties), nonzero
-diagonals, zero capacities and feasible initial assignments.
+diagonals, zero capacities and feasible initial assignments, and instances
+whose profits and joint profits are mostly signed zeros.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from freqassign import Assignment, Instance, value_density, value_density_matrix
@@ -78,3 +79,52 @@ def test_matrix_equals_scalar_density_bitwise(seed):
     for i in range(n):
         for u in range(k):
             assert matrix[i, u].hex() == value_density(instance, u, i, context).hex()
+
+
+SIGNED = st.sampled_from([-0.0, 0.0, -1.0, 1.0])
+
+
+@st.composite
+def signed_zero_instances(draw):
+    """Profits and joint profits drawn from {-0.0, +0.0, -1, +1}, with a
+    nonzero diagonal: a density keeps the sign of a zero sum only if the
+    j == i term adds nothing at all."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+
+    def values(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(SIGNED, min_size=size, max_size=size))).reshape(shape)
+
+    upper = values(k, n, n)
+    # Mirror the strict upper triangle; adding a zero lower triangle, as
+    # np.triu(a, 1) + np.triu(a, 1).T does, would turn -0.0 into +0.0.
+    joint = np.where(np.triu(np.ones((n, n), dtype=bool), 1), upper, upper.transpose(0, 2, 1))
+    joint[:, np.arange(n), np.arange(n)] = draw(st.sampled_from([-2.0, 3.0]))
+    return Instance(np.ones(n), np.full(k, 2.0), values(k, n), joint)
+
+
+# Item 0 is worth -0.0 + (-0.0) + (-0.0) against the first context {0, 1, 2}
+# and every other item less, so the first step's density is -0.0 only if
+# the diagonal term (5.0, skipped by value_density) adds nothing.
+FIRST_STEP_NEGATIVE_ZERO = Instance(
+    np.ones(3),
+    np.array([1.0]),
+    np.array([[-0.0, -1.0, -1.0]]),
+    np.array([[[5.0, -0.0, -0.0], [-0.0, 5.0, -1.0], [-0.0, -1.0, 5.0]]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(FIRST_STEP_NEGATIVE_ZERO)
+@given(signed_zero_instances())
+def test_signed_zero_densities_match_bitwise(instance):
+    assert_greedy_matches(instance)  # trace densities by .hex()
+    n, k = instance.n_items, instance.n_knapsacks
+    unit = Instance(np.ones(n), np.full(k, 2.0), instance.profits, instance.joint_profits)
+    assert_rr_profits_matches(unit)
+    for context in (range(n), range(n - 1, -1, -2)):
+        matrix = value_density_matrix(instance, context)
+        for i in range(n):
+            for u in range(k):
+                assert matrix[i, u].hex() == value_density(instance, u, i, context).hex()

@@ -29,6 +29,7 @@ from freqassign import (
     UserProfile,
     WorstCaseResult,
     build_profit_table,
+    k_max,
     null_distances,
     worst_case_pair,
     worst_case_single,
@@ -44,6 +45,7 @@ from freqassign.channel import (
     receive_power_single,
     sum_power_lower_bound,
 )
+from freqassign import worstcase
 from freqassign.worstcase import _KINDS, INTERIOR_NULL, worst_cases
 
 _ZOOM_POINTS = 33
@@ -312,6 +314,25 @@ def test_edge_users_match_reference(hz, p_t):
     assert np.all(np.isfinite(table.pair))
 
 
+def test_spacing_null_of_the_tallest_user_alone_matches_reference():
+    # With h_tx = 10 m the 33 MHz spacing has k_max = floor(2*df*h_rx/c) = 1
+    # at h_rx = 9 m and 0 for every other user, so the entry must survive the
+    # prefilter on the tallest user alone: not on k_max > 1, nor on a mean
+    # height.  The tallest user's worst case is at its one spacing null.
+    spacing = CarrierFrequency(33e6)
+    hz = 2.4e9 + np.array([0.0, 5e6, spacing.f])
+    tall = SceneGeometry(10.0, 9.0)
+    d_1 = float(null_distances(tall, spacing)[0])
+    users = [UserProfile(h, DistanceInterval(20.0, 60.0)) for h in (1.5, 3.0, 4.0)]
+    users.insert(1, UserProfile(9.0, DistanceInterval(d_1 / 2.0, 2.0 * d_1)))
+    assert [k_max(SceneGeometry(10.0, u.h_rx), spacing) for u in users] == [0, 1, 0, 0]
+    freqs = [CarrierFrequency(float(f)) for f in hz]
+    table = assert_matches_reference(users, freqs, SystemConfig(10.0))
+    both = worst_case_pair(tall, users[1].interval, FrequencyPair(hz[0], hz[2]))
+    assert both.candidate_kind == INTERIOR_NULL
+    assert table.pair[1, 0, 2] == both.power - table.single[1, 0] - table.single[1, 2]
+
+
 def test_intervals_ending_below_a_null_match_reference():
     freqs = [CarrierFrequency(float(f)) for f in WIDEBAND_HZ]
     assert_matches_reference(users_ending_below_nulls(WIDEBAND_HZ), freqs, SystemConfig(10.0))
@@ -425,11 +446,20 @@ def test_wideband_users_match_reference(seed):
 
 
 @pytest.mark.parametrize(
-    "name,seed", [("wideband-k8n24", 0), ("wideband-k8n24", 5), ("paper-k20n50", 2)]
+    "name,seed",
+    [
+        ("wideband-k8n24", 0),
+        ("wideband-k8n24", 5),
+        ("paper-k20n50", 2),
+        # the only trial config whose pairs split into several user blocks
+        ("narrowband-k40n100", 1),
+        ("narrowband-k40n100", 6),
+    ],
 )
 def test_rows_do_not_depend_on_other_users(name, seed):
-    # the basin search is shared by all users, so each row must come out
-    # as it does with its user alone
+    # the prefilter and the basin search are shared by all users and the
+    # endpoint stage runs over blocks of users, so each row must come out
+    # as it does with its user alone, in any order and with one user a block
     users, freqs, system = scenario(name, seed)
     table = build_profit_table(users, freqs, system)
     for u, user in enumerate(users):
@@ -439,6 +469,10 @@ def test_rows_do_not_depend_on_other_users(name, seed):
     reordered = build_profit_table(users[::-1], freqs, system)
     assert_bitwise_equal(reordered.single, table.single[::-1])
     assert_bitwise_equal(reordered.pair, table.pair[::-1])
+    with mock.patch.object(worstcase, "_USER_BLOCK", 1):
+        blocked = build_profit_table(users, freqs, system)
+    assert_bitwise_equal(blocked.single, table.single)
+    assert_bitwise_equal(blocked.pair, table.pair)
 
 
 def test_table_agrees_with_scalar_path_bit_for_bit():
