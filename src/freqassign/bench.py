@@ -166,14 +166,6 @@ class TrialResult:
             "greedy_time_s": self.greedy_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrialResult":
-        return cls(
-            objectives_w=dict(data["objectives_w"]),
-            power_db=dict(data["power_db"]),
-            greedy_time_s=data["greedy_time_s"],
-        )
-
 
 def run_trial(
     users: list[UserProfile],
@@ -215,19 +207,6 @@ class BenchReport:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchReport":
-        return cls(
-            config=ScenarioConfig.from_dict(data["config"]),
-            mean_db=dict(data["mean_db"]),
-            greedy_time_s=dict(data["greedy_time_s"]),
-            trial_results=[TrialResult.from_dict(t) for t in data["trials"]],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        return cls.from_dict(json.loads(text))
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -56,8 +56,8 @@ class CarrierFrequency:
     f: float
 
     def __post_init__(self):
-        if not _positive_finite(self.f):
-            raise ValueError("frequency must be positive and finite")
+        if not _positive_finite(self.omega):  # 2*pi*f overflows above ~2.9e307 Hz
+            raise ValueError("frequency must be positive, with a finite angular rate 2*pi*f")
 
     @property
     def omega(self) -> float:
@@ -73,8 +73,8 @@ class FrequencyPair:
     f2: float
 
     def __post_init__(self):
-        if not _positive_finite(self.f1, self.f2):
-            raise ValueError("frequencies must be positive and finite")
+        if not _positive_finite(self.f1, self.omega2):  # 2*pi*f2 may overflow
+            raise ValueError("frequencies must be positive, with finite angular rates 2*pi*f")
         if not self.f1 < self.f2:
             raise ValueError("pair requires f1 < f2")
 

@@ -16,7 +16,6 @@ only the profit arithmetic is done here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +89,7 @@ class ProfitTable:
 
     ``single[u, i]`` is the single-frequency worst case of user u on
     frequency i; ``pair[u, i, j]`` the symmetric joint profit, with the
-    diagonal unused and kept at zero, also when a table is loaded.
+    diagonal unused and kept at zero.
     """
 
     users: list[UserProfile]
@@ -105,45 +104,6 @@ class ProfitTable:
     @property
     def n_frequencies(self) -> int:
         return len(self.frequencies)
-
-    def to_dict(self) -> dict:
-        return {
-            "users": [
-                {
-                    "h_rx_m": u.h_rx,
-                    "d_min_m": u.interval.d_min,
-                    "d_max_m": u.interval.d_max,
-                }
-                for u in self.users
-            ],
-            "frequencies_hz": [fr.f for fr in self.frequencies],
-            "single_profits_w": self.single.tolist(),
-            "pair_profits_w": self.pair.tolist(),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProfitTable":
-        users = [
-            UserProfile(u["h_rx_m"], DistanceInterval(u["d_min_m"], u["d_max_m"]))
-            for u in data["users"]
-        ]
-        freqs = [CarrierFrequency(f) for f in data["frequencies_hz"]]
-        pair = np.array(data["pair_profits_w"], dtype=float)
-        diag = np.arange(len(freqs))
-        pair[:, diag, diag] = 0.0
-        return cls(
-            users=users,
-            frequencies=freqs,
-            single=np.asarray(data["single_profits_w"], dtype=float),
-            pair=pair,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProfitTable":
-        return cls.from_dict(json.loads(text))
 
 
 def build_profit_table(

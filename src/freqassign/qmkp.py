@@ -23,7 +23,6 @@ instantiation (unit weights, capacity two).
 from __future__ import annotations
 
 import itertools
-import json
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -83,34 +82,8 @@ class Instance:
             weights=np.ones(table.n_frequencies),
             capacities=np.full(table.n_users, 2.0),
             profits=table.single,  # neither is a copy: the solvers only read them
-            joint_profits=table.pair,  # zero diagonal as built or loaded
+            joint_profits=table.pair,  # zero diagonal as built
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_knapsacks": self.n_knapsacks,
-            "weights": self.weights.tolist(),
-            "capacities": self.capacities.tolist(),
-            "profits": self.profits.tolist(),
-            "joint_profits": self.joint_profits.tolist(),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Instance":
-        return cls(
-            weights=np.asarray(data["weights"], dtype=float),
-            capacities=np.asarray(data["capacities"], dtype=float),
-            profits=np.asarray(data["profits"], dtype=float),
-            joint_profits=np.asarray(data["joint_profits"], dtype=float),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -118,10 +91,6 @@ class Assignment:
     """Disjoint allocation of items to knapsacks."""
 
     knapsacks: tuple[frozenset[int], ...]
-
-    @classmethod
-    def empty(cls, n_knapsacks: int) -> "Assignment":
-        return cls(tuple(frozenset() for _ in range(n_knapsacks)))
 
     @classmethod
     def from_lists(cls, lists) -> "Assignment":
@@ -133,19 +102,6 @@ class Assignment:
     @property
     def n_knapsacks(self) -> int:
         return len(self.knapsacks)
-
-    def assigned_items(self) -> set[int]:
-        out: set[int] = set()
-        for items in self.knapsacks:
-            out |= items
-        return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps({"knapsacks": self.as_lists()}, **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Assignment":
-        return cls.from_lists(json.loads(text)["knapsacks"])
 
 
 def _check_indices(instance: Instance, assignment: Assignment) -> None:
@@ -225,41 +181,23 @@ def _profit_sums(profits: np.ndarray, columns: np.ndarray, context) -> np.ndarra
     return total
 
 
-def value_density_matrix(instance: Instance, context) -> np.ndarray:
-    """(N, K) matrix of value densities against a common context set.
-
-    Entry ``[i, u]`` equals ``value_density(instance, u, i, context)``.
-    """
-    ctx = [int(j) for j in context]
-    if any(not 0 <= j < instance.n_items for j in ctx):
-        raise ValueError("context item index out of range")
-    if instance.n_knapsacks and np.any(instance.weights == 0):
-        raise ValueError("value density undefined for zero-weight items")
-    columns = _joint_columns(instance.joint_profits)
-    return (_profit_sums(instance.profits, columns, ctx) / instance.weights).T
-
-
 GreedyStep = namedtuple("GreedyStep", ["item", "knapsack", "density"])
 
 
-def greedy_construct(
-    instance: Instance,
-    initial: Assignment | None = None,
-    return_trace: bool = False,
-):
+def greedy_construct(instance: Instance, return_trace: bool = False):
     """Constructive value-density procedure.
 
-    Starting from a feasible (possibly empty) initial assignment, the
-    densities of all unassigned items are computed against the full
-    unassigned set; then, repeatedly, the highest-density (item, knapsack)
-    combination that still fits is assigned and the densities of the
-    remaining items are refreshed against each knapsack's current contents.
-    Ties break towards the lower item index, then the lower knapsack index.
-    Stops when no unassigned item fits anywhere.
+    Starting from the empty assignment, the densities of all items are
+    computed against the full item set; then, repeatedly, the
+    highest-density (item, knapsack) combination that still fits is
+    assigned and the densities of the remaining items are refreshed against
+    each knapsack's current contents.  Ties break towards the lower item
+    index, then the lower knapsack index.  Stops when no unassigned item
+    fits anywhere.
 
     The densities are one (N, K) array, equal bit for bit to
     ``value_density``.  The first placement switches every column's context
-    from the unassigned set to the knapsack contents, so all columns are
+    from the full item set to the knapsack contents, so all columns are
     rebuilt once; after that a placement into knapsack u changes only
     column u.  Each step therefore costs one argmax over the N*K entries,
     masked to free items that fit, plus one column refresh of one add of N
@@ -270,31 +208,17 @@ def greedy_construct(
     With ``return_trace`` the assigned (item, knapsack, density) steps are
     returned alongside the final assignment.
     """
-    if initial is None:
-        initial = Assignment.empty(instance.n_knapsacks)
-    if not feasible(instance, initial):
-        raise ValueError("initial assignment is infeasible")
-
-    k = instance.n_knapsacks
+    n, k = instance.n_items, instance.n_knapsacks
     p, jp, w = instance.profits, instance.joint_profits, instance.weights
-    contents = [set(items) for items in initial.knapsacks]
-    remaining = instance.capacities - np.array(
-        [sum(w[i] for i in items) for items in contents]
-    )
-    unassigned = set(range(instance.n_items)) - initial.assigned_items()
-    free = np.zeros(instance.n_items, dtype=bool)
-    free[list(unassigned)] = True
-    if k and np.any(w[free] == 0):
+    if k and np.any(w == 0):
         raise ValueError("value density undefined for zero-weight items")
+    contents = [set() for _ in range(k)]
+    remaining = instance.capacities.copy()
+    free = np.ones(n, dtype=bool)
     columns = _joint_columns(jp)
-    # Rows of items that are not free are never read.
-    density = np.divide(
-        _profit_sums(p, columns, unassigned).T,
-        w[:, None],
-        out=np.full((instance.n_items, k), -np.inf),
-        where=free[:, None],
-    )
-    fits = free[:, None] & (w[:, None] <= remaining)
+    # C order, so that density.ravel() below is a view, not a copy per step.
+    density = np.divide(_profit_sums(p, columns, range(n)).T, w[:, None], out=np.empty((n, k)))
+    fits = w[:, None] <= remaining
 
     trace: list[GreedyStep] = []
     while True:
@@ -418,13 +342,16 @@ def assign_rr_profits(instance: Instance) -> Assignment:
     n, k = instance.n_items, instance.n_knapsacks
     lists: list[list[int]] = [[] for _ in range(k)]
     free = np.ones(n, dtype=bool)
-    columns = _joint_columns(instance.joint_profits)
     for _ in range(2):
         for u in range(k):
             candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 break
-            density = _profit_sums(instance.profits[u], columns[u], lists[u])
+            # Held item j's column also adds its diagonal to density[j], but j
+            # is no candidate: every free entry equals value_density bit for bit.
+            density = np.array(instance.profits[u])
+            for j in lists[u]:
+                density += instance.joint_profits[u, :, j]
             density /= instance.weights
             best = int(candidates[np.argmax(density[candidates])])
             lists[u].append(best)

@@ -228,6 +228,28 @@ class TestWorstCase:
         assert err.startswith("error:") and "distinct" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e308"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "2.4e9", "--freq2", "1e308"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e308", "--verify-grid"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "2.4e9", "--freq2", "1e308",
+         "--verify-grid"],
+        ["power-curve", "--dmin", "1", "--dmax", "10", "--freq", "1e308"],
+        ["power-curve", "--dmin", "1", "--dmax", "10", "--freq", "2.4e9", "--freq2", "1e308"],
+        ["minima", "--freq", "1e308"],
+    ],
+    ids=["worst-case", "worst-case-pair", "verify-grid", "verify-grid-pair", "power-curve",
+         "power-curve-pair", "minima"],
+)
+def test_carrier_whose_angular_rate_overflows_exits_2(capsys, argv):
+    # a finite f with an infinite 2*pi*f printed nan dB or raised OverflowError
+    code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "angular rate" in err
+
+
 class TestAssign:
     def test_single_user_gets_both_frequencies(self, capsys, tmp_path):
         users = tmp_path / "one.json"

@@ -31,22 +31,14 @@ from freqassign import (
     greedy_construct,
     objective,
     value_density,
-    value_density_matrix,
 )
 from freqassign.qmkp import GreedyStep, _require_frequency_shape, feasible
 
 
-def reference_greedy_construct(instance, initial=None, return_trace=False):
-    if initial is None:
-        initial = Assignment.empty(instance.n_knapsacks)
-    if not feasible(instance, initial):
-        raise ValueError("initial assignment is infeasible")
-
-    contents = [set(items) for items in initial.knapsacks]
-    remaining = instance.capacities - np.array(
-        [sum(instance.weights[i] for i in items) for items in contents]
-    )
-    unassigned = set(range(instance.n_items)) - initial.assigned_items()
+def reference_greedy_construct(instance, return_trace=False):
+    contents = [set() for _ in range(instance.n_knapsacks)]
+    remaining = instance.capacities.copy()
+    unassigned = set(range(instance.n_items))
     density = np.full((instance.n_items, instance.n_knapsacks), -np.inf)
     for i in unassigned:
         for u in range(instance.n_knapsacks):
@@ -106,9 +98,9 @@ def _gap(instance, new, ref):
     return "new assignment infeasible"
 
 
-def assert_greedy_matches(instance, initial=None):
-    new, new_trace = greedy_construct(instance, initial, return_trace=True)
-    ref, ref_trace = reference_greedy_construct(instance, initial, return_trace=True)
+def assert_greedy_matches(instance):
+    new, new_trace = greedy_construct(instance, return_trace=True)
+    ref, ref_trace = reference_greedy_construct(instance, return_trace=True)
     message = f"greedy differs; objective gap (new - reference) {_gap(instance, new, ref)}"
     assert new.as_lists() == ref.as_lists(), message
     assert _bits(new_trace) == _bits(ref_trace), message
@@ -179,23 +171,6 @@ def test_workload_seeds(name, seed):
 
 
 class TestErrorsUnchanged:
-    @pytest.mark.parametrize(
-        "lists",
-        [[[0, 1], []], [[0], [0]], [[5], []], [[0], [1], []]],
-        ids=["over-capacity", "shared-item", "index-out-of-range", "knapsack-count"],
-    )
-    def test_infeasible_initial(self, lists):
-        instance = Instance(
-            weights=[1.0, 1.0],
-            capacities=[1.0, 1.0],
-            profits=[[5.0, 1.0], [4.0, 2.0]],
-            joint_profits=np.zeros((2, 2, 2)),
-        )
-        initial = Assignment.from_lists(lists)
-        for solve in (greedy_construct, reference_greedy_construct):
-            with pytest.raises(ValueError):
-                solve(instance, initial)
-
     def test_zero_weight_unassigned_item(self):
         instance = Instance(
             weights=[1.0, 0.0],
@@ -206,18 +181,3 @@ class TestErrorsUnchanged:
         for solve in (greedy_construct, reference_greedy_construct):
             with pytest.raises(ValueError, match="zero-weight"):
                 solve(instance)
-
-    def test_zero_weight_item_already_placed(self):
-        # Only unassigned items get densities, so a placed zero-weight item is fine.
-        instance = Instance(
-            weights=[0.0, 1.0, 1.0],
-            capacities=[1.0, 1.0],
-            profits=[[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]],
-            joint_profits=np.zeros((2, 3, 3)),
-        )
-        assert_greedy_matches(instance, Assignment.from_lists([[0], []]))
-
-    def test_matrix_context_out_of_range(self):
-        instance = Instance(np.ones(2), [2.0], np.zeros((1, 2)), np.zeros((1, 2, 2)))
-        with pytest.raises(ValueError, match="out of range"):
-            value_density_matrix(instance, [2])

@@ -3,15 +3,17 @@
 The seeded differential tests and the reference solvers are in
 ``test_incremental_greedy.py``; this module adds randomly drawn instances
 with integer-valued data (exact sums, real density ties), nonzero
-diagonals, zero capacities and feasible initial assignments, and instances
-whose profits and joint profits are mostly signed zeros.
+diagonals and zero capacities, and instances whose profits and joint
+profits are mostly signed zeros.  The greedy's column sums
+(``qmkp._profit_sums``) are also compared with ``value_density`` directly.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from freqassign import Assignment, Instance, value_density, value_density_matrix
+from freqassign import Instance, value_density
+from freqassign.qmkp import _joint_columns, _profit_sums
 from test_incremental_greedy import assert_greedy_matches, assert_rr_profits_matches
 
 
@@ -29,28 +31,18 @@ def general_instances(draw):
     joint = np.triu(upper, 1) + np.triu(upper, 1).transpose(0, 2, 1)
     # The diagonal is not forced to zero: Instance does not require it.
     joint[:, np.arange(n), np.arange(n)] = ints(k * n, -3, 3).reshape(k, n)
-    instance = Instance(
+    return Instance(
         weights=ints(n, 1, 3),
         capacities=ints(k, 0, 6),
         profits=ints(k * n, -5, 5).reshape(k, n),
         joint_profits=joint,
     )
-    lists = [[] for _ in range(k)]
-    load = np.zeros(k)
-    for i in range(n):
-        u = draw(st.integers(-1, k - 1))  # -1 leaves item i unassigned
-        if u >= 0 and load[u] + instance.weights[i] <= instance.capacities[u]:
-            lists[u].append(i)
-            load[u] += instance.weights[i]
-    return instance, Assignment.from_lists(lists)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(general_instances())
-def test_general_instances_property(case):
-    instance, initial = case
+def test_general_instances_property(instance):
     assert_greedy_matches(instance)
-    assert_greedy_matches(instance, initial)
     unit = Instance(
         np.ones(instance.n_items),
         np.full(instance.n_knapsacks, 2.0),
@@ -58,6 +50,14 @@ def test_general_instances_property(case):
         instance.joint_profits,
     )
     assert_rr_profits_matches(unit)
+
+
+def assert_sums_match_scalar_density(instance, context):
+    columns = _joint_columns(instance.joint_profits)
+    matrix = _profit_sums(instance.profits, columns, context) / instance.weights
+    for u in range(instance.n_knapsacks):
+        for i in range(instance.n_items):
+            assert matrix[u, i].hex() == value_density(instance, u, i, context).hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,10 +75,7 @@ def test_matrix_equals_scalar_density_bitwise(seed):
         joint_profits=joint + joint.transpose(0, 2, 1),
     )
     context = [int(j) for j in rng.permutation(n)[: rng.integers(0, n + 1)]]
-    matrix = value_density_matrix(instance, context)
-    for i in range(n):
-        for u in range(k):
-            assert matrix[i, u].hex() == value_density(instance, u, i, context).hex()
+    assert_sums_match_scalar_density(instance, context)
 
 
 SIGNED = st.sampled_from([-0.0, 0.0, -1.0, 1.0])
@@ -124,7 +121,4 @@ def test_signed_zero_densities_match_bitwise(instance):
     unit = Instance(np.ones(n), np.full(k, 2.0), instance.profits, instance.joint_profits)
     assert_rr_profits_matches(unit)
     for context in (range(n), range(n - 1, -1, -2)):
-        matrix = value_density_matrix(instance, context)
-        for i in range(n):
-            for u in range(k):
-                assert matrix[i, u].hex() == value_density(instance, u, i, context).hex()
+        assert_sums_match_scalar_density(instance, context)

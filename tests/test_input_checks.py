@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from freqassign import (
+    CarrierFrequency,
     FrequencyPair,
     Instance,
     ScenarioConfig,
@@ -16,7 +17,6 @@ from freqassign import (
     receive_power_single,
     sum_power_lower_bound,
     sum_power_two,
-    value_density_matrix,
 )
 
 from conftest import EX_FREQ_HIGH, EX_GEOM, EX_INTERVAL, EX_PAIR
@@ -41,6 +41,16 @@ class TestScenarioConfig:
     def test_negative_master_seed(self):
         with pytest.raises(ValueError, match="master seed must be nonnegative"):
             ScenarioConfig(n_users=2, n_freqs=4, master_seed=-1)
+
+
+@pytest.mark.parametrize(
+    "make", [CarrierFrequency, lambda f: FrequencyPair(2.4e9, f)], ids=["carrier", "pair"]
+)
+def test_frequency_whose_angular_rate_overflows(make):
+    # 2*pi*f is inf above about 2.9e307 Hz, although f itself is finite
+    with pytest.raises(ValueError, match="finite angular rate"):
+        make(1e308)
+    make(1e307)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -1e6])
@@ -82,11 +92,6 @@ class TestInstance:
     def test_misshaped_joint_profits(self, shape):
         with pytest.raises(ValueError, match="joint profits must have shape"):
             instance(joint_profits=np.zeros(shape))
-
-
-def test_value_density_matrix_with_zero_weight_item():
-    with pytest.raises(ValueError, match="zero-weight"):
-        value_density_matrix(instance(weights=(1.0, 0.0)), [0])
 
 
 def test_phase_uniform_grid_with_negative_omega():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ from freqassign import (
     CarrierFrequency,
     DistanceInterval,
     FrequencyPair,
-    Instance,
-    ProfitTable,
     SceneGeometry,
     SystemConfig,
     UserProfile,
@@ -185,33 +182,6 @@ class TestBuildProfitTable:
         expected = ordered.pair[:, perm][:, :, perm]
         slack = 4 * np.finfo(float).eps * np.abs(ordered.single).max()
         np.testing.assert_allclose(shuffled.pair, expected, rtol=0, atol=slack)
-
-
-class TestProfitTableJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(46)
-        users = [random_user(rng) for _ in range(2)]
-        table = build_profit_table(users, random_band_freqs(rng, 4), SYSTEM)
-        restored = ProfitTable.from_json(table.to_json())
-        assert np.array_equal(restored.single, table.single)
-        assert np.array_equal(restored.pair, table.pair)
-        assert [fr.f for fr in restored.frequencies] == [fr.f for fr in table.frequencies]
-        assert [u.h_rx for u in restored.users] == [u.h_rx for u in table.users]
-
-    def test_loaded_diagonal_is_zero(self):
-        # the diagonal is unused; loading zeroes it, so an Instance can take
-        # the pair tensor as it is
-        rng = np.random.default_rng(47)
-        users = [random_user(rng) for _ in range(2)]
-        table = build_profit_table(users, random_band_freqs(rng, 3), SYSTEM)
-        data = table.to_dict()
-        for u in range(2):
-            for i in range(3):
-                data["pair_profits_w"][u][i][i] = -1.0e-6 * (u + i + 1)
-        restored = ProfitTable.from_json(json.dumps(data))
-        assert restored.pair.tobytes() == table.pair.tobytes()
-        instance = Instance.from_profit_table(restored)
-        assert instance.joint_profits.tobytes() == table.pair.tobytes()
 
 
 class TestTypes:

@@ -1,16 +1,21 @@
-"""The README's library example runs, and its CLI examples parse, as documented.
+"""The README's library example runs, its CLI examples parse, and the
+package names it quotes exist, as documented.
 
-The examples are read from README.md when the tests run, so the file and
-the API cannot drift apart unnoticed.
+The examples and names are read from README.md when the tests run, so the
+file and the API cannot drift apart unnoticed.
 """
 
+import importlib
 import re
 import shlex
+from functools import reduce
 from pathlib import Path
 
+import freqassign
 from freqassign.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("channel", "worstcase", "profits", "qmkp", "bench", "cli")
 
 
 def test_python_example_runs(capsys):
@@ -37,3 +42,22 @@ def test_cli_examples_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         assert args.command == argv[1]
+
+
+def test_quoted_names_exist():
+    """Every backticked name that starts with a package module (``bench.SOLVERS``)
+    or with a name the package exports (``Instance.from_profit_table``)
+    resolves as an attribute chain.  A bare name is checked only while
+    ``__all__`` lists it; quote an unexported one with its module."""
+    spans = re.findall(r"`([A-Za-z_][\w.]*)`", README.read_text(encoding="utf-8"))
+    chains = [span.removeprefix("freqassign.").split(".") for span in spans]
+    chains = [c for c in chains if c[0] in MODULES or c[0] in freqassign.__all__]
+    assert len(chains) >= 20
+    missing = []
+    for head, *rest in chains:
+        root = importlib.import_module(f"freqassign.{head}") if head in MODULES else freqassign
+        try:
+            reduce(getattr, rest if head in MODULES else [head, *rest], root)
+        except AttributeError:
+            missing.append(".".join([head, *rest]))
+    assert missing == []
