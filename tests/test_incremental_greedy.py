@@ -181,3 +181,14 @@ class TestErrorsUnchanged:
         for solve in (greedy_construct, reference_greedy_construct):
             with pytest.raises(ValueError, match="zero-weight"):
                 solve(instance)
+
+    def test_zero_weight_item_without_knapsacks(self):
+        # With no knapsack there is no density to define, so nothing is raised.
+        instance = Instance(
+            weights=[0.0, 1.0],
+            capacities=np.zeros(0),
+            profits=np.zeros((0, 2)),
+            joint_profits=np.zeros((0, 2, 2)),
+        )
+        assert greedy_construct(instance).as_lists() == []
+        assert_greedy_matches(instance)

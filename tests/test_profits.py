@@ -7,6 +7,7 @@ from freqassign import (
     CarrierFrequency,
     DistanceInterval,
     FrequencyPair,
+    Instance,
     SceneGeometry,
     SystemConfig,
     UserProfile,
@@ -109,6 +110,19 @@ class TestBuildProfitTable:
         table = build_profit_table([user, clone], freqs, SYSTEM)
         assert np.array_equal(table.single[0], table.single[1])
         assert np.array_equal(table.pair[0], table.pair[1])
+
+    def test_instance_reads_the_table_in_place(self):
+        # the solvers take the pair tensor as built: zero diagonal, no copy
+        rng = np.random.default_rng(47)
+        table = build_profit_table(
+            [random_user(rng) for _ in range(2)], random_band_freqs(rng, 3), SYSTEM
+        )
+        assert not np.any(np.diagonal(table.pair, axis1=1, axis2=2))
+        instance = Instance.from_profit_table(table)
+        assert instance.profits is table.single
+        assert instance.joint_profits is table.pair
+        assert np.array_equal(instance.weights, np.ones(3))
+        assert np.array_equal(instance.capacities, np.full(2, 2.0))
 
     def test_pair_tensor_exactly_symmetric(self):
         rng = np.random.default_rng(42)

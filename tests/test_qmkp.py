@@ -67,6 +67,14 @@ def brute_objective(instance, assignment):
     return total
 
 
+class TestAssignment:
+    def test_from_lists_ignores_order_and_repeats(self):
+        a = Assignment.from_lists([[2, 0, 2], [], [1]])
+        assert a == Assignment.from_lists([[0, 2], [], [1]])
+        assert a.as_lists() == [[0, 2], [], [1]]
+        assert a.n_knapsacks == 3
+
+
 class TestFeasible:
     def test_empty_assignment(self):
         inst = toy_instance()
@@ -102,6 +110,15 @@ class TestObjective:
         inst = toy_instance()
         with pytest.raises(ValueError):
             objective(inst, Assignment.from_lists([[0, 1], []]))
+
+    @pytest.mark.parametrize(
+        "lists",
+        [[[0, 1], []], [[0], [0]], [[5], []], [[0], [1], []]],
+        ids=["over-capacity", "shared-item", "index-out-of-range", "knapsack-count"],
+    )
+    def test_every_kind_of_infeasible_assignment_rejected(self, lists):
+        with pytest.raises(ValueError):
+            objective(toy_instance(), Assignment.from_lists(lists))
 
     def test_matches_user_worst_cases(self):
         # frequency instantiation: the objective is the sum of each user's
