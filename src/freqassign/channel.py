@@ -23,6 +23,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 TWO_PI = 2.0 * math.pi
 
+# null_distances lists at most this many minima (8 MB per array of them).
+MAX_NULLS = 10**6
+
 
 def _positive_finite(*values) -> bool:
     """True when every value is a finite number above zero (NaN fails)."""
@@ -56,8 +59,10 @@ class CarrierFrequency:
     f: float
 
     def __post_init__(self):
-        if not _positive_finite(self.omega):  # 2*pi*f overflows above ~2.9e307 Hz
-            raise ValueError("frequency must be positive, with a finite angular rate 2*pi*f")
+        # The kernels square omega, which overflows above about 2.1e153 Hz.
+        if not _positive_finite(self.f, self.omega * self.omega):
+            raise ValueError("frequency must be positive, with a finite angular rate 2*pi*f "
+                             "whose square is finite and nonzero (f up to about 2.1e153 Hz)")
 
     @property
     def omega(self) -> float:
@@ -73,8 +78,8 @@ class FrequencyPair:
     f2: float
 
     def __post_init__(self):
-        if not _positive_finite(self.f1, self.omega2):  # 2*pi*f2 may overflow
-            raise ValueError("frequencies must be positive, with finite angular rates 2*pi*f")
+        for f in (self.f1, self.f2):
+            CarrierFrequency(f)  # the same range as a single carrier
         if not self.f1 < self.f2:
             raise ValueError("pair requires f1 < f2")
 
@@ -177,15 +182,16 @@ def path_difference(geom: SceneGeometry, d):
     return 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)
 
 
-def _invert_path_difference(geom: SceneGeometry, q):
-    """Distance at which l_ref - l_los equals q, 0 < q <= 2*min(h_tx, h_rx).
+def _invert_path_difference(heights, q):
+    """Distance at which :func:`_ray_terms`' q = l_ref - l_los, on the same
+    height terms, equals q, 0 < q <= 2*min(h_tx, h_rx).
 
     l_los = (4*h_tx*h_rx - q^2)/(2q) and d^2 = l_los^2 - (h_tx - h_rx)^2,
     clamped at zero against roundoff at the supremum.  Broadcasts.
     """
-    l_los = (4.0 * geom.h_tx * geom.h_rx - q * q) / (2.0 * q)
-    dh = geom.h_tx - geom.h_rx
-    return np.sqrt(np.maximum(l_los * l_los - dh * dh, 0.0))
+    dh_sq, _, q_num = heights
+    l_los = (q_num - q * q) / (2.0 * q)
+    return np.sqrt(np.maximum(l_los * l_los - dh_sq, 0.0))
 
 
 def phase_shift(geom: SceneGeometry, d, freq: CarrierFrequency):
@@ -198,9 +204,9 @@ def phase_shift(geom: SceneGeometry, d, freq: CarrierFrequency):
     return freq.omega / SPEED_OF_LIGHT * path_difference(geom, d)
 
 
-def _max_phase(geom: SceneGeometry, omega):
-    """Phase supremum 2*omega*min(h_tx, h_rx)/c; broadcasts over omega and the heights."""
-    return 2.0 * omega * np.minimum(geom.h_tx, geom.h_rx) / SPEED_OF_LIGHT
+def _max_phase(h_min, omega):
+    """Phase supremum 2*omega*h_min/c, h_min = min(h_tx, h_rx); broadcasts."""
+    return 2.0 * omega * h_min / SPEED_OF_LIGHT
 
 
 def max_phase_shift(geom: SceneGeometry, freq: CarrierFrequency) -> float:
@@ -208,27 +214,27 @@ def max_phase_shift(geom: SceneGeometry, freq: CarrierFrequency) -> float:
 
     Equals 2*omega*min(h_tx, h_rx)/c.
     """
-    return float(_max_phase(geom, freq.omega))
+    return float(_max_phase(min(geom.h_tx, geom.h_rx), freq.omega))
 
 
-def _k_max(geom: SceneGeometry, omega):
+def _k_max(h_min, omega):
     """Number of nulls at angular rate(s) omega, as float; broadcasts."""
-    return np.floor(_max_phase(geom, omega) / TWO_PI)
+    return np.floor(_max_phase(h_min, omega) / TWO_PI)
 
 
 def k_max(geom: SceneGeometry, freq: CarrierFrequency) -> int:
     """Number of destructive-interference minima over d in (0, inf)."""
-    return int(_k_max(geom, freq.omega))
+    return int(_k_max(min(geom.h_tx, geom.h_rx), freq.omega))
 
 
-def _null_distance(geom: SceneGeometry, omega, k):
-    """Distance of the k-th null at angular rate omega; broadcasts over all three.
+def _null_distance(h_tx, h_rx, omega, k):
+    """Distance of the k-th null at angular rate omega; broadcasts over all four.
 
     Only meaningful for 1 <= k <= k_max; see :func:`null_distances`.
     """
     ck = SPEED_OF_LIGHT * math.pi * k
-    w_rx = omega * geom.h_rx
-    w_tx = omega * geom.h_tx
+    w_rx = omega * h_rx
+    w_tx = omega * h_tx
     a = ck * ck - w_rx * w_rx
     b = ck * ck - w_tx * w_tx
     scale = omega * SPEED_OF_LIGHT * math.pi * k
@@ -245,10 +251,13 @@ def null_distances(geom: SceneGeometry, freq: CarrierFrequency) -> np.ndarray:
         d_k^2 = ((c*pi*k)^2 - (omega*h_rx)^2) * ((c*pi*k)^2 - (omega*h_tx)^2)
                 / (omega*c*pi*k)^2
 
-    for k = 1..k_max.  Returns an empty array when k_max is zero.
+    for k = 1..k_max, of which there may be at most :data:`MAX_NULLS`.
     """
-    k = np.arange(1, k_max(geom, freq) + 1, dtype=float)
-    return _null_distance(geom, freq.omega, k)
+    count = k_max(geom, freq)
+    if count > MAX_NULLS:
+        raise ValueError(f"{count} interference minima; at most {MAX_NULLS} are listed")
+    k = np.arange(1, count + 1, dtype=float)
+    return _null_distance(geom.h_tx, geom.h_rx, freq.omega, k)
 
 
 def _single_coeffs(omega, p_t: float):

@@ -73,13 +73,11 @@ def cmd_power_curve(args) -> None:
 def cmd_minima(args) -> None:
     geom = SceneGeometry(args.htx, args.hrx)
     freq = CarrierFrequency(args.freq)
-    # Checked here too: with no minima the power kernel never runs.
-    if not _positive_finite(args.pt):
-        raise ValueError("transmit power must be positive and finite")
     nulls = null_distances(geom, freq)
+    # One kernel call, which checks the transmit power even with no minima.
+    power = to_decibel(receive_power_single(geom, nulls, freq, args.pt), args.pt)
     lines = [f"# reference_power_watts: {_fmt(args.pt)}", "k,distance_m,power_db"]
-    for k, d_k in enumerate(nulls, start=1):
-        p = to_decibel(receive_power_single(geom, d_k, freq, args.pt), args.pt)
+    for k, (d_k, p) in enumerate(zip(nulls, power), start=1):
         lines.append(f"{k},{_fmt(d_k)},{_fmt(p)}")
     if nulls.size == 0:
         lines.append("# no interference minima: the maximal phase shift stays below 2*pi")
@@ -290,10 +288,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # An input beyond the kernels' float range is an error, not inf or nan dB.
+        with np.errstate(over="raise", invalid="raise"):
+            args.func(args)
         return 0
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: inputs beyond the float range of the two-ray kernels ({exc})", file=sys.stderr)
         return 2
 
 

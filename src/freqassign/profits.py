@@ -88,14 +88,14 @@ class ProfitTable:
     """Dense per-user profit matrices for a fixed frequency list.
 
     ``single[u, i]`` is the single-frequency worst case of user u on
-    frequency i; ``pair[u, i, j]`` the symmetric joint profit, with the
-    diagonal unused and kept at zero.
+    frequency i; ``pair[u, i, j]`` the joint profit, laid out as
+    ``Instance.joint_profits``: exactly symmetric, unused -0.0 diagonal.
     """
 
     users: list[UserProfile]
     frequencies: list[CarrierFrequency]
     single: np.ndarray  # (K, N) watts
-    pair: np.ndarray  # (K, N, N) watts, symmetric, zero diagonal
+    pair: np.ndarray  # (K, N, N) watts, exactly symmetric, -0.0 diagonal
 
     @property
     def n_users(self) -> int:
@@ -132,12 +132,13 @@ def build_profit_table(
     single = worst_cases(where, hz, None, system.p_t)[0]
     both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
     upper_at, lower_at = i * hz.size + j, j * hz.size + i
-    pair = np.zeros((len(users), hz.size * hz.size))
+    pair = np.empty((len(users), hz.size * hz.size))
+    pair[:, :: hz.size + 1] = -0.0  # the diagonal; the scatter below writes the rest
     per_block = _users_per_block(i.size)
     for start in range(0, len(users), per_block):
         block = slice(start, start + per_block)
         upper = both[block] - single[block, i] - single[block, j]
         pair[block, upper_at] = upper
-        pair[block, lower_at] = upper  # exact symmetry, zero diagonal
+        pair[block, lower_at] = upper  # exact symmetry
     pair = pair.reshape(len(users), hz.size, hz.size)
     return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)

@@ -12,9 +12,9 @@ densities of the remaining items against the knapsack contents.  The
 densities live in one (N, K) array.  A placement into knapsack u changes
 only column u, so each step costs one masked argmax over the N*K entries
 plus a refresh of that column: one contiguous add of N joint profits per
-item of S_u, the content of knapsack u.  The joint profits are read from
-one copy of the tensor with its columns stored as rows and its diagonal
-set to -0.0, which adds nothing bit for bit, so no item is sliced around.
+item of S_u, the content of knapsack u, read in place: ``Instance``
+holds the joint profits symmetric bit for bit, so row j is column j, with
+a -0.0 diagonal, which adds nothing, so no item is sliced around.
 An exhaustive enumerator serves as the optimality oracle on
 small instances, and four baseline schemes cover the frequency-assignment
 instantiation (unit weights, capacity two).
@@ -38,7 +38,7 @@ class Instance:
     weights: np.ndarray  # (N,) nonnegative
     capacities: np.ndarray  # (K,) nonnegative
     profits: np.ndarray  # (K, N)
-    joint_profits: np.ndarray  # (K, N, N) symmetric, zero diagonal
+    joint_profits: np.ndarray  # (K, N, N) exactly symmetric, unused -0.0 diagonal
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -57,15 +57,18 @@ class Instance:
             raise ValueError("profits must have shape (n_knapsacks, n_items)")
         if self.joint_profits.shape != (k, n, n):
             raise ValueError("joint profits must have shape (n_knapsacks, n_items, n_items)")
-        # Exact symmetry, as a profit table builds it, is the cheap common case.
-        # Otherwise: joint profits are tiny in watts (~1e-8), so the absolute
-        # slack must scale with the data; a fixed atol would accept any such
-        # tensor.
-        joint_t = self.joint_profits.transpose(0, 2, 1)
-        if not np.array_equal(self.joint_profits, joint_t):
-            scale = np.max(np.abs(self.joint_profits), initial=0.0)
-            if not np.allclose(self.joint_profits, joint_t, atol=1e-9 * scale):
-                raise ValueError("joint profits must be symmetric in the item indices")
+        # Bit for bit, signed zeros included: the solvers read row j as column j.
+        bits = self.joint_profits.view(np.int64)
+        if not np.array_equal(bits, bits.transpose(0, 2, 1)):
+            raise ValueError("joint profits must be exactly symmetric in the item indices")
+        # The solvers add whole rows, diagonal included, and -0.0 adds nothing
+        # bit for bit.  A profit table's tensor has it already and is kept;
+        # any other diagonal is set on a copy, never on the caller's array.
+        diag = np.arange(n)
+        if not np.all(bits[:, diag, diag] == np.float64(-0.0).view(np.int64)):
+            joint = self.joint_profits.copy()
+            joint[:, diag, diag] = -0.0
+            object.__setattr__(self, "joint_profits", joint)
 
     @property
     def n_items(self) -> int:
@@ -82,7 +85,7 @@ class Instance:
             weights=np.ones(table.n_frequencies),
             capacities=np.full(table.n_users, 2.0),
             profits=table.single,  # neither is a copy: the solvers only read them
-            joint_profits=table.pair,  # zero diagonal as built
+            joint_profits=table.pair,  # kept: symmetric, -0.0 diagonal as built
         )
 
 
@@ -157,27 +160,19 @@ def value_density(instance: Instance, u: int, i: int, context) -> float:
     return float(total / w)
 
 
-def _joint_columns(joint: np.ndarray) -> np.ndarray:
-    """Copy of ``joint`` (..., N, N) with column j of each matrix stored as
-    the contiguous row ``[..., j, :]``, and with the diagonal set to -0.0."""
-    columns = np.swapaxes(joint, -1, -2).copy()
-    diag = np.arange(columns.shape[-1])
-    columns[..., diag, diag] = -0.0
-    return columns
-
-
-def _profit_sums(profits: np.ndarray, columns: np.ndarray, context) -> np.ndarray:
+def _profit_sums(profits: np.ndarray, joint: np.ndarray, context) -> np.ndarray:
     """``profits[..., i] + sum_{j in context, j != i} joint[..., i, j]`` for every item i.
 
-    ``columns`` is :func:`_joint_columns` of ``joint``.  Each context item
-    costs one add of its row, in the context's iteration order: the same
-    additions, in the same order, that ``value_density`` makes for each
-    entry, so the sums agree bit for bit.  The ``j == i`` term adds the
-    -0.0 of the diagonal, and x + (-0.0) == x for every x, -0.0 included.
+    ``joint`` is laid out as ``Instance.joint_profits``, so each context item
+    j costs one add of the contiguous row j, which equals column j, in the
+    context's iteration order: the same additions, in the same order, that
+    ``value_density`` makes for each entry, so the sums agree bit for bit.
+    The ``j == i`` term adds the -0.0 of the diagonal, and x + (-0.0) == x
+    for every x, -0.0 included.
     """
     total = np.array(profits, dtype=float)
     for j in context:
-        total += columns[..., j, :]
+        total += joint[..., j, :]
     return total
 
 
@@ -202,8 +197,9 @@ def greedy_construct(instance: Instance, return_trace: bool = False):
     column u.  Each step therefore costs one argmax over the N*K entries,
     masked to free items that fit, plus one column refresh of one add of N
     joint profits per item in knapsack u (:func:`_profit_sums`).  The mask
-    of free items that fit is updated in place: row i and column u.  A
-    row-major argmax picks the first maximum, which is the tie-break above.
+    of free items that fit is updated in place: row i and column u, so a
+    placed item's densities are never read again.  A row-major argmax picks
+    the first maximum, which is the tie-break above.
 
     With ``return_trace`` the assigned (item, knapsack, density) steps are
     returned alongside the final assignment.
@@ -214,10 +210,8 @@ def greedy_construct(instance: Instance, return_trace: bool = False):
         raise ValueError("value density undefined for zero-weight items")
     contents = [set() for _ in range(k)]
     remaining = instance.capacities.copy()
-    free = np.ones(n, dtype=bool)
-    columns = _joint_columns(jp)
     # C order, so that density.ravel() below is a view, not a copy per step.
-    density = np.divide(_profit_sums(p, columns, range(n)).T, w[:, None], out=np.empty((n, k)))
+    density = np.divide(_profit_sums(p, jp, range(n)).T, w[:, None], out=np.empty((n, k)))
     fits = w[:, None] <= remaining
 
     trace: list[GreedyStep] = []
@@ -227,13 +221,12 @@ def greedy_construct(instance: Instance, return_trace: bool = False):
             break
         i, u = divmod(int(candidates[np.argmax(density.ravel()[candidates])]), k)
         contents[u].add(i)
-        free[i] = False
         remaining[u] -= w[i]
         fits[i] = False
         fits[:, u] &= w <= remaining[u]
         trace.append(GreedyStep(i, u, density[i, u]))
         for v in range(k) if len(trace) == 1 else (u,):
-            np.divide(_profit_sums(p[v], columns[v], contents[v]), w, out=density[:, v], where=free)
+            np.divide(_profit_sums(p[v], jp[v], contents[v]), w, out=density[:, v])
 
     result = Assignment(tuple(frozenset(s) for s in contents))
     if return_trace:
@@ -347,12 +340,8 @@ def assign_rr_profits(instance: Instance) -> Assignment:
             candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 break
-            # Held item j's column also adds its diagonal to density[j], but j
-            # is no candidate: every free entry equals value_density bit for bit.
-            density = np.array(instance.profits[u])
-            for j in lists[u]:
-                density += instance.joint_profits[u, :, j]
-            density /= instance.weights
+            profit_sums = _profit_sums(instance.profits[u], instance.joint_profits[u], lists[u])
+            density = profit_sums / instance.weights
             best = int(candidates[np.argmax(density[candidates])])
             lists[u].append(best)
             free[best] = False

@@ -6,7 +6,7 @@ two-carrier envelope bound) is attained either at an interval endpoint or
 at the largest interference null inside the interval, so it can be read
 off from three closed-form evaluations.  For a carrier pair the slow
 spacing oscillation lets the distance-dependent amplitude move the true
-minimum measurably off its null, so the null's basin is searched as well,
+minimum measurably off its null, so the null's basin is searched instead,
 by 33 samples and then bounded Brent on numpy arrays of rows.  One routine,
 :func:`worst_cases`, serves every caller: it takes a list of users
 (geometry and interval each) and a whole array of carriers or pairs,
@@ -128,12 +128,6 @@ def _batch(f1, f2, p_t: float) -> _Batch:
     return _Batch(omega, coeffs, _lower_bound_power, SPEED_OF_LIGHT / omega)
 
 
-# Antenna heights of many users or rows, in place of a SceneGeometry: the
-# private helpers of freqassign.channel read only h_tx and h_rx, and
-# broadcast over them.
-_Heights = NamedTuple("_Heights", [("h_tx", np.ndarray), ("h_rx", np.ndarray)])
-
-
 def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     """Minimum of the envelope bound on each row's bracket [lo, hi].
 
@@ -141,13 +135,13 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  One
     locating round samples every bracket at 33 evenly spaced distances.  A
     row whose lowest sample is a bracket end x, and whose bound rises within
-    tol = sqrt(eps)*x + max(1e-12, 1e-12*hi)/3 of it, takes that end.  Every
+    tol = sqrt(eps)*x + 1e-12*hi/3 of it, takes that end.  Every
     other row runs scipy's bounded Brent search (``_minimize_scalar_bounded``)
     on the two sample spacings around its lowest sample, seeded with that
     sample and its neighbours.  Rows iterate together as arrays, each frozen
     on scipy's stopping test, so no row depends on its batch; 0 < lo < hi.
     """
-    xatol3 = np.maximum(1e-12, 1e-12 * hi) / 3.0
+    xatol3 = 1e-12 * hi / 3.0
     # Per row: the lowest sample, its lower and its upper neighbour (the
     # sample itself at a bracket end), each as (distance, power).
     near = np.empty((3, 2, lo.size))
@@ -255,7 +249,7 @@ def _endpoints(batch: _Batch, users: np.ndarray, rate: np.ndarray, omega: np.nda
     # before the endpoint powers so that its temporaries are freed before
     # those exist.
     k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))
-    at = np.nonzero(k <= _k_max(_Heights(h_tx, h_rx), omega))
+    at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
     k = k[at]
 
     p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
@@ -295,9 +289,9 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     min(h_tx, h_rx) of the batch are dropped from the null test first, on
     (entries,) arrays: the null count grows with that height, so no entry
     dropped has a null for any user.  In a narrow band that is every pair.
-    The null and, for pairs, its basin are then computed only on the
-    (user, entry) rows that have a null, each row with its own user's
-    heights; the basins of all users are searched in one call of
+    The null of a carrier, or the basin of a pair's null, is then computed
+    only on the (user, entry) rows that have a null, each row with its own
+    user's heights; the basins of all users are searched in one call of
     :func:`_basin_minimum`.  Every entry is computed elementwise, so its
     result depends neither on the rest of the batch nor on the other users.
     """
@@ -307,7 +301,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     rate, omega, entries = batch.coeffs[-1], batch.omega, None
     if len(users) > 1:
         top = np.minimum(users[:, 0], users[:, 1]).max()
-        entries = np.flatnonzero(_k_max(_Heights(top, top), omega) >= 1.0)
+        entries = np.flatnonzero(_k_max(top, omega) >= 1.0)
         rate, omega = rate[entries], omega[entries]
     per_block = _users_per_block(batch.omega.size)
     if len(users) <= per_block:
@@ -326,24 +320,25 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
         m = entries[m]
     at = u, m
     h_tx, h_rx, *heights, d_min, d_max = users[u].T
-    rows = _Heights(h_tx, h_rx)
     coeffs = [a[m] for a in batch.coeffs]
-    d_k = _null_distance(rows, batch.omega[m], k)
-    # Without a null inside, the third candidate repeats d_min and ties it.
-    d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
-    _take_lower(result, at, batch.power(coeffs, *_ray_terms(heights, d_null)), d_null)
     if batch.q_scale is None:
+        d_k = _null_distance(h_tx, h_rx, batch.omega[m], k)
+        # Without a null inside, the third candidate repeats d_min and ties it.
+        d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
+        _take_lower(result, at, batch.power(coeffs, *_ray_terms(heights, d_null)), d_null)
         return result
 
-    # The amplitude shifts a pair's minimum off d_k towards larger d, so the
-    # basins of nulls above d_max hold nothing below the bound at d_max; next
-    # to the mast, where a basin is flat to 1e-14 relative, only to roundoff.
+    # A pair's null d_k lies inside its basin, so the basin search stands in
+    # for evaluating d_k.  The amplitude shifts the minimum off d_k towards
+    # larger d, so the basins of nulls above d_max hold nothing below the
+    # bound at d_max; next to the mast, where a basin is flat to 1e-14
+    # relative, only to roundoff.
     # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
     # d_lo means nothing; it then trims only the part of the basin next to
     # the mast, where 1/l^2 makes the bound fall with d.
     q_scale = batch.q_scale[m]
-    d_hi = np.minimum(_invert_path_difference(rows, (TWO_PI * k - math.pi) * q_scale), d_max)
-    d_lo = np.maximum(_invert_path_difference(rows, (TWO_PI * k + math.pi) * q_scale), d_min)
+    d_hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
+    d_lo = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)
     search = d_lo < d_hi
     at = u[search], m[search]
     heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
@@ -385,7 +380,7 @@ def worst_case_pair(
     and the envelope lower bound as the evaluated power.  Because the
     spacing oscillation is slow, the interior minimum can sit measurably
     off the nominal null distance, so the basin around the deepest relevant
-    null is additionally searched: 33 samples, then bounded Brent.
+    null is searched in its place: 33 samples, then bounded Brent.
     """
     return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 
@@ -410,7 +405,7 @@ def phase_uniform_grid(
     q_lo = path_difference(geom, interval.d_max)
     span = (q_hi - q_lo) * omega / SPEED_OF_LIGHT
     n = max(_GRID_MIN_POINTS, int(math.ceil(span / _GRID_PHASE_STEP)) + 1)
-    d = _invert_path_difference(geom, np.linspace(q_hi, q_lo, n))
+    d = _invert_path_difference(geom._heights, np.linspace(q_hi, q_lo, n))
     d[0] = interval.d_min
     d[-1] = interval.d_max
     return d

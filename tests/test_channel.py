@@ -19,7 +19,8 @@ from freqassign import (
     sum_power_two,
     to_decibel,
 )
-from freqassign.channel import _lower_bound_coeffs, path_difference
+from freqassign import channel
+from freqassign.channel import SPEED_OF_LIGHT, _lower_bound_coeffs, path_difference
 from conftest import EX_FREQ_HIGH, EX_FREQ_LOW, EX_GEOM
 
 TWO_PI = 2.0 * math.pi
@@ -147,6 +148,19 @@ class TestNullDistances:
     def test_high_band_third_null(self):
         nulls = null_distances(EX_GEOM, EX_FREQ_HIGH)
         assert nulls[2] == pytest.approx(79.4, abs=0.1)
+
+    def test_more_than_the_limit_refused_with_the_count(self):
+        # k_max = MAX_NULLS + 1; the refusal comes before any array is built
+        freq = CarrierFrequency((channel.MAX_NULLS + 1.5) * SPEED_OF_LIGHT / 3.0)
+        assert k_max(EX_GEOM, freq) == channel.MAX_NULLS + 1
+        with pytest.raises(ValueError, match=f"^{channel.MAX_NULLS + 1} interference minima"):
+            null_distances(EX_GEOM, freq)
+
+    def test_limit_itself_listed(self, monkeypatch):
+        monkeypatch.setattr(channel, "MAX_NULLS", 3)
+        assert null_distances(EX_GEOM, CarrierFrequency(3.5 * SPEED_OF_LIGHT / 3.0)).size == 3
+        with pytest.raises(ValueError, match="^4 interference minima"):
+            null_distances(EX_GEOM, CarrierFrequency(4.5 * SPEED_OF_LIGHT / 3.0))
 
     def test_sorted_descending(self):
         nulls = null_distances(EX_GEOM, EX_FREQ_HIGH)

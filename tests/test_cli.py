@@ -5,6 +5,14 @@ import os
 import numpy as np
 import pytest
 
+from freqassign import (
+    CarrierFrequency,
+    SceneGeometry,
+    null_distances,
+    receive_power_single,
+    to_decibel,
+)
+from freqassign.channel import MAX_NULLS, SPEED_OF_LIGHT
 from freqassign.cli import build_parser, main
 
 from conftest import EX_FREQ_LOW
@@ -160,6 +168,24 @@ class TestMinima:
         assert rows == []
         assert "no interference minima" in out
 
+    def test_more_than_a_million_minima_exit_2(self, capsys):
+        # k_max = 1 000 001 at h_rx = 1.5 m: refused before any array is built
+        freq = repr((MAX_NULLS + 1.5) * SPEED_OF_LIGHT / 3.0)
+        code, out, err = run(capsys, ["minima", "--htx", "10", "--hrx", "1.5", "--freq", freq])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {MAX_NULLS + 1} interference minima")
+
+    @pytest.mark.parametrize("freq", [2.4e9, 5.8e9, 477e6, 3.1e10])
+    def test_rows_match_one_kernel_call_per_minimum(self, capsys, freq):
+        geom = SceneGeometry(10.0, 1.5)
+        lines = ["# reference_power_watts: 0.5", "k,distance_m,power_db"]
+        for k, d_k in enumerate(null_distances(geom, CarrierFrequency(freq)), start=1):
+            p = to_decibel(receive_power_single(geom, d_k, CarrierFrequency(freq), 0.5), 0.5)
+            lines.append(f"{k},{d_k:.6g},{p:.6g}")
+        argv = ["minima", "--htx", "10", "--hrx", "1.5", "--freq", repr(freq), "--pt", "0.5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == "\n".join(lines) + "\n"
+
     def test_high_band_row_count(self, capsys):
         code, out, _ = run(
             capsys, ["minima", "--htx", "10", "--hrx", "1.5", "--freq", "2.4e9"]
@@ -248,6 +274,25 @@ def test_carrier_whose_angular_rate_overflows_exits_2(capsys, argv):
     code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "angular rate" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e80"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e200"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "2.4e9", "--freq2", "1e200"],
+        ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e200"],
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e-150"],
+    ],
+    ids=["null-overflows", "carrier", "pair", "power-curve", "tiny-carrier"],
+)
+def test_carrier_beyond_the_kernels_float_range_exits_2(capsys, argv):
+    # 1e80 Hz overflows the null distance, 1e-150 Hz the amplitude (c/(2*omega))**2,
+    # and (2*pi*f)**2 is inf at 1e200 Hz: no inf or nan dB, no warning
+    code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "\n" not in err.rstrip("\n")
 
 
 class TestAssign:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from freqassign import Instance, value_density
-from freqassign.qmkp import _joint_columns, _profit_sums
+from freqassign.qmkp import _profit_sums
 from test_incremental_greedy import assert_greedy_matches, assert_rr_profits_matches
 
 
@@ -29,7 +29,7 @@ def general_instances(draw):
 
     upper = ints(k * n * n, -6, 3).reshape(k, n, n)
     joint = np.triu(upper, 1) + np.triu(upper, 1).transpose(0, 2, 1)
-    # The diagonal is not forced to zero: Instance does not require it.
+    # Any diagonal: Instance stores it as -0.0 in a copy.
     joint[:, np.arange(n), np.arange(n)] = ints(k * n, -3, 3).reshape(k, n)
     return Instance(
         weights=ints(n, 1, 3),
@@ -53,8 +53,7 @@ def test_general_instances_property(instance):
 
 
 def assert_sums_match_scalar_density(instance, context):
-    columns = _joint_columns(instance.joint_profits)
-    matrix = _profit_sums(instance.profits, columns, context) / instance.weights
+    matrix = _profit_sums(instance.profits, instance.joint_profits, context) / instance.weights
     for u in range(instance.n_knapsacks):
         for i in range(instance.n_items):
             assert matrix[u, i].hex() == value_density(instance, u, i, context).hex()

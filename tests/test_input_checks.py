@@ -47,10 +47,21 @@ class TestScenarioConfig:
     "make", [CarrierFrequency, lambda f: FrequencyPair(2.4e9, f)], ids=["carrier", "pair"]
 )
 def test_frequency_whose_angular_rate_overflows(make):
-    # 2*pi*f is inf above about 2.9e307 Hz, although f itself is finite
+    # the kernels square 2*pi*f, which is inf above about 2.1e153 Hz;
+    # 2*pi*f itself is inf above about 2.9e307 Hz, although f is finite
+    for f in (1e308, 1e307, 2.2e153):
+        with pytest.raises(ValueError, match="finite angular rate"):
+            make(f)
+    make(2.1e153)
+
+
+@pytest.mark.parametrize(
+    "make", [CarrierFrequency, lambda f: FrequencyPair(f, 2.4e9)], ids=["carrier", "pair"]
+)
+def test_frequency_whose_squared_angular_rate_underflows(make):
+    # (2*pi*f)**2 is 0.0 below about 2.5e-163 Hz, where (c/(2*omega))**2 overflows
     with pytest.raises(ValueError, match="finite angular rate"):
-        make(1e308)
-    make(1e307)
+        make(1e-170)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -1e6])

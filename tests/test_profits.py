@@ -112,12 +112,13 @@ class TestBuildProfitTable:
         assert np.array_equal(table.pair[0], table.pair[1])
 
     def test_instance_reads_the_table_in_place(self):
-        # the solvers take the pair tensor as built: zero diagonal, no copy
+        # the solvers take the pair tensor as built: -0.0 diagonal, no copy
         rng = np.random.default_rng(47)
         table = build_profit_table(
             [random_user(rng) for _ in range(2)], random_band_freqs(rng, 3), SYSTEM
         )
-        assert not np.any(np.diagonal(table.pair, axis1=1, axis2=2))
+        diag = np.diagonal(table.pair, axis1=1, axis2=2)
+        assert not np.any(diag) and np.all(np.signbit(diag))
         instance = Instance.from_profit_table(table)
         assert instance.profits is table.single
         assert instance.joint_profits is table.pair
@@ -129,8 +130,9 @@ class TestBuildProfitTable:
         table = build_profit_table(
             [random_user(rng) for _ in range(3)], random_band_freqs(rng, 5), SYSTEM
         )
+        bits = table.pair.view(np.int64)  # signed zeros included
         for u in range(3):
-            assert np.array_equal(table.pair[u], table.pair[u].T)
+            assert np.array_equal(bits[u], bits[u].T)
 
     def test_matches_scalar_profit_functions(self):
         rng = np.random.default_rng(43)

@@ -26,7 +26,7 @@ from freqassign import (
     worst_case_pair,
 )
 from freqassign.bench import SOLVERS
-from freqassign.qmkp import _joint_columns, _profit_sums, knapsack_profit
+from freqassign.qmkp import _profit_sums, knapsack_profit
 
 
 def toy_instance():
@@ -182,7 +182,7 @@ class TestValueDensity:
 
     def test_matrix_shape_and_empty_context(self):
         inst = random_instance(np.random.default_rng(7), 4, 3)
-        v = _profit_sums(inst.profits, _joint_columns(inst.joint_profits), set()) / inst.weights
+        v = _profit_sums(inst.profits, inst.joint_profits, set()) / inst.weights
         assert v.shape == (3, 4)
         np.testing.assert_allclose(v, inst.profits)
 
@@ -426,14 +426,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Instance(np.ones(3), [2.0], np.zeros((1, 3)), joint)
 
-    def test_joint_profits_within_scaled_tolerance_accepted(self):
-        # not exactly symmetric, so the scale-relative check decides
+    def test_joint_profits_within_scaled_tolerance_rejected(self):
+        # symmetric to 1e-12 of the largest entry is not exactly symmetric
         joint = random_instance(np.random.default_rng(31), 5, 3).joint_profits * 1e-8
         noise = np.triu(np.random.default_rng(32).choice([-1.0, 1.0], size=joint.shape), 1)
         joint = joint + 1e-12 * np.max(np.abs(joint)) * noise
         assert not np.array_equal(joint, joint.transpose(0, 2, 1))
-        inst = Instance(np.ones(5), np.full(3, 2.0), np.zeros((3, 5)), joint)
-        assert np.array_equal(inst.joint_profits, joint)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            Instance(np.ones(5), np.full(3, 2.0), np.zeros((3, 5)), joint)
+
+    def test_mirrored_zeros_of_opposite_sign_rejected(self):
+        # equal as numbers, but a solver reading row 1 for column 1 would
+        # add +0.0 where value_density adds -0.0
+        joint = np.full((1, 2, 2), -0.0)
+        joint[0, 1, 0] = 0.0
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            Instance(np.ones(2), [2.0], np.zeros((1, 2)), joint)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["weights", "capacities", "profits", "joint_profits"])
@@ -448,6 +456,34 @@ class TestSerialization:
             array.flat[-1] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Instance(**data)
+
+
+class TestJointLayout:
+    """``Instance`` stores the joint profits as the solvers read them."""
+
+    @pytest.mark.parametrize("diagonal", [0.0, 2.5, -1.0])
+    def test_diagonal_stored_as_negative_zero_in_a_copy(self, diagonal):
+        joint = random_instance(np.random.default_rng(33), 4, 2).joint_profits.copy()
+        joint[:, np.arange(4), np.arange(4)] = diagonal
+        before = joint.copy()
+        inst = Instance(np.ones(4), np.full(2, 2.0), np.zeros((2, 4)), joint)
+        assert inst.joint_profits is not joint
+        assert np.array_equal(joint.view(np.int64), before.view(np.int64))  # caller's untouched
+        diag = np.diagonal(inst.joint_profits, axis1=1, axis2=2)
+        assert np.all(diag == 0.0) and np.all(np.signbit(diag))
+        off = ~np.eye(4, dtype=bool)
+        assert np.array_equal(inst.joint_profits[:, off].view(np.int64), joint[:, off].view(np.int64))
+
+    def test_negative_zero_diagonal_kept_without_a_copy(self):
+        joint = random_instance(np.random.default_rng(34), 4, 2).joint_profits.copy()
+        joint[:, np.arange(4), np.arange(4)] = -0.0
+        inst = Instance(np.ones(4), np.full(2, 2.0), np.zeros((2, 4)), joint)
+        assert inst.joint_profits is joint
+
+    def test_nested_lists_get_a_negative_zero_diagonal(self):
+        inst = Instance([1.0, 1.0], [2.0], [[1.0, 2.0]], [[[0.0, 3.0], [3.0, 0.0]]])
+        assert inst.joint_profits.tolist() == [[[-0.0, 3.0], [3.0, -0.0]]]
+        assert np.all(np.signbit(np.diagonal(inst.joint_profits, axis1=1, axis2=2)))
 
 
 class TestPerKnapsackProfits:

@@ -66,6 +66,14 @@ class TestWorstCaseSingle:
         assert result.power == receive_power_single(EX_GEOM, 42.0, EX_FREQ_LOW)
         assert result.candidate_kind == LOWER_ENDPOINT
 
+    def test_phase_at_d_max_within_the_rounding_margin(self):
+        # 1 kHz at 1e6 m: the phase at d_max is below 2*pi*1e-9, so the null
+        # index would round to 0 without its floor at 1 (and divide by zero)
+        iv = DistanceInterval(5e5, 1e6)
+        result = worst_case_single(EX_GEOM, iv, CarrierFrequency(1e3))
+        assert result.power == receive_power_single(EX_GEOM, 1e6, CarrierFrequency(1e3))
+        assert result.candidate_kind == UPPER_ENDPOINT
+
     def test_endpoints_compete_without_interior_null(self):
         # every null of the low carrier sits below this interval
         iv = DistanceInterval(60.0, 100.0)
