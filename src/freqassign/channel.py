@@ -59,10 +59,14 @@ class CarrierFrequency:
     f: float
 
     def __post_init__(self):
-        # The kernels square omega, which overflows above about 2.1e153 Hz.
-        if not _positive_finite(self.f, self.omega * self.omega):
+        # The kernels square omega, which overflows above about 2.1e153 Hz,
+        # and c/(2*omega), which overflows below about 1.8e-147 Hz.
+        omega = self.omega
+        amplitude = SPEED_OF_LIGHT / (2.0 * omega) if omega else math.inf
+        if not _positive_finite(self.f, omega * omega, amplitude * amplitude):
             raise ValueError("frequency must be positive, with a finite angular rate 2*pi*f "
-                             "whose square is finite and nonzero (f up to about 2.1e153 Hz)")
+                             "whose square and (c/(2*omega))**2 are finite and nonzero "
+                             "(f from about 1.8e-147 to 2.1e153 Hz)")
 
     @property
     def omega(self) -> float:

@@ -288,8 +288,8 @@ def test_carrier_whose_angular_rate_overflows_exits_2(capsys, argv):
     ids=["null-overflows", "carrier", "pair", "power-curve", "tiny-carrier"],
 )
 def test_carrier_beyond_the_kernels_float_range_exits_2(capsys, argv):
-    # 1e80 Hz overflows the null distance, 1e-150 Hz the amplitude (c/(2*omega))**2,
-    # and (2*pi*f)**2 is inf at 1e200 Hz: no inf or nan dB, no warning
+    # 1e80 Hz overflows the null distance, and the carrier refuses 1e-150 Hz, whose
+    # (c/(2*omega))**2 is inf, and 1e200 Hz, whose (2*pi*f)**2 is: no inf or nan dB
     code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "\n" not in err.rstrip("\n")

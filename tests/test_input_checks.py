@@ -64,6 +64,18 @@ def test_frequency_whose_squared_angular_rate_underflows(make):
         make(1e-170)
 
 
+@pytest.mark.parametrize(
+    "make", [CarrierFrequency, lambda f: FrequencyPair(f, 2.4e9)], ids=["carrier", "pair"]
+)
+def test_frequency_whose_amplitude_constant_overflows(make):
+    # (c/(2*omega))**2 of the single-carrier kernel is inf below about 1.8e-147 Hz,
+    # where (2*pi*f)**2 is still finite and nonzero
+    for f in (1e-150, 1.7e-147):
+        with pytest.raises(ValueError, match="finite angular rate"):
+            make(f)
+    make(1.8e-147)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -1e6])
 def test_pair_from_nonpositive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing must be positive"):

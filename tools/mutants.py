@@ -97,9 +97,16 @@ MUTANTS = [
     Mutant(
         "channel: carrier needs a finite omega, not a finite omega^2",
         "src/freqassign/channel.py",
-        "if not _positive_finite(self.f, self.omega * self.omega):",
-        "if not _positive_finite(self.f, self.omega):",
-        "tests/test_cli.py::test_carrier_beyond_the_kernels_float_range_exits_2",
+        "if not _positive_finite(self.f, omega * omega, amplitude * amplitude):",
+        "if not _positive_finite(self.f, omega, amplitude * amplitude):",
+        "tests/test_input_checks.py::test_frequency_whose_angular_rate_overflows",
+    ),
+    Mutant(
+        "channel: carrier's amplitude constant (c/(2*omega))^2 unchecked",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(self.f, omega * omega, amplitude * amplitude):",
+        "if not _positive_finite(self.f, omega * omega):",
+        "tests/test_input_checks.py::test_frequency_whose_amplitude_constant_overflows",
     ),
     Mutant(
         "channel: pair's lower carrier unchecked",
@@ -243,8 +250,11 @@ MUTANTS = [
 
 _FAILED = re.compile(r"^(FAILED|ERROR) (\S+)")
 
+# A suite run taking longer counts as a kill: the mutant loops forever.
+_SUITE_TIMEOUT_S = 600.0
 
-def run_suite(work: Path, timeout: float) -> tuple[bool, str]:
+
+def run_suite(work: Path) -> tuple[bool, str]:
     """Tier-1 in ``work`` with ``-x -q``: (passed, first failure)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     # test_mutants.py checks this list against the unmutated files.  Without
@@ -255,10 +265,10 @@ def run_suite(work: Path, timeout: float) -> tuple[bool, str]:
            "-p", "no:hypothesispytest", "--ignore=tests/test_mutants.py", "tests"]
     try:
         proc = subprocess.run(
-            cmd, cwd=work, env=env, capture_output=True, text=True, timeout=timeout
+            cmd, cwd=work, env=env, capture_output=True, text=True, timeout=_SUITE_TIMEOUT_S
         )
     except subprocess.TimeoutExpired:
-        return False, f"timeout after {timeout:.0f} s"
+        return False, f"timeout after {_SUITE_TIMEOUT_S:.0f} s"
     if proc.returncode == 0:
         return True, ""
     lines = proc.stdout.splitlines()
@@ -270,7 +280,7 @@ def run_suite(work: Path, timeout: float) -> tuple[bool, str]:
     return False, f"pytest exit {proc.returncode}: {last.strip()}"
 
 
-def run_one(mutant: Mutant, work: Path, timeout: float) -> tuple[str, str]:
+def run_one(mutant: Mutant, work: Path) -> tuple[str, str]:
     """Apply ``mutant`` in ``work``, run tier-1, restore; (verdict, first failure)."""
     target = work / mutant.path
     original = target.read_text(encoding="utf-8")
@@ -278,7 +288,7 @@ def run_one(mutant: Mutant, work: Path, timeout: float) -> tuple[str, str]:
         return "stale", f"old text occurs {original.count(mutant.old)} times"
     target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
-        passed, first = run_suite(work, timeout)
+        passed, first = run_suite(work)
     finally:
         target.write_text(original, encoding="utf-8")
     return ("survived" if passed else "killed"), first
@@ -287,7 +297,6 @@ def run_one(mutant: Mutant, work: Path, timeout: float) -> tuple[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-k", dest="only", help="run only mutants whose name contains this")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
     args = parser.parse_args(argv)
     chosen = [m for m in MUTANTS if args.only is None or args.only in m.name]
     survived = 0
@@ -295,13 +304,13 @@ def main(argv=None) -> int:
         work = Path(tmp) / "repo"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT, work, ignore=ignore)
-        passed, first = run_suite(work, args.timeout)
+        passed, first = run_suite(work)
         if not passed:
             print(f"the unmutated suite fails in the copy: {first}")
             return 2
         for mutant in chosen:
             start = time.perf_counter()
-            verdict, first = run_one(mutant, work, args.timeout)
+            verdict, first = run_one(mutant, work)
             survived += verdict != "killed"
             as_expected = verdict == "killed" and first.startswith(mutant.killer)
             note = "" if as_expected else f" (expected {mutant.killer})"
