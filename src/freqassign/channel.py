@@ -388,6 +388,8 @@ def sum_power_lower_bound(
     """
     terms = _checked_ray_terms(geom, d, p_t)
     coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)
+    if not _positive_finite(coeffs[1]):  # Python floats: no numpy call per query
+        raise ValueError("carriers and transmit power put a1**2 + a2**2 outside the float range")
     return _lower_bound_power(coeffs, *terms)
 
 

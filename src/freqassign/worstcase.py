@@ -13,11 +13,11 @@ by 33 samples and then bounded Brent on numpy arrays of rows.  One routine,
 finds the candidates of every (user, entry) by numpy broadcasts over
 blocks of users sized to stay in cache, and searches the basins of all
 users in one batch.  Entries that have no null for the tallest user (the
-largest min(h_tx, h_rx)) have none for any user, so a batch of several
-users drops them from the null test up front.  A profit table is one call
-for its carriers and one for its pairs; a single query is the same
-broadcast on (1, 1) arrays, one block and no prefilter.  An exhaustive
-phase-resolved grid scan doubles as an independent oracle for the claim.
+largest min(h_tx, h_rx)) have none for any user, so they are dropped from
+the null test up front.  A profit table is one call for its carriers and
+one for its pairs; a single query is the same call on (1, 1) arrays.  An
+exhaustive phase-resolved grid scan doubles as an independent oracle for
+the claim.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ def _batch(f1, f2, p_t: float) -> _Batch:
         return _Batch(omega, _single_coeffs(omega, p_t), _single_power, None)
     f2 = np.array(f2, dtype=float, ndmin=1)
     omega = TWO_PI * (f2 - f1)
-    coeffs = _lower_bound_coeffs(f1, f2, p_t)
+    with np.errstate(over="ignore"):  # refused below instead
+        coeffs = _lower_bound_coeffs(f1, f2, p_t)
+    if not ((0.0 < coeffs[1]) & (coeffs[1] < math.inf)).all():
+        raise ValueError("carriers and transmit power put a1**2 + a2**2 outside the float range")
     return _Batch(omega, coeffs, _lower_bound_power, SPEED_OF_LIGHT / omega)
 
 
@@ -227,15 +230,16 @@ def _take_lower(result, at, power, argmin) -> None:
     best_p[at], best_x[at], kind[at] = power[lower], argmin[lower], 2
 
 
-def _endpoints(batch: _Batch, users: np.ndarray, rate: np.ndarray, omega: np.ndarray):
+def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     """The endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
-    against every entry of ``batch``, and the null index k of each (user,
-    entry) row that has a null at or below d_max, among the entries whose
-    rate and angular rate are ``rate`` and ``omega``.
+    against every entry of ``batch``, written into ``out``, the users' rows
+    of the ``(power, argmin, kind)`` arrays, and the null index k of each
+    (user, entry) row that has a null at or below d_max, among ``entries``.
 
-    Returns ``(power, argmin, kind)`` of shape (users, entries), the rows
-    ``(u, m)`` that have a null, m indexing ``rate``, and their k.
+    Returns the rows ``(u, m)`` that have a null, u indexing ``users`` and m
+    the batch, and their k.
     """
+    rate, omega = batch.coeffs[-1][entries], batch.omega[entries]
     h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
     # Null distances fall with k, so the largest null at or below d_max has
@@ -256,8 +260,10 @@ def _endpoints(batch: _Batch, users: np.ndarray, rate: np.ndarray, omega: np.nda
     p_hi = batch.power(batch.coeffs, *at_max)
     # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
     at_lo = p_lo <= p_hi
-    result = np.where(at_lo, p_lo, p_hi), np.where(at_lo, d_min, d_max), np.where(at_lo, 0, 1)
-    return result, at, k
+    for a, lo, hi in zip(out, (p_lo, d_min, 0), (p_hi, d_max, 1)):
+        np.copyto(a, hi)
+        np.copyto(a, lo, where=at_lo)
+    return at[0], entries[at[1]], k
 
 
 def _users_per_block(n_entries: int) -> int:
@@ -283,12 +289,11 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     heights and intervals, as (users, 1) columns, against the
     frequency-only data built once (:func:`_batch`), run over blocks of
     users whose (block, entries) temporaries hold about
-    :data:`_USER_BLOCK` elements, so that they stay in cache; a batch that
-    fits in one block, a single query among them, is one broadcast.  With
-    more than one user, entries without a null even at the largest
-    min(h_tx, h_rx) of the batch are dropped from the null test first, on
-    (entries,) arrays: the null count grows with that height, so no entry
-    dropped has a null for any user.  In a narrow band that is every pair.
+    :data:`_USER_BLOCK` elements, so that they stay in cache.  Entries
+    without a null even at the largest min(h_tx, h_rx) of the batch are
+    dropped from the null test first, on (entries,) arrays: the null count
+    grows with that height, so no entry dropped has a null for any user.
+    In a narrow band that is every pair.
     The null of a carrier, or the basin of a pair's null, is then computed
     only on the (user, entry) rows that have a null, each row with its own
     user's heights; the basins of all users are searched in one call of
@@ -298,26 +303,16 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     batch = _batch(f1, f2, p_t)
     # One row per user: its heights, their cached height terms, its interval.
     users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
-    rate, omega, entries = batch.coeffs[-1], batch.omega, None
-    if len(users) > 1:
-        top = np.minimum(users[:, 0], users[:, 1]).max()
-        entries = np.flatnonzero(_k_max(top, omega) >= 1.0)
-        rate, omega = rate[entries], omega[entries]
+    top = np.minimum(users[:, 0], users[:, 1]).max()
+    entries = np.flatnonzero(_k_max(top, batch.omega) >= 1.0)
+    result = tuple(np.empty((len(users), batch.omega.size), t) for t in (float, float, int))
     per_block = _users_per_block(batch.omega.size)
-    if len(users) <= per_block:
-        result, (u, m), k = _endpoints(batch, users, rate, omega)
-    else:
-        result = tuple(np.empty((len(users), batch.omega.size), t) for t in (float, float, int))
-        found = []
-        for start in range(0, len(users), per_block):
-            block = slice(start, start + per_block)
-            part, (u, m), k = _endpoints(batch, users[block], rate, omega)
-            for out, a in zip(result, part):
-                out[block] = a
-            found.append((u + start, m, k))
-        u, m, k = (np.concatenate(a) for a in zip(*found))
-    if entries is not None:
-        m = entries[m]
+    found = []
+    for start in range(0, len(users), per_block):
+        block = slice(start, start + per_block)
+        u, m, k = _endpoints(batch, users[block], entries, [a[block] for a in result])
+        found.append((u + start, m, k))
+    u, m, k = (np.concatenate(a) for a in zip(*found))
     at = u, m
     h_tx, h_rx, *heights, d_min, d_max = users[u].T
     coeffs = [a[m] for a in batch.coeffs]

@@ -357,9 +357,10 @@ class TestEnvelopeIdentity:
         t = rng.uniform(0.0, 1e-7, size=1000)
         assert np.max(envelope_identity_residual(w, w, t)) < 1e-12
 
-    def test_rejects_nonpositive_frequencies(self):
-        with pytest.raises(ValueError):
-            envelope_identity_residual(-1.0, 1.0, 0.0)
+    @pytest.mark.parametrize("omegas", [(-1.0, 1.0), (1.0, 0.0)], ids=["lower", "upper"])
+    def test_rejects_nonpositive_frequencies(self, omegas):
+        with pytest.raises(ValueError, match="angular frequencies must be positive"):
+            envelope_identity_residual(*omegas, 0.0)
 
 
 class TestToDecibel:

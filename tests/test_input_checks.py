@@ -9,14 +9,24 @@ import numpy as np
 import pytest
 
 from freqassign import (
+    Assignment,
     CarrierFrequency,
     FrequencyPair,
     Instance,
     ScenarioConfig,
+    SystemConfig,
+    UserProfile,
+    assign_random,
+    assign_rr_block,
+    assign_rr_profits,
+    assign_rr_simple,
+    build_profit_table,
+    feasible,
     phase_uniform_grid,
     receive_power_single,
     sum_power_lower_bound,
     sum_power_two,
+    worst_case_pair,
 )
 
 from conftest import EX_FREQ_HIGH, EX_GEOM, EX_INTERVAL, EX_PAIR
@@ -76,6 +86,34 @@ def test_frequency_whose_amplitude_constant_overflows(make):
     make(1.8e-147)
 
 
+def _pair_table(pair, p_t):
+    # the bad pair among good ones: one array check covers every entry
+    freqs = [CarrierFrequency(f) for f in (pair.f1, pair.f2, 2.45e9)]
+    users = [UserProfile(1.5, EX_INTERVAL), UserProfile(2.0, EX_INTERVAL)]
+    return build_profit_table(users, freqs, SystemConfig(h_tx=10.0, p_t=p_t))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda pair, p_t: sum_power_lower_bound(EX_GEOM, np.array([30.0, 100.0]), pair, p_t),
+        lambda pair, p_t: worst_case_pair(EX_GEOM, EX_INTERVAL, pair, p_t),
+        _pair_table,
+    ],
+    ids=["kernel", "worst-case", "table"],
+)
+@pytest.mark.parametrize(
+    "f1, f2, p_t",
+    [(1e-100, 2e-100, 1.0), (1e-100, 2.4e9, 1.0), (2.4e9, 2.5e9, 1e300), (2.4e9, 2.5e9, 1e-300)],
+    ids=["low-pair", "one-low-carrier", "high-power", "low-power"],
+)
+def test_pair_bound_constant_outside_the_float_range(query, f1, f2, p_t):
+    # a1**2 + a2**2 with a_i = (P_t/2)*(c/(2*omega_i))**2: inf gives nan
+    # (inf - inf), 0.0 drops the bound's interference term
+    with pytest.raises(ValueError, match=r"a1\*\*2 \+ a2\*\*2 outside the float range"):
+        query(FrequencyPair(f1, f2), p_t)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -1e6])
 def test_pair_from_nonpositive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing must be positive"):
@@ -120,3 +158,31 @@ class TestInstance:
 def test_phase_uniform_grid_with_negative_omega():
     with pytest.raises(ValueError, match="omega must be nonnegative"):
         phase_uniform_grid(EX_GEOM, EX_INTERVAL, -1.0)
+
+
+def test_assignment_with_another_knapsack_count():
+    with pytest.raises(ValueError, match="does not match the number of knapsacks"):
+        feasible(instance(capacities=(2.0, 2.0)), Assignment.from_lists([[0]]))
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        lambda inst: assign_random(inst, 0),
+        assign_rr_simple,
+        assign_rr_block,
+        assign_rr_profits,
+    ],
+    ids=["random", "rr-simple", "rr-block", "rr-profits"],
+)
+@pytest.mark.parametrize(
+    "kwargs", [{"weights": (1.0, 2.0)}, {"capacities": (3.0,)}], ids=["weight", "capacity"]
+)
+def test_baselines_need_unit_weights_and_capacity_2(scheme, kwargs):
+    with pytest.raises(ValueError, match="unit weights and capacity 2"):
+        scheme(instance(**kwargs))
+
+
+def test_round_robin_with_fewer_items_than_knapsacks():
+    with pytest.raises(ValueError, match="at least one item per knapsack"):
+        assign_rr_simple(instance(capacities=(2.0, 2.0, 2.0)))

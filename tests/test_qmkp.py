@@ -88,10 +88,12 @@ class TestFeasible:
         inst = random_instance(np.random.default_rng(2), 4, 2)
         assert not feasible(inst, Assignment.from_lists([[0, 1], [1]]))
 
-    def test_out_of_range_rejected(self):
+    # Python would read item -1 as the last item
+    @pytest.mark.parametrize("item", [7, -1])
+    def test_out_of_range_rejected(self, item):
         inst = toy_instance()
-        with pytest.raises(ValueError):
-            feasible(inst, Assignment.from_lists([[7], []]))
+        with pytest.raises(ValueError, match=f"item index {item} out of range"):
+            feasible(inst, Assignment.from_lists([[item], []]))
 
 
 class TestObjective:

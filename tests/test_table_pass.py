@@ -456,10 +456,17 @@ def test_wideband_users_match_reference(seed):
         ("narrowband-k40n100", 6),
     ],
 )
-def test_rows_do_not_depend_on_other_users(name, seed):
+@pytest.mark.parametrize(
+    "user_block",
+    [lambda k, pairs: 1, lambda k, pairs: k * pairs, lambda k, pairs: (k - 1) * pairs],
+    ids=["one-user-a-block", "all-users-one-block", "last-user-spills"],
+)
+def test_rows_do_not_depend_on_other_users(name, seed, user_block):
     # the prefilter and the basin search are shared by all users and the
     # endpoint stage runs over blocks of users, so each row must come out
-    # as it does with its user alone, in any order and with one user a block
+    # as it does with its user alone, in any order and however the users
+    # split into blocks: one user a block, all K users' pairs in exactly one
+    # block, or the last user's pairs spilling into a second block
     users, freqs, system = scenario(name, seed)
     table = build_profit_table(users, freqs, system)
     for u, user in enumerate(users):
@@ -469,7 +476,8 @@ def test_rows_do_not_depend_on_other_users(name, seed):
     reordered = build_profit_table(users[::-1], freqs, system)
     assert_bitwise_equal(reordered.single, table.single[::-1])
     assert_bitwise_equal(reordered.pair, table.pair[::-1])
-    with mock.patch.object(worstcase, "_USER_BLOCK", 1):
+    pairs = len(freqs) * (len(freqs) - 1) // 2
+    with mock.patch.object(worstcase, "_USER_BLOCK", user_block(len(users), pairs)):
         blocked = build_profit_table(users, freqs, system)
     assert_bitwise_equal(blocked.single, table.single)
     assert_bitwise_equal(blocked.pair, table.pair)

@@ -66,13 +66,18 @@ class TestWorstCaseSingle:
         assert result.power == receive_power_single(EX_GEOM, 42.0, EX_FREQ_LOW)
         assert result.candidate_kind == LOWER_ENDPOINT
 
-    def test_phase_at_d_max_within_the_rounding_margin(self):
-        # 1 kHz at 1e6 m: the phase at d_max is below 2*pi*1e-9, so the null
-        # index would round to 0 without its floor at 1 (and divide by zero)
-        iv = DistanceInterval(5e5, 1e6)
-        result = worst_case_single(EX_GEOM, iv, CarrierFrequency(1e3))
-        assert result.power == receive_power_single(EX_GEOM, 1e6, CarrierFrequency(1e3))
-        assert result.candidate_kind == UPPER_ENDPOINT
+    @pytest.mark.parametrize("f, d_max", [(1e3, 1e6), (2e8, 1e12)], ids=["no-null", "two-nulls"])
+    def test_phase_at_d_max_within_the_rounding_margin(self, f, d_max):
+        # the phase at d_max is below 2*pi*1e-9, so the null index would round
+        # to 0 without its floor at 1 (and divide by zero).  1 kHz has no null
+        # at 10/1.5 m and is dropped before the null index; 200 MHz has two.
+        iv = DistanceInterval(d_max / 2, d_max)
+        carrier = CarrierFrequency(f)
+        result = worst_case_single(EX_GEOM, iv, carrier)
+        p_lo, p_hi = (receive_power_single(EX_GEOM, d, carrier) for d in (iv.d_min, iv.d_max))
+        assert result.power == min(p_lo, p_hi)
+        # ties go to the lower endpoint: at 1e12 m both powers round to 0.0
+        assert result.candidate_kind == (LOWER_ENDPOINT if p_lo <= p_hi else UPPER_ENDPOINT)
 
     def test_endpoints_compete_without_interior_null(self):
         # every null of the low carrier sits below this interval

@@ -136,6 +136,34 @@ MUTANTS = [
         "    d = np.asarray",
         "tests/test_channel.py::test_transmit_power_must_be_positive_and_finite",
     ),
+    Mutant(
+        "channel: pair bound's a1^2 + a2^2 unchecked by the kernel",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(coeffs[1]):",
+        "if False:",
+        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+    ),
+    Mutant(
+        "channel: pair bound's a1^2 + a2^2 of zero accepted by the kernel",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(coeffs[1]):",
+        "if not coeffs[1] < math.inf:",
+        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+    ),
+    Mutant(
+        "worstcase: pair bound's a1^2 + a2^2 unchecked by worst_cases",
+        "src/freqassign/worstcase.py",
+        "if not ((0.0 < coeffs[1]) & (coeffs[1] < math.inf)).all():",
+        "if False:",
+        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+    ),
+    Mutant(
+        "worstcase: pair bound's a1^2 + a2^2 of zero accepted by worst_cases",
+        "src/freqassign/worstcase.py",
+        "if not ((0.0 < coeffs[1]) & (coeffs[1] < math.inf)).all():",
+        "if not (coeffs[1] < math.inf).all():",
+        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+    ),
     # cli: floating-point trouble is an error line, not an inf or nan dB.
     Mutant(
         "cli: overflow not raised",
@@ -165,6 +193,206 @@ MUTANTS = [
         "top = np.minimum(users[:, 0], users[:, 1]).max()",
         "top = np.minimum(users[:, 0], users[:, 1]).min()",
         "tests/test_batched_worstcase.py::TestUsersIndependence::test_mixed_geometries_match_one_user_and_scalar_calls",
+    ),
+    # The input checks of the public functions, one mutant each (two where a
+    # check tests two things).
+    Mutant(
+        "channel: antenna heights unchecked",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(self.h_tx, self.h_rx):",
+        "if False:",
+        "tests/test_channel.py::TestPathLengths::test_invalid_geometry_rejected",
+    ),
+    Mutant(
+        "channel: pair order unchecked",
+        "src/freqassign/channel.py",
+        "if not self.f1 < self.f2:",
+        "if False:",
+        "tests/test_channel.py::TestConstants::test_frequency_types",
+    ),
+    Mutant(
+        "channel: zero spacing accepted",
+        "src/freqassign/channel.py",
+        "if delta_f <= 0:",
+        "if delta_f < 0:",
+        "tests/test_input_checks.py::test_pair_from_nonpositive_spacing",
+    ),
+    Mutant(
+        "channel: kernels accept a negative distance",
+        "src/freqassign/channel.py",
+        '    if (d < 0).any():\n        raise ValueError("ground distance must be nonnegative")\n    l_los, l_ref, q =',
+        '    if False:\n        raise ValueError("ground distance must be nonnegative")\n    l_los, l_ref, q =',
+        "tests/test_input_checks.py::test_negative_distance",
+    ),
+    Mutant(
+        "channel: path_lengths accepts a negative distance",
+        "src/freqassign/channel.py",
+        '    if (d < 0).any():\n        raise ValueError("ground distance must be nonnegative")\n    l_los, l_ref, _ =',
+        '    if False:\n        raise ValueError("ground distance must be nonnegative")\n    l_los, l_ref, _ =',
+        "tests/test_channel.py::TestPathLengths::test_negative_distance_rejected",
+    ),
+    Mutant(
+        "channel: singular geometry accepted",
+        "src/freqassign/channel.py",
+        "if (l_los == 0.0).any():",
+        "if False:",
+        "tests/test_channel.py::TestReceivePowerSingle::test_equal_heights_singular_at_zero",
+    ),
+    Mutant(
+        "channel: envelope identity accepts a nonpositive lower rate",
+        "src/freqassign/channel.py",
+        "if np.any(omega1 <= 0) or np.any(omega2 <= 0):",
+        "if np.any(omega2 <= 0):",
+        "tests/test_channel.py::TestEnvelopeIdentity::test_rejects_nonpositive_frequencies",
+    ),
+    Mutant(
+        "channel: envelope identity accepts a nonpositive upper rate",
+        "src/freqassign/channel.py",
+        "if np.any(omega1 <= 0) or np.any(omega2 <= 0):",
+        "if np.any(omega1 <= 0):",
+        "tests/test_channel.py::TestEnvelopeIdentity::test_rejects_nonpositive_frequencies",
+    ),
+    Mutant(
+        "channel: decibel reference unchecked",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(reference):",
+        "if False:",
+        "tests/test_channel.py::TestToDecibel::test_negative_rejected",
+    ),
+    Mutant(
+        "channel: negative power in decibels accepted",
+        "src/freqassign/channel.py",
+        "if np.any(p < 0):",
+        "if False:",
+        "tests/test_channel.py::TestToDecibel::test_negative_rejected",
+    ),
+    Mutant(
+        "worstcase: interval bounds unchecked",
+        "src/freqassign/worstcase.py",
+        "if not (_positive_finite(self.d_min, self.d_max) and self.d_min <= self.d_max):",
+        "if not self.d_min <= self.d_max:",
+        "tests/test_cli.py::TestPowerCurve::test_non_finite_flag_exits_2",
+    ),
+    Mutant(
+        "worstcase: interval order unchecked",
+        "src/freqassign/worstcase.py",
+        "if not (_positive_finite(self.d_min, self.d_max) and self.d_min <= self.d_max):",
+        "if not _positive_finite(self.d_min, self.d_max):",
+        "tests/test_cli.py::TestPowerCurve::test_invalid_flags_exit_nonzero",
+    ),
+    Mutant(
+        "worstcase: transmit power unchecked by worst_cases",
+        "src/freqassign/worstcase.py",
+        '    if not _positive_finite(p_t):\n        raise ValueError("transmit power must be positive and finite")\n    f1 = ',
+        "    f1 = ",
+        "tests/test_worstcase.py::TestWorstCasePair::test_invalid_transmit_power_rejected",
+    ),
+    Mutant(
+        "worstcase: negative grid rate accepted",
+        "src/freqassign/worstcase.py",
+        "if omega < 0:",
+        "if False:",
+        "tests/test_input_checks.py::test_phase_uniform_grid_with_negative_omega",
+    ),
+    Mutant(
+        "qmkp: non-finite inputs accepted",
+        "src/freqassign/qmkp.py",
+        "if not np.all(np.isfinite(getattr(self, name))):",
+        "if False:",
+        "tests/test_qmkp.py::TestSerialization::test_non_finite_values_rejected",
+    ),
+    Mutant(
+        "qmkp: negative weight accepted",
+        "src/freqassign/qmkp.py",
+        "if np.any(self.weights < 0) or np.any(self.capacities < 0):",
+        "if np.any(self.capacities < 0):",
+        "tests/test_input_checks.py::TestInstance::test_negative_weight_or_capacity",
+    ),
+    Mutant(
+        "qmkp: negative capacity accepted",
+        "src/freqassign/qmkp.py",
+        "if np.any(self.weights < 0) or np.any(self.capacities < 0):",
+        "if np.any(self.weights < 0):",
+        "tests/test_input_checks.py::TestInstance::test_negative_weight_or_capacity",
+    ),
+    Mutant(
+        "qmkp: profits shape unchecked",
+        "src/freqassign/qmkp.py",
+        "if self.profits.shape != (k, n):",
+        "if False:",
+        "tests/test_input_checks.py::TestInstance::test_misshaped_profits",
+    ),
+    Mutant(
+        "qmkp: joint profits shape unchecked",
+        "src/freqassign/qmkp.py",
+        "if self.joint_profits.shape != (k, n, n):",
+        "if False:",
+        "tests/test_input_checks.py::TestInstance::test_misshaped_joint_profits",
+    ),
+    Mutant(
+        "qmkp: assignment's knapsack count unchecked",
+        "src/freqassign/qmkp.py",
+        "if assignment.n_knapsacks != instance.n_knapsacks:",
+        "if False:",
+        "tests/test_input_checks.py::test_assignment_with_another_knapsack_count",
+    ),
+    Mutant(
+        "qmkp: item index above the range accepted",
+        "src/freqassign/qmkp.py",
+        "if not 0 <= i < instance.n_items:",
+        "if not 0 <= i:",
+        "tests/test_qmkp.py::TestFeasible::test_out_of_range_rejected",
+    ),
+    Mutant(
+        "qmkp: negative item index accepted",
+        "src/freqassign/qmkp.py",
+        "if not 0 <= i < instance.n_items:",
+        "if not i < instance.n_items:",
+        "tests/test_qmkp.py::TestFeasible::test_out_of_range_rejected",
+    ),
+    Mutant(
+        "qmkp: value density of a zero-weight item",
+        "src/freqassign/qmkp.py",
+        "    if w == 0:\n",
+        "    if False:\n",
+        "tests/test_incremental_greedy.py::TestErrorsUnchanged::test_zero_weight_unassigned_item",
+    ),
+    Mutant(
+        "qmkp: greedy accepts a zero-weight item",
+        "src/freqassign/qmkp.py",
+        "if k and np.any(w == 0):",
+        "if False:",
+        "tests/test_incremental_greedy.py::TestErrorsUnchanged::test_zero_weight_unassigned_item",
+    ),
+    # Without the guard test_size_guard would enumerate 1e30 allocations, so
+    # the mutant inverts it instead of dropping it.
+    Mutant(
+        "qmkp: exhaustive size guard inverted",
+        "src/freqassign/qmkp.py",
+        "if (k + 1) ** n > EXHAUSTIVE_LIMIT:",
+        "if (k + 1) ** n <= EXHAUSTIVE_LIMIT:",
+        "tests/test_acceptance.py::test_criterion_7_greedy_vs_exhaustive",
+    ),
+    Mutant(
+        "qmkp: baseline schemes accept any weights and capacities",
+        "src/freqassign/qmkp.py",
+        "if not (np.all(instance.weights == 1.0) and np.all(instance.capacities == 2.0)):",
+        "if False:",
+        "tests/test_input_checks.py::test_baselines_need_unit_weights_and_capacity_2",
+    ),
+    Mutant(
+        "qmkp: round robin with fewer items than knapsacks",
+        "src/freqassign/qmkp.py",
+        "if n < k:",
+        "if False:",
+        "tests/test_input_checks.py::test_round_robin_with_fewer_items_than_knapsacks",
+    ),
+    Mutant(
+        "qmkp: profits of an infeasible assignment",
+        "src/freqassign/qmkp.py",
+        "if not feasible(instance, assignment):",
+        "if False:",
+        "tests/test_qmkp.py::TestObjective::test_infeasible_rejected",
     ),
     # The "Pin or delete" ledger in CHANGES.md: sites (1), (3)-(10) and (14).
     # (2), a pair's null evaluated besides its basin, and (15), the 1e-12 m
@@ -257,12 +485,9 @@ _SUITE_TIMEOUT_S = 600.0
 def run_suite(work: Path) -> tuple[bool, str]:
     """Tier-1 in ``work`` with ``-x -q``: (passed, first failure)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    # test_mutants.py checks this list against the unmutated files.  Without
-    # hypothesis's pytest plugin a failing property is reported by name: the
-    # plugin's report hook warns, which warnings-as-errors turns into an
-    # internal error that names no test.
+    # test_mutants.py checks this list against the unmutated files.
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "-p", "no:hypothesispytest", "--ignore=tests/test_mutants.py", "tests"]
+           "--ignore=tests/test_mutants.py", "tests"]
     try:
         proc = subprocess.run(
             cmd, cwd=work, env=env, capture_output=True, text=True, timeout=_SUITE_TIMEOUT_S
