@@ -270,6 +270,17 @@ def _single_coeffs(omega, p_t: float):
     return p_t * (a * a), omega / SPEED_OF_LIGHT
 
 
+def _checked_single_coeffs(omega: float, p_t: float):
+    """:func:`_single_coeffs` of one carrier, refused when P_t*(c/(2*omega))**2
+    leaves the float range (Python floats: no numpy call per query)."""
+    coeffs = _single_coeffs(omega, p_t)
+    if not _positive_finite(coeffs[0]):
+        raise ValueError(
+            "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
+        )
+    return coeffs
+
+
 def _single_power(coeffs, l_los, l_ref, q):
     """Single-carrier power from :func:`_single_coeffs` and ray terms."""
     amplitude, rate = coeffs
@@ -339,7 +350,7 @@ def receive_power_single(
         Transmit power [W].
     """
     terms = _checked_ray_terms(geom, d, p_t)
-    return _single_power(_single_coeffs(freq.omega, p_t), *terms)
+    return _single_power(_checked_single_coeffs(freq.omega, p_t), *terms)
 
 
 def sum_power_two(
@@ -360,8 +371,8 @@ def sum_power_two(
     on one set of ray terms.
     """
     terms = _checked_ray_terms(geom, d, p_t)
-    lower = _single_power(_single_coeffs(pair.omega1, p_t / 2), *terms)
-    upper = _single_power(_single_coeffs(pair.omega2, p_t / 2), *terms)
+    lower = _single_power(_checked_single_coeffs(pair.omega1, p_t / 2), *terms)
+    upper = _single_power(_checked_single_coeffs(pair.omega2, p_t / 2), *terms)
     return lower + upper
 
 

@@ -11,7 +11,9 @@ worst case already carries the power split between the carriers.
 The worst cases come from :func:`freqassign.worstcase.worst_cases`, the
 one routine behind scalar queries and tables alike: a table is one call
 for all carriers and one for all unordered pairs, over all users, and
-only the profit arithmetic is done here.
+only the profit arithmetic is done here.  The pair tensor is gathered from
+each user's joint profits through one index map that sends (i, j) and
+(j, i) to the same profit, so it is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
-from .worstcase import (
-    DistanceInterval,
-    _users_per_block,
-    worst_case_pair,
-    worst_case_single,
-    worst_cases,
-)
+from .worstcase import DistanceInterval, worst_case_pair, worst_case_single, worst_cases
 
 
 @dataclass(frozen=True)
@@ -116,11 +112,12 @@ def build_profit_table(
     Two calls of :func:`freqassign.worstcase.worst_cases` over all users,
     one for all carriers and one for all unordered pairs, so the
     frequency-only data is computed once per table and the null basins of
-    every user are searched in one batch.  The joint profits are formed and
-    scattered into the pair tensor over the same blocks of users as the
-    worst cases' endpoint stage, so that their temporaries stay in cache.
-    Every entry is bit-identical to the scalar :func:`single_profit` /
-    :func:`freqassign.worstcase.worst_case_pair`.
+    every user are searched in one batch.  The joint profits are formed as
+    one (users, pairs + 1) array: the pairs in ``np.triu_indices`` order,
+    then a -0.0 slot.  The pair tensor is one gather from it through an
+    (N, N) index map that sends (i, j) and (j, i) to the same pair and the
+    diagonal to the -0.0 slot.  Every entry is bit-identical to the scalar
+    :func:`single_profit` / :func:`freqassign.worstcase.worst_case_pair`.
     """
     if not users:
         raise ValueError("at least one user is required")
@@ -131,14 +128,9 @@ def build_profit_table(
     i, j = np.triu_indices(hz.size, k=1)
     single = worst_cases(where, hz, None, system.p_t)[0]
     both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
-    upper_at, lower_at = i * hz.size + j, j * hz.size + i
-    pair = np.empty((len(users), hz.size * hz.size))
-    pair[:, :: hz.size + 1] = -0.0  # the diagonal; the scatter below writes the rest
-    per_block = _users_per_block(i.size)
-    for start in range(0, len(users), per_block):
-        block = slice(start, start + per_block)
-        upper = both[block] - single[block, i] - single[block, j]
-        pair[block, upper_at] = upper
-        pair[block, lower_at] = upper  # exact symmetry
-    pair = pair.reshape(len(users), hz.size, hz.size)
+    joint = np.full((len(users), i.size + 1), -0.0)
+    joint[:, :-1] = both - single[:, i] - single[:, j]
+    index = np.full((hz.size, hz.size), i.size)
+    index[i, j] = index[j, i] = np.arange(i.size)  # exact symmetry
+    pair = joint[:, index]
     return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)

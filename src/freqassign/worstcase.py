@@ -69,9 +69,11 @@ _BASIN_BLOCK = 256
 _USER_BLOCK = 24576
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
-# every grid has at least this many points.
+# every grid has from _GRID_MIN_POINTS to _GRID_MAX_POINTS points (8 MB per
+# array at the most).
 _GRID_PHASE_STEP = 0.01
 _GRID_MIN_POINTS = 1024
+_GRID_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,13 @@ def _batch(f1, f2, p_t: float) -> _Batch:
     f1 = np.array(f1, dtype=float, ndmin=1)
     if f2 is None:
         omega = TWO_PI * f1
-        return _Batch(omega, _single_coeffs(omega, p_t), _single_power, None)
+        with np.errstate(over="ignore"):  # refused below instead
+            coeffs = _single_coeffs(omega, p_t)
+        if not ((0.0 < coeffs[0]) & (coeffs[0] < math.inf)).all():
+            raise ValueError(
+                "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
+            )
+        return _Batch(omega, coeffs, _single_power, None)
     f2 = np.array(f2, dtype=float, ndmin=1)
     omega = TWO_PI * (f2 - f1)
     with np.errstate(over="ignore"):  # refused below instead
@@ -266,12 +274,6 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     return at[0], entries[at[1]], k
 
 
-def _users_per_block(n_entries: int) -> int:
-    """Users per block of a batch of ``n_entries`` entries: (users, entries)
-    temporaries of about :data:`_USER_BLOCK` elements, one user at least."""
-    return max(1, _USER_BLOCK // max(1, n_entries))
-
-
 def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     """Worst cases of a batch of carriers or pairs, for every user.
 
@@ -306,7 +308,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     top = np.minimum(users[:, 0], users[:, 1]).max()
     entries = np.flatnonzero(_k_max(top, batch.omega) >= 1.0)
     result = tuple(np.empty((len(users), batch.omega.size), t) for t in (float, float, int))
-    per_block = _users_per_block(batch.omega.size)
+    per_block = max(1, _USER_BLOCK // max(1, batch.omega.size))
     found = []
     for start in range(0, len(users), per_block):
         block = slice(start, start + per_block)
@@ -390,7 +392,8 @@ def phase_uniform_grid(
     oscillation everywhere; uniform-in-d grids undersample small distances.
     ``omega`` is the angular rate of the oscillation of interest (the
     carrier for P_r, the spacing delta_omega for the envelope bound).
-    The grid has at least 1024 points.
+    The grid has at least 1024 and at most 10**6 points; a query that needs
+    more is refused.
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
@@ -399,6 +402,8 @@ def phase_uniform_grid(
     q_hi = path_difference(geom, interval.d_min)
     q_lo = path_difference(geom, interval.d_max)
     span = (q_hi - q_lo) * omega / SPEED_OF_LIGHT
+    if not span / _GRID_PHASE_STEP <= _GRID_MAX_POINTS - 1:  # nan and inf fail too
+        raise ValueError(f"the oracle grid needs more than {_GRID_MAX_POINTS} points")
     n = max(_GRID_MIN_POINTS, int(math.ceil(span / _GRID_PHASE_STEP)) + 1)
     d = _invert_path_difference(geom._heights, np.linspace(q_hi, q_lo, n))
     d[0] = interval.d_min

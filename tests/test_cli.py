@@ -295,6 +295,38 @@ def test_carrier_beyond_the_kernels_float_range_exits_2(capsys, argv):
     assert err.startswith("error:") and "\n" not in err.rstrip("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e-140"],
+        ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e-140"],
+        ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e-140",
+         "--freq2", "2.4e9"],
+    ],
+    ids=["worst-case", "power-curve", "power-curve-pair"],
+)
+def test_carrier_constant_beyond_the_float_range_exits_2(capsys, argv):
+    # CarrierFrequency accepts 1e-140 Hz, but at 1e20 W P_t*(c/(2*omega))**2 is
+    # inf: power-curve printed an inf dB and exited 0, and the other two named
+    # only numpy's overflow or the pair bound's constant
+    code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5", "--pt", "1e20"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "P_t*(c/(2*omega))**2" in err
+
+
+def test_oracle_grid_beyond_its_cap_exits_2(capsys):
+    # about 1.9e6 grid points, above the cap of 1e6
+    code, out, err = run(
+        capsys,
+        [
+            "worst-case", "--htx", "10", "--hrx", "10", "--dmin", "1", "--dmax", "2",
+            "--freq", "1e12", "--verify-grid",
+        ],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "oracle grid" in err
+
+
 class TestAssign:
     def test_single_user_gets_both_frequencies(self, capsys, tmp_path):
         users = tmp_path / "one.json"

@@ -5,15 +5,19 @@ check by its message, so a check that stops firing (or fires for another
 reason) fails here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from freqassign import (
     Assignment,
     CarrierFrequency,
+    DistanceInterval,
     FrequencyPair,
     Instance,
     ScenarioConfig,
+    SceneGeometry,
     SystemConfig,
     UserProfile,
     assign_random,
@@ -27,6 +31,7 @@ from freqassign import (
     sum_power_lower_bound,
     sum_power_two,
     worst_case_pair,
+    worst_case_single,
 )
 
 from conftest import EX_FREQ_HIGH, EX_GEOM, EX_INTERVAL, EX_PAIR
@@ -114,6 +119,51 @@ def test_pair_bound_constant_outside_the_float_range(query, f1, f2, p_t):
         query(FrequencyPair(f1, f2), p_t)
 
 
+def _carrier_table(freq, p_t):
+    # the bad carrier among good ones: one array check covers every entry
+    freqs = [freq, CarrierFrequency(2.4e9), CarrierFrequency(2.45e9)]
+    users = [UserProfile(1.5, EX_INTERVAL), UserProfile(2.0, EX_INTERVAL)]
+    return build_profit_table(users, freqs, SystemConfig(h_tx=10.0, p_t=p_t))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda freq, p_t: receive_power_single(EX_GEOM, np.array([30.0, 100.0]), freq, p_t),
+        lambda freq, p_t: sum_power_two(
+            EX_GEOM, np.array([30.0, 100.0]), FrequencyPair.of(freq.f, 2.4e9), 2.0 * p_t
+        ),
+        lambda freq, p_t: worst_case_single(EX_GEOM, EX_INTERVAL, freq, p_t),
+        _carrier_table,
+    ],
+    ids=["kernel", "sum-kernel", "worst-case", "table"],
+)
+@pytest.mark.parametrize(
+    "f, p_t", [(1e-140, 1e20), (1e150, 1e-300)], ids=["low-carrier", "high-carrier"]
+)
+def test_carrier_constant_outside_the_float_range(query, f, p_t):
+    # P_t*(c/(2*omega))**2 of a carrier that CarrierFrequency accepts: inf gave
+    # an inf power, 0.0 a power of zero at every distance
+    with pytest.raises(ValueError, match=r"P_t\*\(c/\(2\*omega\)\)\*\*2 outside the float range"):
+        query(CarrierFrequency(f), p_t)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda p_t: worst_case_single(EX_GEOM, EX_INTERVAL, EX_FREQ_HIGH, p_t),
+        lambda p_t: worst_case_pair(EX_GEOM, EX_INTERVAL, EX_PAIR, p_t),
+    ],
+    ids=["single", "pair"],
+)
+@pytest.mark.parametrize("p_t", [0.0, -1.0, np.nan, np.inf])
+def test_worst_case_names_an_invalid_transmit_power(query, p_t):
+    # the carrier and pair constant checks refuse these too, but name the
+    # float range instead of the transmit power
+    with pytest.raises(ValueError, match="transmit power must be positive and finite"):
+        query(p_t)
+
+
 @pytest.mark.parametrize("spacing", [0.0, -1e6])
 def test_pair_from_nonpositive_spacing(spacing):
     with pytest.raises(ValueError, match="spacing must be positive"):
@@ -158,6 +208,15 @@ class TestInstance:
 def test_phase_uniform_grid_with_negative_omega():
     with pytest.raises(ValueError, match="omega must be nonnegative"):
         phase_uniform_grid(EX_GEOM, EX_INTERVAL, -1.0)
+
+
+@pytest.mark.parametrize(
+    "omega", [CarrierFrequency(1e12).omega, math.inf], ids=["above-the-cap", "inf"]
+)
+def test_phase_uniform_grid_beyond_its_cap(omega):
+    # at 1e12 Hz over [1, 2] m, 10/10 m, the grid would need about 1.9e6 points
+    with pytest.raises(ValueError, match="oracle grid needs more than 1000000 points"):
+        phase_uniform_grid(SceneGeometry(10.0, 10.0), DistanceInterval(1.0, 2.0), omega)
 
 
 def test_assignment_with_another_knapsack_count():

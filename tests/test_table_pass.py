@@ -502,3 +502,5 @@ def test_single_frequency_and_single_pair_tables():
     for n in (1, 2):
         table = assert_matches_reference(users[:3], freqs[:n], system)
         assert table.pair.shape == (3, n, n)
+        diag = np.diagonal(table.pair, axis1=1, axis2=2)
+        assert not np.any(diag) and np.all(np.signbit(diag))

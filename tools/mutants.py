@@ -89,9 +89,16 @@ MUTANTS = [
     Mutant(
         "profits: pair tensor built with a +0.0 diagonal",
         "src/freqassign/profits.py",
-        "pair[:, :: hz.size + 1] = -0.0",
-        "pair[:, :: hz.size + 1] = 0.0",
+        "joint = np.full((len(users), i.size + 1), -0.0)",
+        "joint = np.full((len(users), i.size + 1), 0.0)",
         "tests/test_profits.py::TestBuildProfitTable::test_instance_reads_the_table_in_place",
+    ),
+    Mutant(
+        "profits: index map not mirrored",
+        "src/freqassign/profits.py",
+        "index[i, j] = index[j, i] = np.arange(i.size)",
+        "index[i, j] = np.arange(i.size)",
+        "tests/test_acceptance.py::test_criterion_7_greedy_vs_exhaustive",
     ),
     # channel: inputs outside the kernels' range.
     Mutant(
@@ -149,6 +156,27 @@ MUTANTS = [
         "if not _positive_finite(coeffs[1]):",
         "if not coeffs[1] < math.inf:",
         "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+    ),
+    Mutant(
+        "channel: carrier's P_t*(c/(2*omega))^2 unchecked by the kernels",
+        "src/freqassign/channel.py",
+        "if not _positive_finite(coeffs[0]):",
+        "if False:",
+        "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
+    ),
+    Mutant(
+        "worstcase: carrier's P_t*(c/(2*omega))^2 unchecked by worst_cases",
+        "src/freqassign/worstcase.py",
+        "if not ((0.0 < coeffs[0]) & (coeffs[0] < math.inf)).all():",
+        "if False:",
+        "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
+    ),
+    Mutant(
+        "worstcase: oracle grid uncapped",
+        "src/freqassign/worstcase.py",
+        "if not span / _GRID_PHASE_STEP <= _GRID_MAX_POINTS - 1:",
+        "if False:",
+        "tests/test_cli.py::test_oracle_grid_beyond_its_cap_exits_2",
     ),
     Mutant(
         "worstcase: pair bound's a1^2 + a2^2 unchecked by worst_cases",
@@ -285,7 +313,7 @@ MUTANTS = [
         "src/freqassign/worstcase.py",
         '    if not _positive_finite(p_t):\n        raise ValueError("transmit power must be positive and finite")\n    f1 = ',
         "    f1 = ",
-        "tests/test_worstcase.py::TestWorstCasePair::test_invalid_transmit_power_rejected",
+        "tests/test_input_checks.py::test_worst_case_names_an_invalid_transmit_power",
     ),
     Mutant(
         "worstcase: negative grid rate accepted",
