@@ -438,14 +438,14 @@ def envelope_identity_residual(omega1, omega2, t):
 def to_decibel(p, reference: float = 1.0):
     """Convert a linear power ratio to decibels: 10*log10(p/reference).
 
-    Zero powers map to -inf instead of raising; negative powers are
-    rejected, and so is a reference that is not positive and finite.
+    Zero powers map to -inf; negative and non-finite powers are rejected,
+    and so is a reference that is not positive and finite.
     """
     if not _positive_finite(reference):
         raise ValueError("reference power must be positive and finite")
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("power must be nonnegative")
+    if not ((p >= 0) & (p < math.inf)).all():  # NaN fails too
+        raise ValueError("power must be nonnegative and finite")
     with np.errstate(divide="ignore"):
         out = 10.0 * np.log10(p / reference)
     if out.ndim == 0:

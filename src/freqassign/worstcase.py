@@ -14,10 +14,10 @@ finds the candidates of every (user, entry) by numpy broadcasts over
 blocks of users sized to stay in cache, and searches the basins of all
 users in one batch.  Entries that have no null for the tallest user (the
 largest min(h_tx, h_rx)) have none for any user, so they are dropped from
-the null test up front.  A profit table is one call for its carriers and
-one for its pairs; a single query is the same call on (1, 1) arrays.  An
-exhaustive phase-resolved grid scan doubles as an independent oracle for
-the claim.
+the null test up front, and a pair's lower endpoint where the bound falls.
+A profit table is one call for its carriers and one for its pairs; a single
+query is the same call on (1, 1) arrays.  An exhaustive phase-resolved grid
+scan doubles as an independent oracle for the claim.
 """
 
 from __future__ import annotations
@@ -67,6 +67,16 @@ _BASIN_BLOCK = 256
 # The endpoint stage of worst_cases runs over blocks of users whose
 # (users, entries) temporaries hold about this many elements.
 _USER_BLOCK = 24576
+
+# A pair's p_lo cannot win where its bound falls across [d_min, d_max].  If the
+# phase rate*q is <= pi at d_min it is throughout (q falls with d), so the gap
+# 4*a1*a2*sin(phi/2)**2 falls: the bound's radial term falls by rho**2 and its
+# gap term by rho = (l*lr)(d_max)/(l*lr)(d_min).  Rounding moves it by about
+# sqrt(3*eps) = 2.6e-8 at most (the subtraction under the root), so rho >= 1 +
+# _FALL_MARGIN gives p_lo > p_hi where p_hi is finite and it and (q/(l*lr))**2
+# are normal at d_max, lest a1+a2 (to 1e154) scale a subnormal up into a tie.
+_FALL_MARGIN = 1e-6
+_TINY = np.finfo(float).tiny
 
 # Oracle grid: the phase moves by at most this much per step [rad], and
 # every grid has from _GRID_MIN_POINTS to _GRID_MAX_POINTS points (8 MB per
@@ -241,8 +251,9 @@ def _take_lower(result, at, power, argmin) -> None:
 def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     """The endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
     against every entry of ``batch``, written into ``out``, the users' rows
-    of the ``(power, argmin, kind)`` arrays, and the null index k of each
-    (user, entry) row that has a null at or below d_max, among ``entries``.
+    of the ``(power, argmin, kind)`` arrays (a pair's lower endpoint only
+    where it may win), and the null index k of each (user, entry) row that
+    has a null at or below d_max, among ``entries``.
 
     Returns the rows ``(u, m)`` that have a null, u indexing ``users`` and m
     the batch, and their k.
@@ -264,10 +275,23 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
     k = k[at]
 
-    p_lo = batch.power(batch.coeffs, *_ray_terms(heights, d_min))
     p_hi = batch.power(batch.coeffs, *at_max)
-    # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
-    at_lo = p_lo <= p_hi
+    at_min = _ray_terms(heights, d_min)
+    cols, p_lo, at_lo = slice(None), p_hi, False  # every column; if none, no p_lo is copied
+    if batch.q_scale is not None:  # carriers cancel far out, so keep p_lo
+        # The kernel's own product at d_min: it overflows only where the kernel would.
+        falls = (0.5 * batch.coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
+        # Unless most pairs fall, skipping the rest costs more than it saves.
+        if 2 * falls.sum() > falls.size:
+            ll_min, ll_max = at_min[0] * at_min[1], at_max[0] * at_max[1]
+            ok = (ll_max / (1.0 + _FALL_MARGIN) >= ll_min) & ((at_max[2] / ll_max) ** 2 >= _TINY)
+            falls &= ok.all() & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)
+            cols = np.flatnonzero(~falls) if not falls.all() else None
+    if cols is not None:
+        p_lo = np.full_like(p_hi, math.inf)  # above every p_hi of a column skipped
+        p_lo[:, cols] = batch.power([c[cols] for c in batch.coeffs], *at_min)
+        # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
+        at_lo = p_lo <= p_hi
     for a, lo, hi in zip(out, (p_lo, d_min, 0), (p_hi, d_max, 1)):
         np.copyto(a, hi)
         np.copyto(a, lo, where=at_lo)
@@ -295,7 +319,8 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     without a null even at the largest min(h_tx, h_rx) of the batch are
     dropped from the null test first, on (entries,) arrays: the null count
     grows with that height, so no entry dropped has a null for any user.
-    In a narrow band that is every pair.
+    In a narrow band that is every pair.  A pair's lower endpoint is skipped
+    where it cannot win (spacing phase <= pi at d_min; :data:`_FALL_MARGIN`).
     The null of a carrier, or the basin of a pair's null, is then computed
     only on the (user, entry) rows that have a null, each row with its own
     user's heights; the basins of all users are searched in one call of

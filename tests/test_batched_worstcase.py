@@ -23,6 +23,7 @@ from freqassign import (
     grid_min,
     null_distances,
     phase_uniform_grid,
+    receive_power_single,
     sum_power_lower_bound,
     to_decibel,
     worst_case_pair,
@@ -30,7 +31,14 @@ from freqassign import (
 )
 from freqassign import worstcase
 from freqassign.bench import ScenarioConfig, generate_scenario
-from freqassign.channel import TWO_PI, _lower_bound_power, _ray_terms
+from freqassign.channel import (
+    SPEED_OF_LIGHT,
+    TWO_PI,
+    _invert_path_difference,
+    _lower_bound_coeffs,
+    _lower_bound_power,
+    _ray_terms,
+)
 from freqassign.worstcase import _BASIN_BLOCK, _KINDS, WorstCaseResult, worst_cases
 
 
@@ -370,3 +378,102 @@ def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
     rel = (basin_p - scipy_p) / scipy_p
     assert rel.max() <= 1e-9, f"row {rel.argmax()} above scipy by {rel.max():.3g}"
     assert np.all((lo <= basin_x) & (basin_x <= hi))
+
+
+def _distance_at_phase(geom, pair, phase):
+    """Distance at which the spacing phase of ``pair`` is ``phase``."""
+    q = phase * SPEED_OF_LIGHT / pair.delta_omega
+    return float(_invert_path_difference(geom._heights, q))
+
+
+def _first_distance_past_the_margin(geom, d_min):
+    """Smallest d_max whose (l*lr) is at least (1 + _FALL_MARGIN) times
+    that at d_min, as the endpoint stage of :func:`worst_cases` tests it."""
+
+    def past(d):
+        l_los, l_ref, _ = _ray_terms(geom._heights, d)
+        return l_los * l_ref / (1.0 + worstcase._FALL_MARGIN) >= ll_min
+
+    l_los, l_ref, _ = _ray_terms(geom._heights, d_min)
+    ll_min = l_los * l_ref
+    lo, hi = d_min, 1.01 * d_min
+    while np.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return hi
+
+
+def lower_endpoint_cases():
+    """(label, geometry, d_min, d_max, pair, p_t, lower endpoint skipped)."""
+    geom = SceneGeometry(10.0, 1.5)
+    pair = FrequencyPair(2.40e9, 2.45e9)
+    below_pi = _distance_at_phase(geom, pair, math.pi * (1.0 - 1e-9))
+    above_pi = _distance_at_phase(geom, pair, math.pi * (1.0 + 1e-9))
+    edge = _first_distance_past_the_margin(geom, 300.0)
+    # a1 ~ a2: 1 kHz apart, so env_sq = (a1 + a2)**2 - gap nearly cancels at phi = pi.
+    tall, close = SceneGeometry(2e5, 1e5), FrequencyPair(2.4e9, 2.4e9 + 1e3)
+    cancel = _distance_at_phase(tall, close, math.pi * (1.0 - 1e-9))
+    wide = FrequencyPair(2.4e9, 2.7e9)  # three nulls at 10/1.5 m
+    return [
+        ("phase-just-below-pi", geom, below_pi, 1.5 * below_pi, pair, 1.0, True),
+        ("phase-just-above-pi", geom, above_pi, 1.5 * above_pi, pair, 1.0, False),
+        ("degenerate", geom, 300.0, 300.0, pair, 1.0, False),
+        ("next-float", geom, 300.0, float(np.nextafter(300.0, math.inf)), pair, 1.0, False),
+        ("rho-just-past-margin", geom, 300.0, edge, pair, 1.0, True),
+        ("rho-just-short-of-margin", geom, 300.0, float(np.nextafter(edge, 0.0)), pair, 1.0, False),
+        # l*lr is the same float at both ends: the bound ties, and the tie
+        # goes to the lower endpoint.
+        ("nanometres-from-the-mast", geom, 1e-9, 2e-9, pair, 1.0, False),
+        # Both endpoint powers round to 0.0 and tie.
+        ("far-field-tiny-power", geom, 1e30, 2e30, pair, 1e-150, False),
+        # (a1 + a2) ~ 5e148 times a subnormal (q/(l*lr))**2 rounds to the same
+        # power at both ends although l*lr grows by 1.2e-6.
+        ("subnormal-radial-term", geom, 3.189770215466338e53, 3.189772129328467e53,
+         FrequencyPair(1e-67, 2e-67), 1.0, False),
+        # d*d underflows, so l_los is 0 and the bound +inf at both ends: a tie.
+        ("equal-heights-at-1e-200", SceneGeometry(1.0, 1.0), 1e-200, 2e-200, pair, 1.0, False),
+        ("cancelling-envelope", tall, cancel, 1.2 * cancel, close, 1.0, True),
+        # Past the first null: the phase falls from 1.8*pi to pi, so the bound
+        # rises and the lower endpoint wins.
+        ("rising-past-a-null", geom, _distance_at_phase(geom, wide, 1.8 * math.pi),
+         _distance_at_phase(geom, wide, math.pi), wide, 1.0, False),
+    ]
+
+
+@pytest.mark.parametrize("case", lower_endpoint_cases(), ids=lambda c: c[0])
+def test_lower_endpoint_skipped_only_where_it_cannot_win(case, monkeypatch):
+    # A pair's lower endpoint is skipped where the bound provably falls across
+    # the interval; the result stays that of both endpoints and the tie rule.
+    _, geom, d_min, d_max, pair, p_t, skipped = case
+    # sum_power_lower_bound's arithmetic, without its refusal of l_los = 0.
+    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)
+    with np.errstate(divide="ignore"):
+        p_lo, p_hi = _lower_bound_power(coeffs, *_ray_terms(geom._heights, np.array([d_min, d_max])))
+    expected = (p_lo, d_min, 0) if p_lo <= p_hi else (p_hi, d_max, 1)
+    endpoint_calls = []  # the basin search calls the kernel itself
+    make_batch = worstcase._batch
+
+    def record(*args):
+        batch = make_batch(*args)
+        return batch._replace(power=lambda *a: endpoint_calls.append(1) or batch.power(*a))
+
+    monkeypatch.setattr(worstcase, "_batch", record)
+    where = [(geom, DistanceInterval(d_min, d_max))]
+    with np.errstate(over="raise", invalid="raise", divide="ignore"):  # as in the CLI
+        result = worst_cases(where, pair.f1, pair.f2, p_t)
+    power, argmin, kind = (a.item() for a in result)
+    assert np.float64(power).view(np.int64) == np.float64(expected[0]).view(np.int64)
+    assert (argmin, kind) == expected[1:]
+    assert len(endpoint_calls) == (1 if skipped else 2)
+
+
+def test_carriers_keep_their_lower_endpoint():
+    # The single-carrier kernel cancels in 1/l - 1/lr far out, so its power
+    # need not fall although the exact one does: at 1 Hz, 10/1.5 m and
+    # 5e6 m both endpoints round to the same normal power, and the tie goes
+    # to the lower endpoint.
+    geom, carrier = SceneGeometry(10.0, 1.5), CarrierFrequency(1.0)
+    iv = DistanceInterval(5e6, 5e6 * (1.0 + 1e-5))
+    p_lo, p_hi = receive_power_single(geom, np.array([iv.d_min, iv.d_max]), carrier)
+    assert p_lo == p_hi >= np.finfo(float).tiny
+    assert worst_case_single(geom, iv, carrier) == WorstCaseResult(p_lo, iv.d_min, _KINDS[0])

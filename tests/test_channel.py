@@ -379,6 +379,14 @@ class TestToDecibel:
         with pytest.raises(ValueError):
             to_decibel(1.0, 0.0)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, [1.0, math.nan], [0.0, math.inf]])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            to_decibel(power)
+
+    def test_zero_in_an_array_maps_to_neg_inf(self):
+        assert to_decibel(np.array([0.0, 1.0])).tolist() == [-math.inf, 0.0]
+
     @pytest.mark.parametrize("reference", [math.nan, math.inf])
     def test_non_finite_reference_rejected(self, reference):
         with pytest.raises(ValueError, match="reference power"):

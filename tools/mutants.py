@@ -222,6 +222,49 @@ MUTANTS = [
         "top = np.minimum(users[:, 0], users[:, 1]).min()",
         "tests/test_batched_worstcase.py::TestUsersIndependence::test_mixed_geometries_match_one_user_and_scalar_calls",
     ),
+    # worstcase: a pair's lower endpoint is skipped only where it cannot win.
+    Mutant(
+        "worstcase: lower endpoint skipped without the phase test",
+        "src/freqassign/worstcase.py",
+        "* at_min[2].max() <= 0.5 * math.pi",
+        "* at_min[2].max() <= math.inf",
+        "tests/test_batched_worstcase.py::TestUsersIndependence::test_each_user_row_matches_one_user_and_scalar_calls",
+    ),
+    Mutant(
+        "worstcase: lower endpoint skipped wherever l*lr does not fall",
+        "src/freqassign/worstcase.py",
+        "_FALL_MARGIN = 1e-6",
+        "_FALL_MARGIN = 0.0",
+        "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
+    ),
+    Mutant(
+        "worstcase: lower endpoint skipped at a subnormal or infinite upper power",
+        "src/freqassign/worstcase.py",
+        " & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)",
+        "",
+        "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
+    ),
+    Mutant(
+        "worstcase: lower endpoint skipped at an infinite upper power",
+        "src/freqassign/worstcase.py",
+        "(p_hi.max(axis=0) < math.inf)",
+        "(p_hi.max(axis=0) <= math.inf)",
+        "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
+    ),
+    Mutant(
+        "worstcase: lower endpoint skipped at a subnormal radial term",
+        "src/freqassign/worstcase.py",
+        " & ((at_max[2] / ll_max) ** 2 >= _TINY)",
+        "",
+        "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
+    ),
+    Mutant(
+        "worstcase: carriers skip their lower endpoint too",
+        "src/freqassign/worstcase.py",
+        "if batch.q_scale is not None:  # carriers",
+        "if True:  # carriers",
+        "tests/test_batched_worstcase.py::test_carriers_keep_their_lower_endpoint",
+    ),
     # The input checks of the public functions, one mutant each (two where a
     # check tests two things).
     Mutant(
@@ -288,10 +331,17 @@ MUTANTS = [
         "tests/test_channel.py::TestToDecibel::test_negative_rejected",
     ),
     Mutant(
+        "channel: infinite power in decibels accepted",
+        "src/freqassign/channel.py",
+        "((p >= 0) & (p < math.inf)).all()",
+        "(p >= 0).all()",
+        "tests/test_channel.py::TestToDecibel::test_non_finite_power_rejected",
+    ),
+    Mutant(
         "channel: negative power in decibels accepted",
         "src/freqassign/channel.py",
-        "if np.any(p < 0):",
-        "if False:",
+        "((p >= 0) & (p < math.inf)).all()",
+        "(p < math.inf).all()",
         "tests/test_channel.py::TestToDecibel::test_negative_rejected",
     ),
     Mutant(
