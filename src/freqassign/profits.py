@@ -128,8 +128,10 @@ def build_profit_table(
     i, j = np.triu_indices(hz.size, k=1)
     single = worst_cases(where, hz, None, system.p_t)[0]
     both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
-    joint = np.full((len(users), i.size + 1), -0.0)
-    joint[:, :-1] = both - single[:, i] - single[:, j]
+    joint = np.empty((len(users), i.size + 1))
+    joint[:, -1] = -0.0
+    np.subtract(both, single[:, i], out=joint[:, :-1])
+    joint[:, :-1] -= single[:, j]
     index = np.full((hz.size, hz.size), i.size)
     index[i, j] = index[j, i] = np.arange(i.size)  # exact symmetry
     pair = joint[:, index]

@@ -189,53 +189,63 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     rows = np.flatnonzero(~settled)
 
     # Brent's state per row: bracket [a, b]; lowest point x, second lowest w
-    # and previous w, v, each with its power; step before last e and last
-    # step rat, seeded so that the first step may fit the three samples.
+    # and previous w, v, each as (distance, power); step before last e and
+    # last step rat, seeded so that the first step may fit the three
+    # samples; then the row's tolerance term and constants.
     w, v = np.where(lower[1] <= upper[1], near[1:], near[:0:-1])
     e = upper[0] - lower[0]
-    state = np.vstack([lower[0], upper[0], x, fx, w, v, e, 0.5 * e, xatol3])[:, rows]
+    state = [lower[0], upper[0], near[0], w, v, e, 0.5 * e, xatol3, np.array(coeffs), np.array(heights)]
+    state = [s.take(rows, -1) for s in state]
     out = near[0].copy()
-    coeffs, heights = [c[rows] for c in coeffs], [h[rows] for h in heights]
     while rows.size:
-        a, b, x, fx, w, fw, v, fv, e, rat, xatol3 = state
+        a, b, (x, _) = state[:3]
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * x + xatol3
+        tol1 = _SQRT_EPS * x + state[7]
         tol2 = 2.0 * tol1
         run = np.abs(x - xm) > tol2 - 0.5 * (b - a)
-        if not run.all():
-            out[:, rows[~run]] = state[2:4, ~run]
-            state, rows = state[:, run], rows[run]
-            coeffs, heights = [c[run] for c in coeffs], [h[run] for h in heights]
-            continue
+        if not run.all():  # frozen rows leave in the pass that finds them
+            stop, keep = np.flatnonzero(~run), np.flatnonzero(run)
+            out[:, rows[stop]] = state[2].take(stop, 1)
+            rows, xm, tol1, tol2, *state = (s.take(keep, -1) for s in (rows, xm, tol1, tol2, *state))
+            if not rows.size:
+                break
+        a, b, X, W, V, e, rat, xatol3, coeffs, heights = state
+        (x, fx), (w, fw), (v, fv) = X, W, V
         # The parabola through x, w and v where it falls well inside the
         # bracket and moves less than half the step before last; otherwise
         # a golden-section step into the larger side.
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        p = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
+        xw, xv, ax, bx = x - w, x - v, a - x, b - x
+        r = xw * (fx - fv)
+        q = xv * (fx - fw)
+        p = xv * q
+        p -= xw * r
+        q -= r
+        q *= 2.0
         p = np.where(q > 0.0, -p, p)
         q = np.abs(q)
-        parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-        parabolic &= (p > q * (a - x)) & (p < q * (b - x))
-        golden = np.where(x >= xm, a - x, b - x)
+        abs_e = np.abs(e)  # |0.5*q*e| is 0.5*q*|e| bit for bit, as q >= 0
+        parabolic = (abs_e > tol1) & (np.abs(p) < 0.5 * q * abs_e)
+        parabolic &= (p > q * ax) & (p < q * bx)
+        golden = np.where(x >= xm, ax, bx)
         e = np.where(parabolic, rat, golden)
         rat = np.divide(p, q, out=_GOLDEN * golden, where=parabolic)
-        edge = parabolic & ((x + rat - a < tol2) | (b - (x + rat) < tol2))
+        xr = x + rat
+        edge = parabolic & ((xr - a < tol2) | (b - xr < tol2))
         rat = np.where(edge, np.where(xm < x, -tol1, tol1), rat)
         u = x + np.where(rat < 0.0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
         fu = _lower_bound_power(coeffs, *_ray_terms(heights, u))
 
         better = fu <= fx
         shift = better | (fu <= fw) | (w == x)
-        fresh_v = ~shift & ((fu <= fv) | (v == x) | (v == w))
+        fresh_v = (fu <= fv) | (v == x) | (v == w)  # where not shift
         new_end = np.where(better, x, u)
-        state[:2] = np.where(better == (u >= x), (new_end, b), (a, new_end))
-        U, X, W, V = np.stack([u, fu]), state[2:4], state[4:6], state[6:8]
-        new_x = np.where(better, U, X)
-        new_w = np.where(better, X, np.where(shift, U, W))
-        new_v = np.where(shift, W, np.where(fresh_v, U, V))
-        state[2:10] = *new_x, *new_w, *new_v, e, rat
+        at_a = better == (u >= x)
+        a, b = np.where(at_a, new_end, a), np.where(at_a, b, new_end)
+        U = np.stack([u, fu])
+        V = np.where(shift, W, np.where(fresh_v, U, V))
+        W = np.where(better, X, np.where(shift, U, W))
+        X = np.where(better, U, X)
+        state = [a, b, X, W, V, e, rat, xatol3, coeffs, heights]
     return out[1], out[0]
 
 
@@ -277,7 +287,7 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
 
     p_hi = batch.power(batch.coeffs, *at_max)
     at_min = _ray_terms(heights, d_min)
-    cols, p_lo, at_lo = slice(None), p_hi, False  # every column; if none, no p_lo is copied
+    cols, p_lo, at_lo = slice(None), p_hi, False  # the columns of p_lo: all, some or None
     if batch.q_scale is not None:  # carriers cancel far out, so keep p_lo
         # The kernel's own product at d_min: it overflows only where the kernel would.
         falls = (0.5 * batch.coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
@@ -288,8 +298,10 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
             falls &= ok.all() & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)
             cols = np.flatnonzero(~falls) if not falls.all() else None
     if cols is not None:
-        p_lo = np.full_like(p_hi, math.inf)  # above every p_hi of a column skipped
-        p_lo[:, cols] = batch.power([c[cols] for c in batch.coeffs], *at_min)
+        p_lo = batch.power([c[cols] for c in batch.coeffs], *at_min)
+        if not isinstance(cols, slice):  # spread out; inf is above every p_hi skipped
+            p_lo, evaluated = np.full_like(p_hi, math.inf), p_lo
+            p_lo[:, cols] = evaluated
         # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
         at_lo = p_lo <= p_hi
     for a, lo, hi in zip(out, (p_lo, d_min, 0), (p_hi, d_max, 1)):

@@ -89,8 +89,8 @@ MUTANTS = [
     Mutant(
         "profits: pair tensor built with a +0.0 diagonal",
         "src/freqassign/profits.py",
-        "joint = np.full((len(users), i.size + 1), -0.0)",
-        "joint = np.full((len(users), i.size + 1), 0.0)",
+        "joint[:, -1] = -0.0",
+        "joint[:, -1] = 0.0",
         "tests/test_profits.py::TestBuildProfitTable::test_instance_reads_the_table_in_place",
     ),
     Mutant(
