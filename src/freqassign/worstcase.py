@@ -56,13 +56,13 @@ _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1
 
 # Basin search: _BASIN_POINTS evenly spaced samples of each bracket, then
 # bounded Brent on the two spacings around the lowest one.
-_BASIN_POINTS = 33
+_BASIN_POINTS = 17
 _BASIN_STEPS = np.arange(_BASIN_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # The locating round samples this many rows at a time, which keeps its
 # (samples, rows) temporaries small enough to stay in cache.
-_BASIN_BLOCK = 256
+_BASIN_BLOCK = 512
 
 # The endpoint stage of worst_cases runs over blocks of users whose
 # (users, entries) temporaries hold about this many elements.
@@ -176,8 +176,9 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         terms = _ray_terms([a[block] for a in heights], x)
         p = _lower_bound_power([a[block] for a in coeffs], *terms)
         at = p.argmin(axis=0)
-        at3 = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, _BASIN_POINTS - 1)])
-        near[:, :, block] = np.stack([x[at3, np.arange(at.size)], p[at3, np.arange(at.size)]], 1)
+        at3 = np.array([at, np.maximum(at - 1, 0), np.minimum(at + 1, _BASIN_POINTS - 1)])
+        at3 = at3, np.arange(at.size)
+        near[:, 0, block], near[:, 1, block] = x[at3], p[at3]
 
     (x, fx), lower, upper = near
     inward = (lower[0] == x) - (upper[0] == x) * 1.0  # +1 at lo, -1 at hi, else 0
@@ -231,7 +232,7 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         rat = np.divide(p, q, out=_GOLDEN * golden, where=parabolic)
         xr = x + rat
         edge = parabolic & ((xr - a < tol2) | (b - xr < tol2))
-        rat = np.where(edge, np.where(xm < x, -tol1, tol1), rat)
+        rat = np.where(edge, np.copysign(tol1, xm - x), rat)  # -tol1 where xm < x
         u = x + np.where(rat < 0.0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
         fu = _lower_bound_power(coeffs, *_ray_terms(heights, u))
 
@@ -241,7 +242,7 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         new_end = np.where(better, x, u)
         at_a = better == (u >= x)
         a, b = np.where(at_a, new_end, a), np.where(at_a, b, new_end)
-        U = np.stack([u, fu])
+        U = np.array([u, fu])
         V = np.where(shift, W, np.where(fresh_v, U, V))
         W = np.where(better, X, np.where(shift, U, W))
         X = np.where(better, U, X)

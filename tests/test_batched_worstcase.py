@@ -181,7 +181,7 @@ class TestUsersIndependence:
         # span several locating blocks, and to leave Brent at different
         # iterations.
         pairs, (_, _, lo, _) = basin_rows(monkeypatch, where, f1, f2, p_t)
-        assert lo.size > 4 * _BASIN_BLOCK
+        assert lo.size > 3 * _BASIN_BLOCK
         assert {a.shape for a in singles} == {(len(where), hz.size)}
         assert {a.shape for a in pairs} == {(len(where), f1.size)}
         assert set(pairs[2].ravel().tolist()) == {0, 1, 2}  # every candidate kind occurs
@@ -287,14 +287,16 @@ GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def locating_round(heights, coeffs, lo, hi):
-    """Each row's lowest of 33 evenly spaced samples of its bracket, and
-    its lower and upper neighbour (the sample itself at a bracket end), as
-    (3, rows) distances and powers; and the lowest sample's index."""
-    x = lo + (hi - lo) / 32.0 * np.arange(33.0)[:, None]
+    """Each row's lowest of ``_BASIN_POINTS`` evenly spaced samples of its
+    bracket, and its lower and upper neighbour (the sample itself at a
+    bracket end), as (3, rows) distances and powers; and the lowest
+    sample's index."""
+    last = worstcase._BASIN_POINTS - 1
+    x = lo + (hi - lo) / float(last) * np.arange(last + 1.0)[:, None]
     x[-1] = hi
     p = _lower_bound_power(coeffs, *_ray_terms(heights, x))
     at = p.argmin(axis=0)
-    near = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, 32)]), np.arange(lo.size)
+    near = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, last)]), np.arange(lo.size)
     return x[near], p[near], at
 
 
@@ -342,7 +344,7 @@ def reference_basin_minimum(f, lo, hi, x3, f3, at):
     """One row of the basin search, from its locating round, on floats."""
     (x, x_lo, x_hi), (fx, f_lo, f_hi) = x3, f3
     xatol = max(1e-12, 1e-12 * hi)
-    if at in (0, 32):
+    if at in (0, worstcase._BASIN_POINTS - 1):
         inward = 1.0 if at == 0 else -1.0
         if f(x + inward * (SQRT_EPS * x + xatol / 3.0)) >= fx:
             return fx, x
