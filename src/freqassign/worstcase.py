@@ -7,7 +7,7 @@ at the largest interference null inside the interval, so it can be read
 off from three closed-form evaluations.  For a carrier pair the slow
 spacing oscillation lets the distance-dependent amplitude move the true
 minimum measurably off its null, so the null's basin is searched instead,
-by 33 samples and then bounded Brent on numpy arrays of rows.  One routine,
+by 17 samples and then bounded Brent on numpy arrays of rows.  One routine,
 :func:`worst_cases`, serves every caller: it takes a list of users
 (geometry and interval each) and a whole array of carriers or pairs,
 finds the candidates of every (user, entry) by numpy broadcasts over
@@ -154,12 +154,12 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
 
     Row m has pair constants ``coeffs[.][m]`` and the height terms
     ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  One
-    locating round samples every bracket at 33 evenly spaced distances.  A
-    row whose lowest sample is a bracket end x, and whose bound rises within
-    tol = sqrt(eps)*x + 1e-12*hi/3 of it, takes that end.  Every
-    other row runs scipy's bounded Brent search (``_minimize_scalar_bounded``)
+    locating round samples every bracket at 17 evenly spaced distances, 512
+    rows at a time.  A row whose lowest sample is a bracket end x, and whose
+    bound rises within tol = sqrt(eps)*x + 1e-12*hi/3 of it, takes that end.
+    Every other row runs scipy's bounded Brent search (``_minimize_scalar_bounded``)
     on the two sample spacings around its lowest sample, seeded with that
-    sample and its neighbours.  Rows iterate together as arrays, each frozen
+    sample and its neighbours.  Rows iterate together as arrays, each leaving
     on scipy's stopping test, so no row depends on its batch; 0 < lo < hi.
     """
     xatol3 = 1e-12 * hi / 3.0
@@ -189,14 +189,13 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     settled[ends] = _lower_bound_power([a[ends] for a in coeffs], *terms) >= fx[ends]
     rows = np.flatnonzero(~settled)
 
-    # Brent's state per row: bracket [a, b]; lowest point x, second lowest w
-    # and previous w, v, each as (distance, power); step before last e and
-    # last step rat, seeded so that the first step may fit the three
-    # samples; then the row's tolerance term and constants.
+    # Brent's state per row: bracket [a, b]; lowest point x, second lowest w and previous
+    # w, v, each as (distance, power); step before last e and last step rat, seeded so that
+    # the first step may fit the three samples; the row's tolerance term and constants.
     w, v = np.where(lower[1] <= upper[1], near[1:], near[:0:-1])
     e = upper[0] - lower[0]
-    state = [lower[0], upper[0], near[0], w, v, e, 0.5 * e, xatol3, np.array(coeffs), np.array(heights)]
-    state = [s.take(rows, -1) for s in state]
+    state = [lower[0], upper[0], near[0], w, v, e, 0.5 * e, xatol3]
+    state = [s.take(rows, -1) for s in (*state, np.array(coeffs), np.array(heights))]
     out = near[0].copy()
     while rows.size:
         a, b, (x, _) = state[:3]
@@ -205,9 +204,9 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         tol2 = 2.0 * tol1
         run = np.abs(x - xm) > tol2 - 0.5 * (b - a)
         if not run.all():  # frozen rows leave in the pass that finds them
-            stop, keep = np.flatnonzero(~run), np.flatnonzero(run)
+            stop, run = np.flatnonzero(~run), np.flatnonzero(run)
             out[:, rows[stop]] = state[2].take(stop, 1)
-            rows, xm, tol1, tol2, *state = (s.take(keep, -1) for s in (rows, xm, tol1, tol2, *state))
+            rows, xm, tol1, tol2, *state = (s.take(run, -1) for s in (rows, xm, tol1, tol2, *state))
             if not rows.size:
                 break
         a, b, X, W, V, e, rat, xatol3, coeffs, heights = state
@@ -218,14 +217,11 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         xw, xv, ax, bx = x - w, x - v, a - x, b - x
         r = xw * (fx - fv)
         q = xv * (fx - fw)
-        p = xv * q
-        p -= xw * r
-        q -= r
-        q *= 2.0
+        p = xv * q - xw * r
+        q = 2.0 * (q - r)
         p = np.where(q > 0.0, -p, p)
         q = np.abs(q)
-        abs_e = np.abs(e)  # |0.5*q*e| is 0.5*q*|e| bit for bit, as q >= 0
-        parabolic = (abs_e > tol1) & (np.abs(p) < 0.5 * q * abs_e)
+        parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
         parabolic &= (p > q * ax) & (p < q * bx)
         golden = np.where(x >= xm, ax, bx)
         e = np.where(parabolic, rat, golden)
@@ -240,8 +236,7 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         shift = better | (fu <= fw) | (w == x)
         fresh_v = (fu <= fv) | (v == x) | (v == w)  # where not shift
         new_end = np.where(better, x, u)
-        at_a = better == (u >= x)
-        a, b = np.where(at_a, new_end, a), np.where(at_a, b, new_end)
+        a, b = np.where(better == (u >= x), (new_end, b), (a, new_end))
         U = np.array([u, fu])
         V = np.where(shift, W, np.where(fresh_v, U, V))
         W = np.where(better, X, np.where(shift, U, W))
@@ -415,7 +410,7 @@ def worst_case_pair(
     and the envelope lower bound as the evaluated power.  Because the
     spacing oscillation is slow, the interior minimum can sit measurably
     off the nominal null distance, so the basin around the deepest relevant
-    null is searched in its place: 33 samples, then bounded Brent.
+    null is searched in its place: 17 samples, then bounded Brent.
     """
     return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 
