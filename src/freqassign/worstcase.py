@@ -198,12 +198,12 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     state = [s.take(rows, -1) for s in (*state, np.array(coeffs), np.array(heights))]
     out = near[0].copy()
     while rows.size:
-        a, b, (x, _) = state[:3]
+        a, b, (x, _), *_, xatol3 = state[:8]
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * x + state[7]
+        tol1 = _SQRT_EPS * x + xatol3
         tol2 = 2.0 * tol1
         run = np.abs(x - xm) > tol2 - 0.5 * (b - a)
-        if not run.all():  # frozen rows leave in the pass that finds them
+        if not run.all():  # rows that stop leave in this pass
             stop, run = np.flatnonzero(~run), np.flatnonzero(run)
             out[:, rows[stop]] = state[2].take(stop, 1)
             rows, xm, tol1, tol2, *state = (s.take(run, -1) for s in (rows, xm, tol1, tol2, *state))

@@ -357,18 +357,30 @@ def reference_basin_minimum(f, lo, hi, x3, f3, at):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
     # Every basin row of a wideband trial.  The vectorised search takes
-    # scipy's steps bit for bit from the same start, and comes out no more
-    # than 1e-9 above scipy's own search with the same xatol on the bracket
-    # the locating round leaves.
+    # scipy's steps bit for bit from the same start, and as many of them (a
+    # search that stops early often ends on the same point), and comes out
+    # no more than 1e-9 above scipy's own search with the same xatol on the
+    # bracket the locating round leaves.
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
     _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
+    evaluated = []  # rows of each kernel call on a row vector: the end probe, each Brent pass
+    kernel = worstcase._lower_bound_power
+
+    def counting(c, *terms):
+        evaluated.append(terms[2].size if terms[2].ndim == 1 else 0)
+        return kernel(c, *terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(worstcase, "_lower_bound_power", counting)
+        basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
     x3, f3, at = locating_round(heights, coeffs, lo, hi)
     scipy_p = np.empty(lo.size)
+    steps = []
     for m in range(lo.size):
         row_coeffs, row_heights = [c[m] for c in coeffs], [h[m] for h in heights]
         bound = lambda d: float(_lower_bound_power(row_coeffs, *_ray_terms(row_heights, d)))
-        expected = reference_basin_minimum(bound, lo[m], hi[m], x3[:, m].tolist(), f3[:, m].tolist(), at[m])
+        step = lambda d: steps.append(d) or bound(d)
+        expected = reference_basin_minimum(step, lo[m], hi[m], x3[:, m].tolist(), f3[:, m].tolist(), at[m])
         assert (basin_p[m], basin_x[m]) == expected, f"row {m}"
         res = minimize_scalar(
             bound,
@@ -377,6 +389,7 @@ def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
             options={"xatol": max(1e-12, 1e-12 * x3[2, m])},
         )
         scipy_p[m] = res.fun
+    assert sum(evaluated) == len(steps)
     rel = (basin_p - scipy_p) / scipy_p
     assert rel.max() <= 1e-9, f"row {rel.argmax()} above scipy by {rel.max():.3g}"
     assert np.all((lo <= basin_x) & (basin_x <= hi))

@@ -265,6 +265,17 @@ MUTANTS = [
         "if True:  # carriers",
         "tests/test_batched_worstcase.py::test_carriers_keep_their_lower_endpoint",
     ),
+    # worstcase: the basin search's Brent loop stops on scipy's test.  Its
+    # killer counts the steps, since a search stopping early mostly ends on
+    # the same point.  Doubling the bracket term instead (tol2 - (b - a))
+    # would never stop: the bracket does not shrink below about 2*tol1.
+    Mutant(
+        "worstcase: Brent stops at twice its tolerance",
+        "src/freqassign/worstcase.py",
+        "tol2 - 0.5 * (b - a)",
+        "2.0 * tol2 - 0.5 * (b - a)",
+        "tests/test_batched_worstcase.py::test_basin_rows_match_scipy_bounded_brent",
+    ),
     # The input checks of the public functions, one mutant each (two where a
     # check tests two things).
     Mutant(
