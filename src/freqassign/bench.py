@@ -215,11 +215,7 @@ class BenchReport:
         for scheme in SCHEMES:
             row = [self.config.n_users, self.config.n_freqs, scheme, f"{self.mean_db[scheme]:.6g}"]
             if scheme == "greedy":
-                row += [
-                    f"{self.greedy_time_s['mean']:.6g}",
-                    f"{self.greedy_time_s['min']:.6g}",
-                    f"{self.greedy_time_s['max']:.6g}",
-                ]
+                row += [f"{self.greedy_time_s[stat]:.6g}" for stat in ("mean", "min", "max")]
             else:
                 row += ["", "", ""]
             writer.writerow(row)

@@ -11,19 +11,21 @@ worst case already carries the power split between the carriers.
 The worst cases come from :func:`freqassign.worstcase.worst_cases`, the
 one routine behind scalar queries and tables alike: a table is one call
 for all carriers and one for all unordered pairs, over all users, and
-only the profit arithmetic is done here.  The pair tensor is gathered from
-each user's joint profits through one index map that sends (i, j) and
-(j, i) to the same profit, so it is symmetric by construction.
+only the profit arithmetic is done here.  The joint profits stay packed
+(LAPACK's packed symmetric storage) behind an index map that makes them
+symmetric by construction; no dense (users, N, N) tensor is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import CarrierFrequency, FrequencyPair, SceneGeometry, _positive_finite
-from .worstcase import DistanceInterval, worst_case_pair, worst_case_single, worst_cases
+from .worstcase import _USER_BLOCK, DistanceInterval, worst_case_pair, worst_case_single
+from .worstcase import worst_cases
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,34 @@ def pair_profit(
     return both - single_profit(user, freq_i, system) - single_profit(user, freq_j, system)
 
 
+def _pair_index(n: int):
+    """Pairs i < j (``np.triu_indices``); map of (i, j), (j, i) to them, diagonal past them."""
+    i, j = np.triu_indices(n, k=1)
+    index = np.full((n, n), i.size)
+    index[i, j] = index[j, i] = np.arange(i.size)  # exact symmetry
+    return i, j, index
+
+
 @dataclass
 class ProfitTable:
-    """Dense per-user profit matrices for a fixed frequency list.
+    """Per-user profit matrices for a fixed frequency list.
 
     ``single[u, i]`` is the single-frequency worst case of user u on
-    frequency i; ``pair[u, i, j]`` the joint profit, laid out as
-    ``Instance.joint_profits``: exactly symmetric, unused -0.0 diagonal.
+    frequency i, ``joint[u, index[i, j]]`` the joint profit of i and j:
+    the P = N(N-1)/2 pairs in ``np.triu_indices`` order, then a -0.0 slot
+    for the diagonal.  ``pair`` is the dense ``joint[:, index]``, exactly
+    symmetric with a -0.0 diagonal, gathered when first read.
     """
 
     users: list[UserProfile]
     frequencies: list[CarrierFrequency]
     single: np.ndarray  # (K, N) watts
-    pair: np.ndarray  # (K, N, N) watts, exactly symmetric, -0.0 diagonal
+    joint: np.ndarray  # (K, P + 1) watts
+    index: np.ndarray  # (N, N) symmetric
+
+    @cached_property
+    def pair(self) -> np.ndarray:  # (K, N, N) watts
+        return self.joint[:, self.index]
 
     @property
     def n_users(self) -> int:
@@ -112,12 +129,11 @@ def build_profit_table(
     Two calls of :func:`freqassign.worstcase.worst_cases` over all users,
     one for all carriers and one for all unordered pairs, so the
     frequency-only data is computed once per table and the null basins of
-    every user are searched in one batch.  The joint profits are formed as
-    one (users, pairs + 1) array: the pairs in ``np.triu_indices`` order,
-    then a -0.0 slot.  The pair tensor is one gather from it through an
-    (N, N) index map that sends (i, j) and (j, i) to the same pair and the
-    diagonal to the -0.0 slot.  Every entry is bit-identical to the scalar
-    :func:`single_profit` / :func:`freqassign.worstcase.worst_case_pair`.
+    every user are searched in one batch.  The pair call writes its powers
+    into the packed joint profits, the one full-size array, and the singles
+    are subtracted in place, gathered block by block into one buffer.  Every
+    entry is bit-identical to the scalar :func:`single_profit` /
+    :func:`freqassign.worstcase.worst_case_pair`.
     """
     if not users:
         raise ValueError("at least one user is required")
@@ -125,14 +141,16 @@ def build_profit_table(
     if np.unique(hz).size != hz.size:
         raise ValueError("frequencies must be pairwise distinct")
     where = [(SceneGeometry(system.h_tx, user.h_rx), user.interval) for user in users]
-    i, j = np.triu_indices(hz.size, k=1)
+    i, j, index = _pair_index(hz.size)
     single = worst_cases(where, hz, None, system.p_t)[0]
-    both = worst_cases(where, np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j]), system.p_t)[0]
     joint = np.empty((len(users), i.size + 1))
     joint[:, -1] = -0.0
-    np.subtract(both, single[:, i], out=joint[:, :-1])
-    joint[:, :-1] -= single[:, j]
-    index = np.full((hz.size, hz.size), i.size)
-    index[i, j] = index[j, i] = np.arange(i.size)  # exact symmetry
-    pair = joint[:, index]
-    return ProfitTable(users=list(users), frequencies=list(freqs), single=single, pair=pair)
+    lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])
+    worst_cases(where, lo, hi, system.p_t, out=joint[:, :-1])
+    rows = max(1, _USER_BLOCK // max(1, i.size))
+    gathered = np.empty((min(rows, len(users)), i.size))
+    for start in range(0, len(users), rows):
+        part, block = joint[start : start + rows, :-1], single[start : start + rows]
+        for ends in (i, j):  # mode "clip" gathers into the buffer itself, not a copy
+            part -= np.take(block, ends, axis=1, out=gathered[: len(block)], mode="clip")
+    return ProfitTable(list(users), list(freqs), single, joint, index)

@@ -4,20 +4,22 @@ Items carry weights, knapsacks carry capacities, and profits depend on
 which knapsack receives an item: ``p[u, i]`` for item i alone and a
 symmetric joint profit ``p[u, i, j]`` when items i and j share knapsack u.
 Each unordered pair inside a knapsack counts once in the objective.  Joint
-profits may be negative; nothing here assumes otherwise.
+profits may be negative; nothing here assumes otherwise.  ``Instance``
+keeps them packed, as the profit table builds them: an (N, N) index map
+sends (i, j) and (j, i) to one profit and the diagonal to a -0.0 slot, so
+row j, a gather of N profits, is column j bit for bit and adds nothing at
+i == j.  Every solver reads through that map.
 
 The greedy constructive solver repeatedly assigns the (item, knapsack)
 combination of highest value density that still fits, then refreshes the
 densities of the remaining items against the knapsack contents.  The
 densities live in one (N, K) array.  A placement into knapsack u changes
 only column u, so each step costs one masked argmax over the N*K entries
-plus a refresh of that column: one contiguous add of N joint profits per
-item of S_u, the content of knapsack u, read in place: ``Instance``
-holds the joint profits symmetric bit for bit, so row j is column j, with
-a -0.0 diagonal, which adds nothing, so no item is sliced around.
-An exhaustive enumerator serves as the optimality oracle on
-small instances, and four baseline schemes cover the frequency-assignment
-instantiation (unit weights, capacity two).
+plus a refresh of that column: one row of N joint profits gathered and
+added per item of S_u, the content of knapsack u.  An exhaustive
+enumerator serves as the optimality oracle on small instances, and four
+baseline schemes cover the frequency-assignment instantiation (unit
+weights, capacity two).
 """
 
 from __future__ import annotations
@@ -25,50 +27,61 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .profits import ProfitTable
+from .profits import ProfitTable, _pair_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
-    """A problem instance with knapsack-dependent profits."""
+    """A problem instance with knapsack-dependent profits, the joint ones packed
+    as in :class:`freqassign.profits.ProfitTable`.  Takes dense (K, N, N) joint
+    profits, exactly symmetric, and packs them, never reading their diagonal."""
 
     weights: np.ndarray  # (N,) nonnegative
     capacities: np.ndarray  # (K,) nonnegative
     profits: np.ndarray  # (K, N)
-    joint_profits: np.ndarray  # (K, N, N) exactly symmetric, unused -0.0 diagonal
+    joint: np.ndarray  # (K, N(N-1)/2 + 1): the pairs in np.triu_indices order, then -0.0
+    index: np.ndarray  # (N, N) symmetric, the diagonal at the -0.0 slot
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "capacities", np.asarray(self.capacities, dtype=float))
-        object.__setattr__(self, "profits", np.asarray(self.profits, dtype=float))
-        object.__setattr__(
-            self, "joint_profits", np.asarray(self.joint_profits, dtype=float)
-        )
-        n, k = self.n_items, self.n_knapsacks
-        for name in ("weights", "capacities", "profits", "joint_profits"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if np.any(self.weights < 0) or np.any(self.capacities < 0):
-            raise ValueError("weights and capacities must be nonnegative")
-        if self.profits.shape != (k, n):
-            raise ValueError("profits must have shape (n_knapsacks, n_items)")
-        if self.joint_profits.shape != (k, n, n):
+    def __init__(self, weights, capacities, profits, joint_profits):
+        dense = np.asarray(joint_profits, dtype=float)
+        k, n = len(capacities), len(weights)
+        if not np.all(np.isfinite(dense)):  # the diagonal too, though it is never read
+            raise ValueError("joint_profits must be finite")
+        if dense.shape != (k, n, n):
             raise ValueError("joint profits must have shape (n_knapsacks, n_items, n_items)")
-        # Bit for bit, signed zeros included: the solvers read row j as column j.
-        bits = self.joint_profits.view(np.int64)
+        # Bit for bit, signed zeros included: packing keeps one of (i, j) and (j, i).
+        bits = dense.view(np.int64)
         if not np.array_equal(bits, bits.transpose(0, 2, 1)):
             raise ValueError("joint profits must be exactly symmetric in the item indices")
-        # The solvers add whole rows, diagonal included, and -0.0 adds nothing
-        # bit for bit.  A profit table's tensor has it already and is kept;
-        # any other diagonal is set on a copy, never on the caller's array.
-        diag = np.arange(n)
-        if not np.all(bits[:, diag, diag] == np.float64(-0.0).view(np.int64)):
-            joint = self.joint_profits.copy()
-            joint[:, diag, diag] = -0.0
-            object.__setattr__(self, "joint_profits", joint)
+        i, j, index = _pair_index(n)
+        self._setup(weights, capacities, profits, np.c_[dense[:, i, j], np.full(k, -0.0)], index)
+
+    def _setup(self, weights, capacities, profits, joint, index) -> "Instance":
+        for name, value in zip(self.__annotations__, (weights, capacities, profits, joint)):
+            value = np.asarray(value, dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name.replace('joint', 'joint_profits')} must be finite")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "index", index)
+        if np.any(self.weights < 0) or np.any(self.capacities < 0):
+            raise ValueError("weights and capacities must be nonnegative")
+        if self.profits.shape != (self.n_knapsacks, self.n_items):
+            raise ValueError("profits must have shape (n_knapsacks, n_items)")
+        # The solvers read row j as column j and add its -0.0 at i == j.
+        if not (np.array_equal(index, index.T) and np.all(index.diagonal() == joint.shape[1] - 1)):
+            raise ValueError("the index map must be symmetric, its diagonal at the last slot")
+        if not np.all(self.joint[:, -1].view(np.int64) == np.float64(-0.0).view(np.int64)):
+            raise ValueError("the last joint profit slot must hold -0.0")
+        return self
+
+    @cached_property
+    def joint_profits(self) -> np.ndarray:
+        """Dense (K, N, N) ``joint[:, index]``, gathered when first read."""
+        return self.joint[:, self.index]
 
     @property
     def n_items(self) -> int:
@@ -80,13 +93,11 @@ class Instance:
 
     @classmethod
     def from_profit_table(cls, table: ProfitTable) -> "Instance":
-        """Frequency instantiation: unit weights, capacity two per user."""
-        return cls(
-            weights=np.ones(table.n_frequencies),
-            capacities=np.full(table.n_users, 2.0),
-            profits=table.single,  # neither is a copy: the solvers only read them
-            joint_profits=table.pair,  # kept: symmetric, -0.0 diagonal as built
-        )
+        """Frequency instantiation: unit weights, capacity two per user.  The
+        table's arrays are read in place: symmetric by construction, so no
+        copy and no symmetry scan."""
+        weights, capacities = np.ones(table.n_frequencies), np.full(table.n_users, 2.0)
+        return cls.__new__(cls)._setup(weights, capacities, table.single, table.joint, table.index)
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,7 @@ def knapsack_profit(instance: Instance, u: int, items) -> float:
     items = sorted(items)
     total = sum(instance.profits[u, i] for i in items)
     for a, b in itertools.combinations(items, 2):
-        total += instance.joint_profits[u, a, b]
+        total += instance.joint[u, instance.index[a, b]]
     return float(total)
 
 
@@ -156,23 +167,22 @@ def value_density(instance: Instance, u: int, i: int, context) -> float:
     total = instance.profits[u, i]
     for j in context:
         if j != i:
-            total += instance.joint_profits[u, i, j]
+            total += instance.joint[u, instance.index[i, j]]
     return float(total / w)
 
 
-def _profit_sums(profits: np.ndarray, joint: np.ndarray, context) -> np.ndarray:
-    """``profits[..., i] + sum_{j in context, j != i} joint[..., i, j]`` for every item i.
+def _profit_sums(profits: np.ndarray, joint: np.ndarray, index: np.ndarray, context) -> np.ndarray:
+    """``profits[..., i] + sum_{j in context, j != i} jp[..., i, j]`` for every item i.
 
-    ``joint`` is laid out as ``Instance.joint_profits``, so each context item
-    j costs one add of the contiguous row j, which equals column j, in the
-    context's iteration order: the same additions, in the same order, that
-    ``value_density`` makes for each entry, so the sums agree bit for bit.
-    The ``j == i`` term adds the -0.0 of the diagonal, and x + (-0.0) == x
-    for every x, -0.0 included.
+    Each context item j costs one gather of row j, ``joint[..., index[j]]``,
+    which is column j, into one buffer and one add, in the context's order:
+    the additions ``value_density`` makes, so the sums agree bit for bit.  The
+    j == i term adds the -0.0 slot, and x + (-0.0) == x for every x, -0.0 too.
     """
     total = np.array(profits, dtype=float)
+    row = np.empty_like(total)
     for j in context:
-        total += joint[..., j, :]
+        total += np.take(joint, index[j], axis=-1, out=row, mode="clip")
     return total
 
 
@@ -192,26 +202,23 @@ def greedy_construct(instance: Instance, return_trace: bool = False):
 
     The densities are one (N, K) array, equal bit for bit to
     ``value_density``.  The first placement switches every column's context
-    from the full item set to the knapsack contents, so all columns are
-    rebuilt once; after that a placement into knapsack u changes only
-    column u.  Each step therefore costs one argmax over the N*K entries,
-    masked to free items that fit, plus one column refresh of one add of N
-    joint profits per item in knapsack u (:func:`_profit_sums`).  The mask
-    of free items that fit is updated in place: row i and column u, so a
-    placed item's densities are never read again.  A row-major argmax picks
-    the first maximum, which is the tie-break above.
+    from the full item set to the knapsack contents and rebuilds all
+    columns; after that a placement into knapsack u refreshes only column u
+    (:func:`_profit_sums`).  The mask of free items that fit is updated in
+    place (row i, column u), so a placed item's densities are never read
+    again.  A row-major argmax picks the first maximum: the tie-break above.
 
     With ``return_trace`` the assigned (item, knapsack, density) steps are
     returned alongside the final assignment.
     """
     n, k = instance.n_items, instance.n_knapsacks
-    p, jp, w = instance.profits, instance.joint_profits, instance.weights
+    p, joint, index, w = instance.profits, instance.joint, instance.index, instance.weights
     if k and np.any(w == 0):
         raise ValueError("value density undefined for zero-weight items")
     contents = [set() for _ in range(k)]
     remaining = instance.capacities.copy()
     # C order, so that density.ravel() below is a view, not a copy per step.
-    density = np.divide(_profit_sums(p, jp, range(n)).T, w[:, None], out=np.empty((n, k)))
+    density = np.divide(_profit_sums(p, joint, index, range(n)).T, w[:, None], out=np.empty((n, k)))
     fits = w[:, None] <= remaining
 
     trace: list[GreedyStep] = []
@@ -226,7 +233,7 @@ def greedy_construct(instance: Instance, return_trace: bool = False):
         fits[:, u] &= w <= remaining[u]
         trace.append(GreedyStep(i, u, density[i, u]))
         for v in range(k) if len(trace) == 1 else (u,):
-            np.divide(_profit_sums(p[v], jp[v], contents[v]), w, out=density[:, v])
+            np.divide(_profit_sums(p[v], joint[v], index, contents[v]), w, out=density[:, v])
 
     result = Assignment(tuple(frozenset(s) for s in contents))
     if return_trace:
@@ -340,8 +347,8 @@ def assign_rr_profits(instance: Instance) -> Assignment:
             candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 break
-            profit_sums = _profit_sums(instance.profits[u], instance.joint_profits[u], lists[u])
-            density = profit_sums / instance.weights
+            sums = _profit_sums(instance.profits[u], instance.joint[u], instance.index, lists[u])
+            density = sums / instance.weights
             best = int(candidates[np.argmax(density[candidates])])
             lists[u].append(best)
             free[best] = False

@@ -1,23 +1,17 @@
 """Minimum receive power over a distance-uncertainty interval.
 
-The receiver sits somewhere in [d_min, d_max] but the exact distance is
-unknown.  The worst case of the single-carrier power (and of the
-two-carrier envelope bound) is attained either at an interval endpoint or
-at the largest interference null inside the interval, so it can be read
-off from three closed-form evaluations.  For a carrier pair the slow
-spacing oscillation lets the distance-dependent amplitude move the true
-minimum measurably off its null, so the null's basin is searched instead,
-by 17 samples and then bounded Brent on numpy arrays of rows.  One routine,
-:func:`worst_cases`, serves every caller: it takes a list of users
-(geometry and interval each) and a whole array of carriers or pairs,
-finds the candidates of every (user, entry) by numpy broadcasts over
-blocks of users sized to stay in cache, and searches the basins of all
-users in one batch.  Entries that have no null for the tallest user (the
-largest min(h_tx, h_rx)) have none for any user, so they are dropped from
-the null test up front, and a pair's lower endpoint where the bound falls.
-A profit table is one call for its carriers and one for its pairs; a single
-query is the same call on (1, 1) arrays.  An exhaustive phase-resolved grid
-scan doubles as an independent oracle for the claim.
+The receiver sits somewhere in [d_min, d_max].  The worst case of the
+single-carrier power (and of the two-carrier envelope bound) is attained
+at an interval endpoint or at the largest interference null inside, so it
+is read off from three closed-form evaluations.  For a carrier pair the
+slow spacing oscillation lets the amplitude move the minimum measurably off
+its null, so the null's basin is searched instead: 17 samples, then
+bounded Brent on numpy arrays of rows.  One routine, :func:`worst_cases`,
+serves every caller: a list of users (geometry and interval each) against
+an array of carriers or pairs, by broadcasts over blocks of users, with the
+basins of all users searched in one batch.  A profit table is one call for
+its carriers and one for its pairs; a single query is the same call on
+(1, 1) arrays.  An exhaustive phase-resolved grid scan is the oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +57,7 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # The locating round samples this many rows at a time, which keeps its
 # (samples, rows) temporaries small enough to stay in cache.
 _BASIN_BLOCK = 512
+_BRENT_MAXFUN = 500  # scipy's maxfun: a row not stopped after this many passes raises
 
 # The endpoint stage of worst_cases runs over blocks of users whose
 # (users, entries) temporaries hold about this many elements.
@@ -161,6 +156,7 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     on the two sample spacings around its lowest sample, seeded with that
     sample and its neighbours.  Rows iterate together as arrays, each leaving
     on scipy's stopping test, so no row depends on its batch; 0 < lo < hi.
+    A row that has not stopped after :data:`_BRENT_MAXFUN` passes raises.
     """
     xatol3 = 1e-12 * hi / 3.0
     # Per row: the lowest sample, its lower and its upper neighbour (the
@@ -197,7 +193,9 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     state = [lower[0], upper[0], near[0], w, v, e, 0.5 * e, xatol3]
     state = [s.take(rows, -1) for s in (*state, np.array(coeffs), np.array(heights))]
     out = near[0].copy()
-    while rows.size:
+    for _ in range(_BRENT_MAXFUN + 1):  # a stopping test follows each pass
+        if not rows.size:
+            break
         a, b, (x, _), *_, xatol3 = state[:8]
         xm = 0.5 * (a + b)
         tol1 = _SQRT_EPS * x + xatol3
@@ -242,41 +240,38 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
         W = np.where(better, X, np.where(shift, U, W))
         X = np.where(better, U, X)
         state = [a, b, X, W, V, e, rat, xatol3, coeffs, heights]
+    else:
+        raise RuntimeError(f"basin search still running after {_BRENT_MAXFUN} Brent passes")
     return out[1], out[0]
 
 
 def _take_lower(result, at, power, argmin) -> None:
-    """Where ``power`` undercuts ``result`` at the (user, entry) rows ``at``,
-    write it there as an interior null; ties keep the earlier candidate."""
-    best_p, best_x, kind = result
-    lower = power < best_p[at]
+    """Where ``power`` undercuts ``result`` (power, then argmin and kind if any)
+    at the rows ``at``, write it as an interior null; ties keep the earlier."""
+    lower = power < result[0][at]
     at = tuple(a[lower] for a in at)
-    best_p[at], best_x[at], kind[at] = power[lower], argmin[lower], 2
+    for a, value in zip(result, (power[lower], argmin[lower], 2)):
+        a[at] = value
 
 
 def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
-    """The endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
-    against every entry of ``batch``, written into ``out``, the users' rows
-    of the ``(power, argmin, kind)`` arrays (a pair's lower endpoint only
-    where it may win), and the null index k of each (user, entry) row that
-    has a null at or below d_max, among ``entries``.
-
-    Returns the rows ``(u, m)`` that have a null, u indexing ``users`` and m
-    the batch, and their k.
+    """Write the endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
+    against every entry of ``batch`` into ``out``, their rows of the result
+    arrays (a pair's lower endpoint only where it may win).  Returns the
+    (user, entry) rows ``(u, m)`` with a null at or below d_max among
+    ``entries``, u indexing ``users`` and m the batch, and their null index k.
     """
     rate, omega = batch.coeffs[-1][entries], batch.omega[entries]
     h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
     # Null distances fall with k, so the largest null at or below d_max has
-    # the smallest k whose phase 2*pi*k is at least the phase at d_max.  k is
-    # that phase over 2*pi, rounded up from below so that roundoff can only
-    # leave it one short, with d_k just above d_max, where d_max stands in
-    # for it and the next null down is shallower.  d_k then lies within
-    # roundoff of d_max, or up to 7e-4 relative next to the mast, where the
-    # phase and the bound are flat in d.  A row whose k exceeds its null
-    # count k_max has no null at or below d_max and is skipped.  This runs
-    # before the endpoint powers so that its temporaries are freed before
-    # those exist.
+    # the smallest k whose phase 2*pi*k is at least the phase at d_max: that
+    # phase over 2*pi, rounded up from below so that roundoff can only leave
+    # it one short, with d_k just above d_max, which then stands in for it
+    # (the next null down is shallower).  d_k lies within roundoff of d_max,
+    # or 7e-4 relative next to the mast, where phase and bound are flat in d.
+    # A row whose k exceeds its null count k_max is skipped.  This runs before
+    # the endpoint powers, so its temporaries are freed before those exist.
     k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))
     at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
     k = k[at]
@@ -306,7 +301,7 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     return at[0], entries[at[1]], k
 
 
-def worst_cases(where, f1, f2=None, p_t: float = 1.0):
+def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     """Worst cases of a batch of carriers or pairs, for every user.
 
     ``where`` lists one ``(SceneGeometry, DistanceInterval)`` per user.
@@ -315,32 +310,31 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     the pair (f1[m], f2[m]), f1 < f2, and the power is
     :func:`freqassign.channel.sum_power_lower_bound`.  A scalar is one
     entry.  Returns ``(power, argmin_distance, kind)``, each of shape
-    (users, entries), ``kind`` indexing :data:`_KINDS`.
+    (users, entries), ``kind`` indexing :data:`_KINDS`.  Given ``out``, a
+    float array of that shape, the powers are written into it and it is
+    returned alone: no argmin or kind array is formed.
 
     Candidates are both endpoints and the largest null d_k of the
     oscillation (the carrier, or the pair's spacing) inside the interval.
-    The endpoints and the null index k are broadcasts of the users'
-    heights and intervals, as (users, 1) columns, against the
-    frequency-only data built once (:func:`_batch`), run over blocks of
-    users whose (block, entries) temporaries hold about
-    :data:`_USER_BLOCK` elements, so that they stay in cache.  Entries
-    without a null even at the largest min(h_tx, h_rx) of the batch are
-    dropped from the null test first, on (entries,) arrays: the null count
-    grows with that height, so no entry dropped has a null for any user.
-    In a narrow band that is every pair.  A pair's lower endpoint is skipped
-    where it cannot win (spacing phase <= pi at d_min; :data:`_FALL_MARGIN`).
-    The null of a carrier, or the basin of a pair's null, is then computed
-    only on the (user, entry) rows that have a null, each row with its own
-    user's heights; the basins of all users are searched in one call of
-    :func:`_basin_minimum`.  Every entry is computed elementwise, so its
-    result depends neither on the rest of the batch nor on the other users.
+    The endpoints and k are broadcasts of the users' heights and intervals,
+    as (users, 1) columns, against the frequency-only data (:func:`_batch`),
+    over blocks of users whose temporaries hold about :data:`_USER_BLOCK`
+    elements, so that they stay in cache.  Entries without a null even at
+    the largest min(h_tx, h_rx) have none for any user and are dropped from
+    the null test first: in a narrow band, every pair.  A pair's lower
+    endpoint is skipped where it cannot win (:data:`_FALL_MARGIN`).  The
+    null of a carrier, or the basin of a pair's null, is computed only on
+    the rows that have one, each with its own user's heights, all basins in
+    one :func:`_basin_minimum` call.  Every entry is computed elementwise,
+    independent of the rest of the batch and of the other users.
     """
     batch = _batch(f1, f2, p_t)
     # One row per user: its heights, their cached height terms, its interval.
     users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
     top = np.minimum(users[:, 0], users[:, 1]).max()
     entries = np.flatnonzero(_k_max(top, batch.omega) >= 1.0)
-    result = tuple(np.empty((len(users), batch.omega.size), t) for t in (float, float, int))
+    shape = (len(users), batch.omega.size)
+    result = (out,) if out is not None else tuple(np.empty(shape, t) for t in (float, float, int))
     per_block = max(1, _USER_BLOCK // max(1, batch.omega.size))
     found = []
     for start in range(0, len(users), per_block):
@@ -356,7 +350,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
         # Without a null inside, the third candidate repeats d_min and ties it.
         d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
         _take_lower(result, at, batch.power(coeffs, *_ray_terms(heights, d_null)), d_null)
-        return result
+        return result if out is None else out
 
     # A pair's null d_k lies inside its basin, so the basin search stands in
     # for evaluating d_k.  The amplitude shifts the minimum off d_k towards
@@ -374,7 +368,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0):
     heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
     d_lo, d_hi = d_lo[search], d_hi[search]
     _take_lower(result, at, *_basin_minimum(heights, coeffs, d_lo, d_hi))
-    return result
+    return result if out is None else out
 
 
 def _one(result) -> WorstCaseResult:

@@ -395,6 +395,32 @@ def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
     assert np.all((lo <= basin_x) & (basin_x <= hi))
 
 
+def test_brent_passes_capped_at_maxfun(monkeypatch):
+    # The search raises once a row has had _BRENT_MAXFUN passes without
+    # stopping, rather than loop on: the cap, patched down to the passes
+    # a wideband trial needs, still lets it through, and one fewer raises.
+    where, _, _, (f1, f2), p_t = wideband_trial(0)
+    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    calls = []  # kernel calls on a row vector: the end probe, then each Brent pass
+    kernel = worstcase._lower_bound_power
+
+    def counting(c, *terms):
+        calls.append(terms[2].ndim == 1)
+        return kernel(c, *terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(worstcase, "_lower_bound_power", counting)
+        expected = worstcase._basin_minimum(heights, coeffs, lo, hi)
+    passes = sum(calls) - 1
+    assert 0 < passes < worstcase._BRENT_MAXFUN // 10
+    monkeypatch.setattr(worstcase, "_BRENT_MAXFUN", passes)
+    for got, want in zip(worstcase._basin_minimum(heights, coeffs, lo, hi), expected):
+        assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(worstcase, "_BRENT_MAXFUN", passes - 1)
+    with pytest.raises(RuntimeError, match=f"after {passes - 1} Brent passes"):
+        worstcase._basin_minimum(heights, coeffs, lo, hi)
+
+
 def _distance_at_phase(geom, pair, phase):
     """Distance at which the spacing phase of ``pair`` is ``phase``."""
     q = phase * SPEED_OF_LIGHT / pair.delta_omega

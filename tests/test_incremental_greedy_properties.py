@@ -29,7 +29,7 @@ def general_instances(draw):
 
     upper = ints(k * n * n, -6, 3).reshape(k, n, n)
     joint = np.triu(upper, 1) + np.triu(upper, 1).transpose(0, 2, 1)
-    # Any diagonal: Instance stores it as -0.0 in a copy.
+    # Any diagonal: Instance packs the off-diagonal profits and never reads it.
     joint[:, np.arange(n), np.arange(n)] = ints(k * n, -3, 3).reshape(k, n)
     return Instance(
         weights=ints(n, 1, 3),
@@ -53,7 +53,8 @@ def test_general_instances_property(instance):
 
 
 def assert_sums_match_scalar_density(instance, context):
-    matrix = _profit_sums(instance.profits, instance.joint_profits, context) / instance.weights
+    sums = _profit_sums(instance.profits, instance.joint, instance.index, context)
+    matrix = sums / instance.weights
     for u in range(instance.n_knapsacks):
         for i in range(instance.n_items):
             assert matrix[u, i].hex() == value_density(instance, u, i, context).hex()

@@ -112,18 +112,22 @@ class TestBuildProfitTable:
         assert np.array_equal(table.pair[0], table.pair[1])
 
     def test_instance_reads_the_table_in_place(self):
-        # the solvers take the pair tensor as built: -0.0 diagonal, no copy
+        # the solvers take the packed profits and their map as built, no
+        # copy, and nothing gathers the dense tensor
         rng = np.random.default_rng(47)
         table = build_profit_table(
             [random_user(rng) for _ in range(2)], random_band_freqs(rng, 3), SYSTEM
         )
-        diag = np.diagonal(table.pair, axis1=1, axis2=2)
-        assert not np.any(diag) and np.all(np.signbit(diag))
         instance = Instance.from_profit_table(table)
         assert instance.profits is table.single
-        assert instance.joint_profits is table.pair
+        assert instance.joint is table.joint and instance.index is table.index
+        assert "pair" not in vars(table)
+        assert table.joint.shape == (2, 3 + 1)
         assert np.array_equal(instance.weights, np.ones(3))
         assert np.array_equal(instance.capacities, np.full(2, 2.0))
+        diag = np.diagonal(table.pair, axis1=1, axis2=2)
+        assert not np.any(diag) and np.all(np.signbit(diag))
+        assert table.pair is table.pair  # gathered once, then kept
 
     def test_pair_tensor_exactly_symmetric(self):
         rng = np.random.default_rng(42)

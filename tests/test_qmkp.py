@@ -144,18 +144,21 @@ class TestObjective:
         assert objective(inst, a) == pytest.approx(expected, rel=1e-12)
 
     def test_solvers_leave_the_shared_table_untouched(self):
-        # the instance holds the table's arrays themselves, not copies
+        # the instance holds the table's packed arrays themselves, not copies
         rng = np.random.default_rng(8)
         users = [UserProfile(rng.uniform(1, 3), DistanceInterval(25.0, 90.0)) for _ in range(3)]
         freqs = [CarrierFrequency(float(f)) for f in np.sort(rng.uniform(2.4e9, 2.5e9, 7))]
         table = build_profit_table(users, freqs, SystemConfig(h_tx=10.0))
-        single, pair = table.single.copy(), table.pair.copy()
+        single, joint, index = table.single.copy(), table.joint.copy(), table.index.copy()
         inst = Instance.from_profit_table(table)
-        assert inst.profits is table.single and inst.joint_profits is table.pair
+        assert inst.profits is table.single
+        assert inst.joint is table.joint and inst.index is table.index
         for solve in SOLVERS.values():
             objective(inst, solve(inst, 0))
         assert table.single.tobytes() == single.tobytes()
-        assert table.pair.tobytes() == pair.tobytes()
+        assert table.joint.tobytes() == joint.tobytes()
+        assert np.array_equal(table.index, index)
+        assert "pair" not in vars(table)  # the solvers read packed rows only
 
 
 class TestValueDensity:
@@ -184,7 +187,7 @@ class TestValueDensity:
 
     def test_matrix_shape_and_empty_context(self):
         inst = random_instance(np.random.default_rng(7), 4, 3)
-        v = _profit_sums(inst.profits, inst.joint_profits, set()) / inst.weights
+        v = _profit_sums(inst.profits, inst.joint, inst.index, set()) / inst.weights
         assert v.shape == (3, 4)
         np.testing.assert_allclose(v, inst.profits)
 
@@ -476,11 +479,39 @@ class TestJointLayout:
         off = ~np.eye(4, dtype=bool)
         assert np.array_equal(inst.joint_profits[:, off].view(np.int64), joint[:, off].view(np.int64))
 
-    def test_negative_zero_diagonal_kept_without_a_copy(self):
+    def test_dense_input_packed_in_triu_order(self):
         joint = random_instance(np.random.default_rng(34), 4, 2).joint_profits.copy()
-        joint[:, np.arange(4), np.arange(4)] = -0.0
         inst = Instance(np.ones(4), np.full(2, 2.0), np.zeros((2, 4)), joint)
-        assert inst.joint_profits is joint
+        i, j = np.triu_indices(4, k=1)
+        assert inst.joint.shape == (2, i.size + 1)
+        assert np.array_equal(inst.joint[:, :-1].view(np.int64), joint[:, i, j].view(np.int64))
+        assert np.all(inst.joint[:, -1] == 0.0) and np.all(np.signbit(inst.joint[:, -1]))
+        assert np.array_equal(inst.index[i, j], np.arange(i.size))
+        assert np.array_equal(inst.index, inst.index.T)
+        assert np.all(np.diagonal(inst.index) == i.size)
+
+    @pytest.mark.parametrize(
+        "flaw, message",
+        [
+            ("asymmetric map", "index map must be symmetric"),
+            ("diagonal off the slot", "index map must be symmetric"),
+            ("+0.0 slot", "must hold -0.0"),
+        ],
+    )
+    def test_table_with_a_broken_layout_rejected(self, flaw, message):
+        # from_profit_table scans no profits for symmetry, so it checks the
+        # map and the -0.0 slot that make the packed rows symmetric instead
+        users = [UserProfile(2.0, DistanceInterval(25.0, 90.0)) for _ in range(2)]
+        freqs = [CarrierFrequency(f) for f in (2.40e9, 2.42e9, 2.45e9, 2.47e9)]
+        table = build_profit_table(users, freqs, SystemConfig(h_tx=10.0))
+        if flaw == "asymmetric map":
+            table.index[0, 1] = table.index[0, 2]
+        elif flaw == "diagonal off the slot":
+            table.index[1, 1] = 0
+        else:
+            table.joint[:, -1] = 0.0
+        with pytest.raises(ValueError, match=message):
+            Instance.from_profit_table(table)
 
     def test_nested_lists_get_a_negative_zero_diagonal(self):
         inst = Instance([1.0, 1.0], [2.0], [[1.0, 2.0]], [[[0.0, 3.0], [3.0, 0.0]]])

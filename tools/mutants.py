@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # qmkp.Instance: the joint profits as the solvers read them in place.
+    # qmkp.Instance: the packed joint profits as the solvers read them.
     Mutant(
         "qmkp: exact symmetry check dropped",
         "src/freqassign/qmkp.py",
@@ -55,29 +55,53 @@ MUTANTS = [
         "qmkp: symmetry compared as numbers, not bits",
         "src/freqassign/qmkp.py",
         "if not np.array_equal(bits, bits.transpose(0, 2, 1)):",
-        "if not np.array_equal(self.joint_profits, self.joint_profits.transpose(0, 2, 1)):",
+        "if not np.array_equal(dense, dense.transpose(0, 2, 1)):",
         "tests/test_qmkp.py::TestSerialization::test_mirrored_zeros_of_opposite_sign_rejected",
     ),
-    Mutant(
-        "qmkp: diagonal left as given",
-        "src/freqassign/qmkp.py",
-        "if not np.all(bits[:, diag, diag] == np.float64(-0.0).view(np.int64)):",
-        "if False:",
-        "tests/test_incremental_greedy_properties.py::test_general_instances_property",
-    ),
-    Mutant(
-        "qmkp: diagonal written into the caller's array",
-        "src/freqassign/qmkp.py",
-        "joint = self.joint_profits.copy()",
-        "joint = self.joint_profits",
-        "tests/test_qmkp.py::TestJointLayout::test_diagonal_stored_as_negative_zero_in_a_copy",
-    ),
+    # This and "profits: index map not mirrored" first fail the dense
+    # Instance that test_incremental_greedy_properties.py builds at import.
     Mutant(
         "qmkp: diagonal stored as +0.0",
         "src/freqassign/qmkp.py",
-        "joint[:, diag, diag] = -0.0",
-        "joint[:, diag, diag] = 0.0",
-        "tests/test_incremental_greedy_properties.py::test_signed_zero_densities_match_bitwise",
+        "np.full(k, -0.0)",
+        "np.full(k, 0.0)",
+        "tests/test_incremental_greedy_properties.py",
+    ),
+    Mutant(
+        "qmkp: index map symmetry unchecked",
+        "src/freqassign/qmkp.py",
+        "np.array_equal(index, index.T) and ",
+        "",
+        "tests/test_qmkp.py::TestJointLayout::test_table_with_a_broken_layout_rejected",
+    ),
+    Mutant(
+        "qmkp: index map diagonal unchecked",
+        "src/freqassign/qmkp.py",
+        "np.all(index.diagonal() == joint.shape[1] - 1)",
+        "True",
+        "tests/test_qmkp.py::TestJointLayout::test_table_with_a_broken_layout_rejected",
+    ),
+    Mutant(
+        "qmkp: -0.0 slot unchecked",
+        "src/freqassign/qmkp.py",
+        "if not np.all(self.joint[:, -1].view(np.int64) == np.float64(-0.0).view(np.int64)):",
+        "if False:",
+        "tests/test_qmkp.py::TestJointLayout::test_table_with_a_broken_layout_rejected",
+    ),
+    # worstcase: out= receives the powers and nothing else is formed.
+    Mutant(
+        "worstcase: out= written with the argmin and kind too",
+        "src/freqassign/worstcase.py",
+        "result = (out,) if out",
+        "result = (out, out, out) if out",
+        "tests/test_acceptance.py::test_criterion_8_benchmark_row_small",
+    ),
+    Mutant(
+        "worstcase: out= still forms argmin and kind arrays",
+        "src/freqassign/worstcase.py",
+        "result = (out,) if out",
+        "result = (out, np.empty(shape), np.empty(shape, int)) if out",
+        "tests/test_packed_profits.py::test_table_peak_memory_is_the_packed_array_and_block_buffers",
     ),
     Mutant(
         "qmkp: greedy may pick a placed item again",
@@ -91,14 +115,14 @@ MUTANTS = [
         "src/freqassign/profits.py",
         "joint[:, -1] = -0.0",
         "joint[:, -1] = 0.0",
-        "tests/test_profits.py::TestBuildProfitTable::test_instance_reads_the_table_in_place",
+        "tests/test_acceptance.py::test_criterion_7_greedy_vs_exhaustive",
     ),
     Mutant(
         "profits: index map not mirrored",
         "src/freqassign/profits.py",
         "index[i, j] = index[j, i] = np.arange(i.size)",
         "index[i, j] = np.arange(i.size)",
-        "tests/test_acceptance.py::test_criterion_7_greedy_vs_exhaustive",
+        "tests/test_incremental_greedy_properties.py",
     ),
     # channel: inputs outside the kernels' range.
     Mutant(
@@ -268,13 +292,28 @@ MUTANTS = [
     # worstcase: the basin search's Brent loop stops on scipy's test.  Its
     # killer counts the steps, since a search stopping early mostly ends on
     # the same point.  Doubling the bracket term instead (tol2 - (b - a))
-    # would never stop: the bracket does not shrink below about 2*tol1.
+    # never stops, as the bracket does not shrink below about 2*tol1, so
+    # the pass cap raises.
     Mutant(
         "worstcase: Brent stops at twice its tolerance",
         "src/freqassign/worstcase.py",
         "tol2 - 0.5 * (b - a)",
         "2.0 * tol2 - 0.5 * (b - a)",
         "tests/test_batched_worstcase.py::test_basin_rows_match_scipy_bounded_brent",
+    ),
+    Mutant(
+        "worstcase: Brent stops at its doubled bracket term",
+        "src/freqassign/worstcase.py",
+        "tol2 - 0.5 * (b - a)",
+        "tol2 - (b - a)",
+        "tests/test_acceptance.py::test_criterion_6_theorem_oracle_equivalence",
+    ),
+    Mutant(
+        "worstcase: Brent passes uncapped",
+        "src/freqassign/worstcase.py",
+        "for _ in range(_BRENT_MAXFUN + 1):",
+        "for _ in iter(int, 1):",
+        "tests/test_batched_worstcase.py::test_brent_passes_capped_at_maxfun",
     ),
     # The input checks of the public functions, one mutant each (two where a
     # check tests two things).
@@ -386,7 +425,7 @@ MUTANTS = [
     Mutant(
         "qmkp: non-finite inputs accepted",
         "src/freqassign/qmkp.py",
-        "if not np.all(np.isfinite(getattr(self, name))):",
+        "if not np.all(np.isfinite(value)):",
         "if False:",
         "tests/test_qmkp.py::TestSerialization::test_non_finite_values_rejected",
     ),
@@ -407,14 +446,14 @@ MUTANTS = [
     Mutant(
         "qmkp: profits shape unchecked",
         "src/freqassign/qmkp.py",
-        "if self.profits.shape != (k, n):",
+        "if self.profits.shape != (self.n_knapsacks, self.n_items):",
         "if False:",
         "tests/test_input_checks.py::TestInstance::test_misshaped_profits",
     ),
     Mutant(
         "qmkp: joint profits shape unchecked",
         "src/freqassign/qmkp.py",
-        "if self.joint_profits.shape != (k, n, n):",
+        "if dense.shape != (k, n, n):",
         "if False:",
         "tests/test_input_checks.py::TestInstance::test_misshaped_joint_profits",
     ),
