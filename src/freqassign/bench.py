@@ -46,7 +46,6 @@ SOLVERS = {
     "rr_block": lambda instance, seed: assign_rr_block(instance),
     "rr_profits": lambda instance, seed: assign_rr_profits(instance),
 }
-SCHEMES = tuple(SOLVERS)
 
 
 def _is_number(value) -> bool:
@@ -212,7 +211,7 @@ class BenchReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["K", "N", "scheme", "mean_db", "time_mean_s", "time_min_s", "time_max_s"])
-        for scheme in SCHEMES:
+        for scheme in SOLVERS:
             row = [self.config.n_users, self.config.n_freqs, scheme, f"{self.mean_db[scheme]:.6g}"]
             if scheme == "greedy":
                 row += [f"{self.greedy_time_s[stat]:.6g}" for stat in ("mean", "min", "max")]
@@ -242,7 +241,7 @@ def run_benchmark(config: ScenarioConfig) -> BenchReport:
         scheme: to_decibel(
             float(np.mean([r.objectives_w[scheme] for r in results])), scale
         )
-        for scheme in SCHEMES
+        for scheme in SOLVERS
     }
     times = np.array([r.greedy_time_s for r in results])
     stats = {"mean": float(times.mean()), "min": float(times.min()), "max": float(times.max())}

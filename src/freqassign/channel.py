@@ -29,7 +29,7 @@ MAX_NULLS = 10**6
 
 def _positive_finite(*values) -> bool:
     """True when every value is a finite number above zero (NaN fails)."""
-    for v in values:  # a loop, not all(): the power kernels call this per query
+    for v in values:  # a loop, not all(): the input types call this per query
         if not 0.0 < v < math.inf:
             return False
     return True
@@ -145,17 +145,12 @@ def _ray_terms(heights, d):
     return l_los, l_ref, q_num / (l_los + l_ref)
 
 
-def _checked_ray_terms(geom: SceneGeometry, d, p_t: float):
-    """Validate a power query and return its (l_los, l_ref, q)."""
-    if not _positive_finite(p_t):
-        raise ValueError("transmit power must be positive and finite")
+def _checked_ray_terms(geom: SceneGeometry, d):
+    """(l_los, l_ref, q) of :func:`_ray_terms` at ground distances d >= 0."""
     d = np.asarray(d, dtype=float)
     if (d < 0).any():
         raise ValueError("ground distance must be nonnegative")
-    l_los, l_ref, q = _ray_terms(geom._heights, d)
-    if (l_los == 0.0).any():
-        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
-    return l_los, l_ref, q
+    return _ray_terms(geom._heights, d)
 
 
 def path_lengths(geom: SceneGeometry, d) -> PathLengths:
@@ -166,11 +161,8 @@ def path_lengths(geom: SceneGeometry, d) -> PathLengths:
 
     ``d`` may be a scalar or an ndarray of ground distances in meters.
     """
-    d = np.asarray(d, dtype=float)
-    if (d < 0).any():
-        raise ValueError("ground distance must be nonnegative")
-    l_los, l_ref, _ = _ray_terms(geom._heights, d)
-    if d.ndim == 0:
+    l_los, l_ref, _ = _checked_ray_terms(geom, d)
+    if l_los.ndim == 0:
         return PathLengths(float(l_los), float(l_ref))
     return PathLengths(l_los, l_ref)
 
@@ -182,8 +174,8 @@ def path_difference(geom: SceneGeometry, d):
     the catastrophic cancellation of the direct difference once d greatly
     exceeds the antenna heights.
     """
-    lens = path_lengths(geom, d)
-    return 4.0 * geom.h_tx * geom.h_rx / (lens.l_los + lens.l_ref)
+    q = _checked_ray_terms(geom, d)[2]
+    return float(q) if q.ndim == 0 else q
 
 
 def _invert_path_difference(heights, q):
@@ -270,17 +262,6 @@ def _single_coeffs(omega, p_t: float):
     return p_t * (a * a), omega / SPEED_OF_LIGHT
 
 
-def _checked_single_coeffs(omega: float, p_t: float):
-    """:func:`_single_coeffs` of one carrier, refused when P_t*(c/(2*omega))**2
-    leaves the float range (Python floats: no numpy call per query)."""
-    coeffs = _single_coeffs(omega, p_t)
-    if not _positive_finite(coeffs[0]):
-        raise ValueError(
-            "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
-        )
-    return coeffs
-
-
 def _single_power(coeffs, l_los, l_ref, q):
     """Single-carrier power from :func:`_single_coeffs` and ray terms."""
     amplitude, rate = coeffs
@@ -322,6 +303,40 @@ def _lower_bound_power(coeffs, l_los, l_ref, q):
     return gap
 
 
+def _kernel(f1, f2, p_t: float, shares: int = 1):
+    """``(omega, coeffs, power)`` of carriers ``f1`` (``f2`` None), each sent at
+    p_t/shares, or of pairs (f1, f2), f1 < f2, sharing p_t: omega the rate of
+    the oscillation (the carrier, or the pair's spacing), power
+    :func:`_single_power` or :func:`_lower_bound_power`, coeffs its constants,
+    the last one omega / c.  Refuses a transmit power that is not positive and
+    finite, then a constant that leaves the float range: a carrier's
+    P_t*(c/(2*omega))**2, a pair's a1**2 + a2**2.  Python floats take no numpy
+    call; arrays are checked with one ``.all()``.
+    """
+    if not 0.0 < p_t < math.inf:  # NaN fails too
+        raise ValueError("transmit power must be positive and finite")
+    if f2 is None:
+        omega = TWO_PI * f1
+        coeffs, power = _single_coeffs(omega, p_t / shares), _single_power
+        v, what = coeffs[0], "carrier and transmit power put P_t*(c/(2*omega))**2"
+    else:
+        omega = TWO_PI * (f2 - f1)
+        coeffs, power = _lower_bound_coeffs(f1, f2, p_t), _lower_bound_power
+        v, what = coeffs[1], "carriers and transmit power put a1**2 + a2**2"
+    if not (0.0 < v < math.inf if type(v) is float else ((0.0 < v) & (v < math.inf)).all()):
+        raise ValueError(what + " outside the float range")
+    return omega, coeffs, power
+
+
+def _power(geom: SceneGeometry, d, kernel, other=None):
+    """Power of a :func:`_kernel` result, plus ``other``'s if given, at ground distances d [W]."""
+    terms = _checked_ray_terms(geom, d)
+    if (terms[0] == 0.0).any():
+        raise ValueError("singular geometry: d=0 with h_tx == h_rx")
+    power = kernel[2](kernel[1], *terms)
+    return power if other is None else power + other[2](other[1], *terms)
+
+
 def receive_power_single(
     geom: SceneGeometry,
     d,
@@ -349,8 +364,7 @@ def receive_power_single(
     p_t : float
         Transmit power [W].
     """
-    terms = _checked_ray_terms(geom, d, p_t)
-    return _single_power(_checked_single_coeffs(freq.omega, p_t), *terms)
+    return _power(geom, d, _kernel(freq.f, None, p_t))
 
 
 def sum_power_two(
@@ -370,10 +384,7 @@ def sum_power_two(
     :func:`receive_power_single` at omega1 plus at omega2, each at P_t/2,
     on one set of ray terms.
     """
-    terms = _checked_ray_terms(geom, d, p_t)
-    lower = _single_power(_checked_single_coeffs(pair.omega1, p_t / 2), *terms)
-    upper = _single_power(_checked_single_coeffs(pair.omega2, p_t / 2), *terms)
-    return lower + upper
+    return _power(geom, d, _kernel(pair.f1, None, p_t, 2), _kernel(pair.f2, None, p_t, 2))
 
 
 def sum_power_lower_bound(
@@ -397,11 +408,7 @@ def sum_power_lower_bound(
     evaluated as (a1+a2)*(1/l-1/lr)^2 + (2/(l*lr))*gap/((a1+a2) + sqrt(env)),
     env = (a1+a2)^2 - gap: no two large terms cancel, unlike in the form above.
     """
-    terms = _checked_ray_terms(geom, d, p_t)
-    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)
-    if not _positive_finite(coeffs[1]):  # Python floats: no numpy call per query
-        raise ValueError("carriers and transmit power put a1**2 + a2**2 outside the float range")
-    return _lower_bound_power(coeffs, *terms)
+    return _power(geom, d, _kernel(pair.f1, pair.f2, p_t))
 
 
 def envelope_identity_residual(omega1, omega2, t):

@@ -129,8 +129,9 @@ def build_profit_table(
     Two calls of :func:`freqassign.worstcase.worst_cases` over all users,
     one for all carriers and one for all unordered pairs, so the
     frequency-only data is computed once per table and the null basins of
-    every user are searched in one batch.  The pair call writes its powers
-    into the packed joint profits, the one full-size array, and the singles
+    every user are searched in one batch.  Both calls write only powers
+    (``out=``): the carriers into the (K, N) singles, the pairs into the
+    packed joint profits, the one full-size array, from which the singles
     are subtracted in place, gathered block by block into one buffer.  Every
     entry is bit-identical to the scalar :func:`single_profit` /
     :func:`freqassign.worstcase.worst_case_pair`.
@@ -142,7 +143,7 @@ def build_profit_table(
         raise ValueError("frequencies must be pairwise distinct")
     where = [(SceneGeometry(system.h_tx, user.h_rx), user.interval) for user in users]
     i, j, index = _pair_index(hz.size)
-    single = worst_cases(where, hz, None, system.p_t)[0]
+    single = worst_cases(where, hz, None, system.p_t, out=np.empty((len(users), hz.size)))
     joint = np.empty((len(users), i.size + 1))
     joint[:, -1] = -0.0
     lo, hi = np.minimum(hz[i], hz[j]), np.maximum(hz[i], hz[j])

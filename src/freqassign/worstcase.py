@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .channel import (
     SceneGeometry,
     _invert_path_difference,
     _k_max,
-    _lower_bound_coeffs,
+    _kernel,
     _lower_bound_power,
     _null_distance,
     _positive_finite,
     _ray_terms,
-    _single_coeffs,
-    _single_power,
     path_difference,
 )
 # Not used here, but kept importable from this module: the benchmark's
@@ -103,45 +101,6 @@ class WorstCaseResult:
     power: float
     argmin_distance: float
     candidate_kind: str
-
-
-class _Batch(NamedTuple):
-    """Frequency-only data of a batch of carriers or pairs, as (entries,) arrays.
-
-    Nothing here depends on the user, so :func:`worst_cases` builds it once
-    and shares it between all users.
-    """
-
-    omega: np.ndarray  # angular rate of the oscillation: the carrier, or the pair's spacing
-    coeffs: tuple  # constants of ``power``; the last one is omega / c
-    power: Callable  # _single_power or _lower_bound_power
-    q_scale: object  # c / omega for pairs, None for carriers
-
-
-def _batch(f1, f2, p_t: float) -> _Batch:
-    """Carriers ``f1`` (``f2`` None) or pairs (f1[m], f2[m]), f1 < f2, at power ``p_t``.
-
-    A scalar carrier or pair is a batch of one.
-    """
-    if not _positive_finite(p_t):
-        raise ValueError("transmit power must be positive and finite")
-    f1 = np.array(f1, dtype=float, ndmin=1)
-    if f2 is None:
-        omega = TWO_PI * f1
-        with np.errstate(over="ignore"):  # refused below instead
-            coeffs = _single_coeffs(omega, p_t)
-        if not ((0.0 < coeffs[0]) & (coeffs[0] < math.inf)).all():
-            raise ValueError(
-                "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
-            )
-        return _Batch(omega, coeffs, _single_power, None)
-    f2 = np.array(f2, dtype=float, ndmin=1)
-    omega = TWO_PI * (f2 - f1)
-    with np.errstate(over="ignore"):  # refused below instead
-        coeffs = _lower_bound_coeffs(f1, f2, p_t)
-    if not ((0.0 < coeffs[1]) & (coeffs[1] < math.inf)).all():
-        raise ValueError("carriers and transmit power put a1**2 + a2**2 outside the float range")
-    return _Batch(omega, coeffs, _lower_bound_power, SPEED_OF_LIGHT / omega)
 
 
 def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
@@ -254,14 +213,16 @@ def _take_lower(result, at, power, argmin) -> None:
         a[at] = value
 
 
-def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
+def _endpoints(kernel, pairs: bool, users: np.ndarray, entries: np.ndarray, out):
     """Write the endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
-    against every entry of ``batch`` into ``out``, their rows of the result
-    arrays (a pair's lower endpoint only where it may win).  Returns the
-    (user, entry) rows ``(u, m)`` with a null at or below d_max among
-    ``entries``, u indexing ``users`` and m the batch, and their null index k.
+    against every entry of ``kernel`` (:func:`freqassign.channel._kernel`; of
+    pairs if ``pairs``) into ``out``, their rows of the result arrays (a
+    pair's lower endpoint only where it may win).  Returns the (user, entry)
+    rows ``(u, m)`` with a null at or below d_max among ``entries``, u
+    indexing ``users`` and m the kernel's entries, and their null index k.
     """
-    rate, omega = batch.coeffs[-1][entries], batch.omega[entries]
+    omega, coeffs, power = kernel
+    rate, omega = coeffs[-1][entries], omega[entries]
     h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
     # Null distances fall with k, so the largest null at or below d_max has
@@ -276,12 +237,12 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
     at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
     k = k[at]
 
-    p_hi = batch.power(batch.coeffs, *at_max)
+    p_hi = power(coeffs, *at_max)
     at_min = _ray_terms(heights, d_min)
     cols, p_lo, at_lo = slice(None), p_hi, False  # the columns of p_lo: all, some or None
-    if batch.q_scale is not None:  # carriers cancel far out, so keep p_lo
+    if pairs:  # carriers cancel far out, so keep p_lo
         # The kernel's own product at d_min: it overflows only where the kernel would.
-        falls = (0.5 * batch.coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
+        falls = (0.5 * coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
         # Unless most pairs fall, skipping the rest costs more than it saves.
         if 2 * falls.sum() > falls.size:
             ll_min, ll_max = at_min[0] * at_min[1], at_max[0] * at_max[1]
@@ -289,7 +250,7 @@ def _endpoints(batch: _Batch, users: np.ndarray, entries: np.ndarray, out):
             falls &= ok.all() & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)
             cols = np.flatnonzero(~falls) if not falls.all() else None
     if cols is not None:
-        p_lo = batch.power([c[cols] for c in batch.coeffs], *at_min)
+        p_lo = power([c[cols] for c in coeffs], *at_min)
         if not isinstance(cols, slice):  # spread out; inf is above every p_hi skipped
             p_lo, evaluated = np.full_like(p_hi, math.inf), p_lo
             p_lo[:, cols] = evaluated
@@ -317,7 +278,8 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     Candidates are both endpoints and the largest null d_k of the
     oscillation (the carrier, or the pair's spacing) inside the interval.
     The endpoints and k are broadcasts of the users' heights and intervals,
-    as (users, 1) columns, against the frequency-only data (:func:`_batch`),
+    as (users, 1) columns, against the frequency-only data
+    (:func:`freqassign.channel._kernel`, built once for all users),
     over blocks of users whose temporaries hold about :data:`_USER_BLOCK`
     elements, so that they stay in cache.  Entries without a null even at
     the largest min(h_tx, h_rx) have none for any user and are dropped from
@@ -328,28 +290,32 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     one :func:`_basin_minimum` call.  Every entry is computed elementwise,
     independent of the rest of the batch and of the other users.
     """
-    batch = _batch(f1, f2, p_t)
+    pairs = f2 is not None
+    f1 = np.array(f1, dtype=float, ndmin=1)
+    with np.errstate(over="ignore"):  # refused by _kernel instead
+        kernel = _kernel(f1, np.array(f2, dtype=float, ndmin=1) if pairs else None, p_t)
+    omega, coeffs, power = kernel
     # One row per user: its heights, their cached height terms, its interval.
     users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
     top = np.minimum(users[:, 0], users[:, 1]).max()
-    entries = np.flatnonzero(_k_max(top, batch.omega) >= 1.0)
-    shape = (len(users), batch.omega.size)
+    entries = np.flatnonzero(_k_max(top, omega) >= 1.0)
+    shape = (len(users), omega.size)
     result = (out,) if out is not None else tuple(np.empty(shape, t) for t in (float, float, int))
-    per_block = max(1, _USER_BLOCK // max(1, batch.omega.size))
+    per_block = max(1, _USER_BLOCK // max(1, omega.size))
     found = []
     for start in range(0, len(users), per_block):
         block = slice(start, start + per_block)
-        u, m, k = _endpoints(batch, users[block], entries, [a[block] for a in result])
+        u, m, k = _endpoints(kernel, pairs, users[block], entries, [a[block] for a in result])
         found.append((u + start, m, k))
     u, m, k = (np.concatenate(a) for a in zip(*found))
     at = u, m
     h_tx, h_rx, *heights, d_min, d_max = users[u].T
-    coeffs = [a[m] for a in batch.coeffs]
-    if batch.q_scale is None:
-        d_k = _null_distance(h_tx, h_rx, batch.omega[m], k)
+    coeffs = [a[m] for a in coeffs]
+    if not pairs:
+        d_k = _null_distance(h_tx, h_rx, omega[m], k)
         # Without a null inside, the third candidate repeats d_min and ties it.
         d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
-        _take_lower(result, at, batch.power(coeffs, *_ray_terms(heights, d_null)), d_null)
+        _take_lower(result, at, power(coeffs, *_ray_terms(heights, d_null)), d_null)
         return result if out is None else out
 
     # A pair's null d_k lies inside its basin, so the basin search stands in
@@ -360,7 +326,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
     # d_lo means nothing; it then trims only the part of the basin next to
     # the mast, where 1/l^2 makes the bound fall with d.
-    q_scale = batch.q_scale[m]
+    q_scale = SPEED_OF_LIGHT / omega[m]
     d_hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
     d_lo = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)
     search = d_lo < d_hi

@@ -492,13 +492,13 @@ def test_lower_endpoint_skipped_only_where_it_cannot_win(case, monkeypatch):
         p_lo, p_hi = _lower_bound_power(coeffs, *_ray_terms(geom._heights, np.array([d_min, d_max])))
     expected = (p_lo, d_min, 0) if p_lo <= p_hi else (p_hi, d_max, 1)
     endpoint_calls = []  # the basin search calls the kernel itself
-    make_batch = worstcase._batch
+    make_kernel = worstcase._kernel
 
     def record(*args):
-        batch = make_batch(*args)
-        return batch._replace(power=lambda *a: endpoint_calls.append(1) or batch.power(*a))
+        omega, coeffs, power = make_kernel(*args)
+        return omega, coeffs, lambda *a: endpoint_calls.append(1) or power(*a)
 
-    monkeypatch.setattr(worstcase, "_batch", record)
+    monkeypatch.setattr(worstcase, "_kernel", record)
     where = [(geom, DistanceInterval(d_min, d_max))]
     with np.errstate(over="raise", invalid="raise", divide="ignore"):  # as in the CLI
         result = worst_cases(where, pair.f1, pair.f2, p_t)

@@ -12,6 +12,7 @@ import pytest
 
 from freqassign import (
     Assignment,
+    SPEED_OF_LIGHT,
     CarrierFrequency,
     DistanceInterval,
     FrequencyPair,
@@ -33,6 +34,7 @@ from freqassign import (
     worst_case_pair,
     worst_case_single,
 )
+from freqassign.worstcase import worst_cases
 
 from conftest import EX_FREQ_HIGH, EX_GEOM, EX_INTERVAL, EX_PAIR
 
@@ -162,6 +164,76 @@ def test_worst_case_names_an_invalid_transmit_power(query, p_t):
     # float range instead of the transmit power
     with pytest.raises(ValueError, match="transmit power must be positive and finite"):
         query(p_t)
+
+
+_TRANSMIT = "transmit power must be positive and finite"
+_CARRIER = "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
+_PAIR = "carriers and transmit power put a1**2 + a2**2 outside the float range"
+# From next to the lowest carrier that CarrierFrequency accepts to next to the highest.
+_EDGE_FREQS = (1.8e-147, 1e-140, 1e-67, 1.0, 2.4e9, 1e150, 2.1e153)
+_EDGE_PAIRS = [(f, 1.5 * f) for f in _EDGE_FREQS[:-1]] + [(1.8e-147, 2.4e9), (1e150, 2.1e153)]
+
+
+def _carrier_constant(f, p_t):
+    a = SPEED_OF_LIGHT / (2.0 * (2.0 * math.pi * f))
+    return p_t * (a * a)
+
+
+def _pair_constant(f1, f2, p_t):
+    scale = 0.5 * p_t * (0.5 * SPEED_OF_LIGHT) ** 2
+    a1, a2 = scale / (2.0 * math.pi * f1) ** 2, scale / (2.0 * math.pi * f2) ** 2
+    return a1 * a1 + a2 * a2
+
+
+def _expected(p_t, message, *constants):
+    if not 0.0 < p_t < math.inf:
+        return _TRANSMIT
+    return None if all(0.0 < c < math.inf for c in constants) else message
+
+
+def _refusal(query):
+    try:
+        # A numpy scalar's constant warns as it overflows, and accepted queries
+        # from about 1e76 Hz up overflow later, in the null stage: only refusals count here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            query()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["float", "numpy", "array"])
+@pytest.mark.parametrize(
+    "p_t",
+    [5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e20, 1e300,
+     1.7976931348623157e308, 0.0, -0.0, -5e-324, math.inf, -math.inf, math.nan],
+)
+def test_one_refusal_rule_for_scalar_queries_and_tables(kind, p_t):
+    # The kernels and worst_cases refuse the same inputs with the same message:
+    # the transmit power first, then the constant that can leave the float
+    # range, P_t*(c/(2*omega))**2 per carrier (at P_t/2 in sum_power_two) or a
+    # pair's a1**2 + a2**2.  At 5e-324 W the half of sum_power_two underflows
+    # to 0.0, a carrier constant of zero, although P_t itself is positive.
+    number = np.float64 if kind == "numpy" else float
+    d = np.array([30.0, 60.0, 100.0]) if kind == "array" else 60.0
+    f_of = (lambda f: np.array([f])) if kind == "array" else number
+    where, power = [(EX_GEOM, EX_INTERVAL)], number(p_t)
+    got, expected = [], []
+    for f in _EDGE_FREQS:
+        carrier = CarrierFrequency(number(f))
+        rule = _expected(p_t, _CARRIER, _carrier_constant(f, p_t))
+        got += [_refusal(lambda: receive_power_single(EX_GEOM, d, carrier, power)),
+                _refusal(lambda: worst_cases(where, f_of(f), None, power))]
+        expected += [(f, rule)] * 2
+    for f1, f2 in _EDGE_PAIRS:
+        pair = FrequencyPair(number(f1), number(f2))
+        halves = (_carrier_constant(f, p_t / 2) for f in (f1, f2))
+        got += [_refusal(lambda: sum_power_two(EX_GEOM, d, pair, power)),
+                _refusal(lambda: sum_power_lower_bound(EX_GEOM, d, pair, power)),
+                _refusal(lambda: worst_cases(where, f_of(f1), f_of(f2), power))]
+        bound = _expected(p_t, _PAIR, _pair_constant(f1, f2, p_t))
+        expected += [((f1, f2), _expected(p_t, _CARRIER, *halves))] + [((f1, f2), bound)] * 2
+    assert list(zip([f for f, _ in expected], got)) == expected
 
 
 @pytest.mark.parametrize("spacing", [0.0, -1e6])

@@ -29,7 +29,7 @@ from freqassign import (
     greedy_construct,
     value_density,
 )
-from freqassign import bench
+from freqassign import bench, profits
 from freqassign.channel import SceneGeometry
 from freqassign.qmkp import GreedyStep, _profit_sums, knapsack_profit
 from freqassign.worstcase import worst_cases
@@ -223,3 +223,20 @@ def test_trial_never_gathers_the_dense_view(monkeypatch):
     bench.run_trial(users, freqs, SystemConfig(h_tx=config.h_tx, p_t=config.p_t), random_seed=0)
     (table,) = tables
     assert "pair" not in vars(table)
+
+
+def test_table_calls_form_no_argmin_or_kind_array(monkeypatch):
+    # Both worst_cases calls of a table write powers into a given array; a
+    # call without out= forms (users, entries) argmin and kind arrays besides.
+    calls = []
+
+    def record(*args, **kwargs):
+        result = worst_cases(*args, **kwargs)
+        calls.append(kwargs.get("out") is not None and result is kwargs["out"])
+        return result
+
+    monkeypatch.setattr(profits, "worst_cases", record)
+    config = CONFIGS["wideband"]
+    users, freqs = generate_scenario(config, 0)
+    build_profit_table(users, freqs, SystemConfig(h_tx=config.h_tx, p_t=config.p_t))
+    assert calls == [True, True]
