@@ -61,13 +61,14 @@ _BRENT_MAXFUN = 500  # scipy's maxfun: a row not stopped after this many passes 
 # (users, entries) temporaries hold about this many elements.
 _USER_BLOCK = 24576
 
-# A pair's p_lo cannot win where its bound falls across [d_min, d_max].  If the
-# phase rate*q is <= pi at d_min it is throughout (q falls with d), so the gap
-# 4*a1*a2*sin(phi/2)**2 falls: the bound's radial term falls by rho**2 and its
-# gap term by rho = (l*lr)(d_max)/(l*lr)(d_min).  Rounding moves it by about
-# sqrt(3*eps) = 2.6e-8 at most (the subtraction under the root), so rho >= 1 +
-# _FALL_MARGIN gives p_lo > p_hi where p_hi is finite and it and (q/(l*lr))**2
-# are normal at d_max, lest a1+a2 (to 1e154) scale a subnormal up into a tie.
+# p_lo cannot win where the power falls across [d_min, d_max].  If the phase
+# rate*q (a carrier's, or a pair's spacing) is <= pi at d_min it is throughout
+# (q falls with d), so sin(phi/2)**2 falls: with A a carrier's P_t*(c/(2*omega))**2
+# or a pair's a1+a2, the radial term A*(q/(l*lr))**2 falls by rho**2 and the sine
+# term by rho = (l*lr)(d_max)/(l*lr)(d_min).  Rounding moves a carrier's power by a
+# few ulp and a pair's by about sqrt(3*eps) = 2.6e-8 (the subtraction under its
+# root), so rho >= 1 + _FALL_MARGIN gives p_lo > p_hi where p_hi is finite and it
+# and (q/(l*lr))**2 are normal at d_max, lest A (to 1.8e308) scale up a subnormal.
 _FALL_MARGIN = 1e-6
 _TINY = np.finfo(float).tiny
 
@@ -213,13 +214,12 @@ def _take_lower(result, at, power, argmin) -> None:
         a[at] = value
 
 
-def _endpoints(kernel, pairs: bool, users: np.ndarray, entries: np.ndarray, out):
+def _endpoints(kernel, users: np.ndarray, entries: np.ndarray, out):
     """Write the endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
-    against every entry of ``kernel`` (:func:`freqassign.channel._kernel`; of
-    pairs if ``pairs``) into ``out``, their rows of the result arrays (a
-    pair's lower endpoint only where it may win).  Returns the (user, entry)
-    rows ``(u, m)`` with a null at or below d_max among ``entries``, u
-    indexing ``users`` and m the kernel's entries, and their null index k.
+    against every entry of ``kernel`` (:func:`freqassign.channel._kernel`) into
+    ``out``, their rows of the result arrays (the lower endpoint only where it may
+    win).  Returns the rows ``(u, m)`` (u indexing ``users``, m the kernel's entries)
+    with a null at or below d_max among ``entries``, and their null index k.
     """
     omega, coeffs, power = kernel
     rate, omega = coeffs[-1][entries], omega[entries]
@@ -240,15 +240,14 @@ def _endpoints(kernel, pairs: bool, users: np.ndarray, entries: np.ndarray, out)
     p_hi = power(coeffs, *at_max)
     at_min = _ray_terms(heights, d_min)
     cols, p_lo, at_lo = slice(None), p_hi, False  # the columns of p_lo: all, some or None
-    if pairs:  # carriers cancel far out, so keep p_lo
-        # The kernel's own product at d_min: it overflows only where the kernel would.
-        falls = (0.5 * coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
-        # Unless most pairs fall, skipping the rest costs more than it saves.
-        if 2 * falls.sum() > falls.size:
-            ll_min, ll_max = at_min[0] * at_min[1], at_max[0] * at_max[1]
-            ok = (ll_max / (1.0 + _FALL_MARGIN) >= ll_min) & ((at_max[2] / ll_max) ** 2 >= _TINY)
-            falls &= ok.all() & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)
-            cols = np.flatnonzero(~falls) if not falls.all() else None
+    # The kernel's own product at d_min: it overflows only where the kernel would.
+    falls = (0.5 * coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
+    # Unless most entries fall, skipping the rest costs more than it saves.
+    if 2 * falls.sum() > falls.size:
+        ll_min, ll_max = at_min[0] * at_min[1], at_max[0] * at_max[1]
+        ok = (ll_max / (1.0 + _FALL_MARGIN) >= ll_min) & ((at_max[2] / ll_max) ** 2 >= _TINY)
+        falls &= ok.all() & (p_hi.min(axis=0) >= _TINY) & (p_hi.max(axis=0) < math.inf)
+        cols = np.flatnonzero(~falls) if not falls.all() else None
     if cols is not None:
         p_lo = power([c[cols] for c in coeffs], *at_min)
         if not isinstance(cols, slice):  # spread out; inf is above every p_hi skipped
@@ -283,11 +282,11 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     over blocks of users whose temporaries hold about :data:`_USER_BLOCK`
     elements, so that they stay in cache.  Entries without a null even at
     the largest min(h_tx, h_rx) have none for any user and are dropped from
-    the null test first: in a narrow band, every pair.  A pair's lower
-    endpoint is skipped where it cannot win (:data:`_FALL_MARGIN`).  The
-    null of a carrier, or the basin of a pair's null, is computed only on
-    the rows that have one, each with its own user's heights, all basins in
-    one :func:`_basin_minimum` call.  Every entry is computed elementwise,
+    the null test first: in a narrow band, every pair.  The lower endpoint
+    is skipped where it cannot win (:data:`_FALL_MARGIN`).  The null of a
+    carrier, or the basin of a pair's null, is computed only on the rows that
+    have one, each with its own user's heights, all basins in one
+    :func:`_basin_minimum` call.  Every entry is computed elementwise,
     independent of the rest of the batch and of the other users.
     """
     pairs = f2 is not None
@@ -305,7 +304,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     found = []
     for start in range(0, len(users), per_block):
         block = slice(start, start + per_block)
-        u, m, k = _endpoints(kernel, pairs, users[block], entries, [a[block] for a in result])
+        u, m, k = _endpoints(kernel, users[block], entries, [a[block] for a in result])
         found.append((u + start, m, k))
     u, m, k = (np.concatenate(a) for a in zip(*found))
     at = u, m

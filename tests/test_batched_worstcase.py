@@ -23,7 +23,6 @@ from freqassign import (
     grid_min,
     null_distances,
     phase_uniform_grid,
-    receive_power_single,
     sum_power_lower_bound,
     to_decibel,
     worst_case_pair,
@@ -35,7 +34,6 @@ from freqassign.channel import (
     SPEED_OF_LIGHT,
     TWO_PI,
     _invert_path_difference,
-    _lower_bound_coeffs,
     _lower_bound_power,
     _ray_terms,
 )
@@ -421,9 +419,10 @@ def test_brent_passes_capped_at_maxfun(monkeypatch):
         worstcase._basin_minimum(heights, coeffs, lo, hi)
 
 
-def _distance_at_phase(geom, pair, phase):
-    """Distance at which the spacing phase of ``pair`` is ``phase``."""
-    q = phase * SPEED_OF_LIGHT / pair.delta_omega
+def _distance_at_phase(geom, omega, phase):
+    """Distance at which the phase of the oscillation at ``omega`` (a carrier's,
+    or a pair's spacing) is ``phase``."""
+    q = phase * SPEED_OF_LIGHT / omega
     return float(_invert_path_difference(geom._heights, q))
 
 
@@ -445,17 +444,18 @@ def _first_distance_past_the_margin(geom, d_min):
 
 
 def lower_endpoint_cases():
-    """(label, geometry, d_min, d_max, pair, p_t, lower endpoint skipped)."""
+    """(label, geometry, d_min, d_max, f1, f2, p_t, lower endpoint skipped);
+    f2 None for a carrier."""
     geom = SceneGeometry(10.0, 1.5)
     pair = FrequencyPair(2.40e9, 2.45e9)
-    below_pi = _distance_at_phase(geom, pair, math.pi * (1.0 - 1e-9))
-    above_pi = _distance_at_phase(geom, pair, math.pi * (1.0 + 1e-9))
+    below_pi = _distance_at_phase(geom, pair.delta_omega, math.pi * (1.0 - 1e-9))
+    above_pi = _distance_at_phase(geom, pair.delta_omega, math.pi * (1.0 + 1e-9))
     edge = _first_distance_past_the_margin(geom, 300.0)
     # a1 ~ a2: 1 kHz apart, so env_sq = (a1 + a2)**2 - gap nearly cancels at phi = pi.
     tall, close = SceneGeometry(2e5, 1e5), FrequencyPair(2.4e9, 2.4e9 + 1e3)
-    cancel = _distance_at_phase(tall, close, math.pi * (1.0 - 1e-9))
+    cancel = _distance_at_phase(tall, close.delta_omega, math.pi * (1.0 - 1e-9))
     wide = FrequencyPair(2.4e9, 2.7e9)  # three nulls at 10/1.5 m
-    return [
+    cases = [
         ("phase-just-below-pi", geom, below_pi, 1.5 * below_pi, pair, 1.0, True),
         ("phase-just-above-pi", geom, above_pi, 1.5 * above_pi, pair, 1.0, False),
         ("degenerate", geom, 300.0, 300.0, pair, 1.0, False),
@@ -476,45 +476,70 @@ def lower_endpoint_cases():
         ("cancelling-envelope", tall, cancel, 1.2 * cancel, close, 1.0, True),
         # Past the first null: the phase falls from 1.8*pi to pi, so the bound
         # rises and the lower endpoint wins.
-        ("rising-past-a-null", geom, _distance_at_phase(geom, wide, 1.8 * math.pi),
-         _distance_at_phase(geom, wide, math.pi), wide, 1.0, False),
+        ("rising-past-a-null", geom, _distance_at_phase(geom, wide.delta_omega, 1.8 * math.pi),
+         _distance_at_phase(geom, wide.delta_omega, math.pi), wide, 1.0, False),
+    ]
+    cases = [(label, g, lo, hi, p.f1, p.f2, p_t, skip) for label, g, lo, hi, p, p_t, skip in cases]
+
+    # The same rule on the single-carrier kernel, whose phase is the carrier's.
+    omega = TWO_PI * 2.4e9
+    below_pi = _distance_at_phase(geom, omega, math.pi * (1.0 - 1e-9))
+    above_pi = _distance_at_phase(geom, omega, math.pi * (1.0 + 1e-9))
+    edge = _first_distance_past_the_margin(geom, 1000.0)  # phase 1.5 rad at 1000 m
+    return cases + [
+        (f"carrier-{label}", g, lo, hi, f, None, 1.0, skip) for label, g, lo, hi, f, skip in [
+            ("phase-just-below-pi", geom, below_pi, 1.5 * below_pi, 2.4e9, True),
+            ("phase-just-above-pi", geom, above_pi, 1.5 * above_pi, 2.4e9, False),
+            # 1 Hz far out, where the power is a normal number below 1e-22 W.
+            ("far-field-1-hz", geom, 5e6, 5e6 * (1.0 + 1e-5), 1.0, True),
+            ("degenerate", geom, 1000.0, 1000.0, 2.4e9, False),
+            ("next-float", geom, 1000.0, float(np.nextafter(1000.0, math.inf)), 2.4e9, False),
+            ("rho-just-past-margin", geom, 1000.0, edge, 2.4e9, True),
+            ("rho-just-short-of-margin", geom, 1000.0, float(np.nextafter(edge, 0.0)), 2.4e9,
+             False),
+            # 10 MHz keeps the phase below pi even at the mast, where l*lr is
+            # the same float at both ends and the power ties.
+            ("nanometres-from-the-mast", geom, 1e-9, 2e-9, 1e7, False),
+            # Both terms underflow: the power is 0.0 at both ends.
+            ("far-field-zero-power", geom, 1e100, 2e100, 2.4e9, False),
+            # P_t*(c/(2*omega))**2 ~ 5.7e294 times a subnormal (q/(l*lr))**2
+            # rounds to the same normal power at both ends although l*lr
+            # grows by 1.2e-6.
+            ("subnormal-radial-term", geom, 1e54, 1e54 * (1.0 + 6e-7), 1e-140, False),
+            # l_los is 0 and the power +inf at both ends: a tie.
+            ("equal-heights-at-1e-200", SceneGeometry(1.0, 1.0), 1e-200, 2e-200, 1e7, False),
+            # The phase falls from 1.8*pi to pi, away from the first null, so
+            # the power rises and the lower endpoint wins.
+            ("rising-past-a-null", geom, _distance_at_phase(geom, omega, 1.8 * math.pi),
+             _distance_at_phase(geom, omega, math.pi), 2.4e9, False),
+        ]
     ]
 
 
 @pytest.mark.parametrize("case", lower_endpoint_cases(), ids=lambda c: c[0])
 def test_lower_endpoint_skipped_only_where_it_cannot_win(case, monkeypatch):
-    # A pair's lower endpoint is skipped where the bound provably falls across
-    # the interval; the result stays that of both endpoints and the tie rule.
-    _, geom, d_min, d_max, pair, p_t, skipped = case
-    # sum_power_lower_bound's arithmetic, without its refusal of l_los = 0.
-    coeffs = _lower_bound_coeffs(pair.f1, pair.f2, p_t)
+    # The lower endpoint is skipped where the power provably falls across the
+    # interval; the result stays that of both endpoints and the tie rule.
+    # No case has a carrier null inside its interval.
+    _, geom, d_min, d_max, f1, f2, p_t, skipped = case
+    # The kernel's arithmetic, without _power's refusal of l_los = 0.
+    _, coeffs, power = worstcase._kernel(f1, f2, p_t)
     with np.errstate(divide="ignore"):
-        p_lo, p_hi = _lower_bound_power(coeffs, *_ray_terms(geom._heights, np.array([d_min, d_max])))
+        p_lo, p_hi = power(coeffs, *_ray_terms(geom._heights, np.array([d_min, d_max])))
     expected = (p_lo, d_min, 0) if p_lo <= p_hi else (p_hi, d_max, 1)
-    endpoint_calls = []  # the basin search calls the kernel itself
+    calls = []  # the basin search calls the pair kernel itself
     make_kernel = worstcase._kernel
 
     def record(*args):
         omega, coeffs, power = make_kernel(*args)
-        return omega, coeffs, lambda *a: endpoint_calls.append(1) or power(*a)
+        return omega, coeffs, lambda *a: calls.append(1) or power(*a)
 
     monkeypatch.setattr(worstcase, "_kernel", record)
     where = [(geom, DistanceInterval(d_min, d_max))]
     with np.errstate(over="raise", invalid="raise", divide="ignore"):  # as in the CLI
-        result = worst_cases(where, pair.f1, pair.f2, p_t)
+        result = worst_cases(where, f1, f2, p_t)
     power, argmin, kind = (a.item() for a in result)
     assert np.float64(power).view(np.int64) == np.float64(expected[0]).view(np.int64)
     assert (argmin, kind) == expected[1:]
-    assert len(endpoint_calls) == (1 if skipped else 2)
-
-
-def test_carriers_keep_their_lower_endpoint():
-    # The single-carrier kernel cancels in 1/l - 1/lr far out, so its power
-    # need not fall although the exact one does: at 1 Hz, 10/1.5 m and
-    # 5e6 m both endpoints round to the same normal power, and the tie goes
-    # to the lower endpoint.
-    geom, carrier = SceneGeometry(10.0, 1.5), CarrierFrequency(1.0)
-    iv = DistanceInterval(5e6, 5e6 * (1.0 + 1e-5))
-    p_lo, p_hi = receive_power_single(geom, np.array([iv.d_min, iv.d_max]), carrier)
-    assert p_lo == p_hi >= np.finfo(float).tiny
-    assert worst_case_single(geom, iv, carrier) == WorstCaseResult(p_lo, iv.d_min, _KINDS[0])
+    # Carriers evaluate their null candidate once more, on the rows with a null.
+    assert len(calls) == (1 if skipped else 2) + (f2 is None)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,6 +31,39 @@ TWO_PI = 2.0 * math.pi
 def random_geometry(rng):
     h_tx, h_rx = rng.uniform(1.0, 15.0, size=2)
     return SceneGeometry(h_tx, h_rx)
+
+
+# pi to 50 digits, for the 40-digit reference below.
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _decimal_sin(x):
+    """sin of a Decimal by its Taylor series, after reducing x into [-pi/2, pi/2]."""
+    n = (x / _PI).to_integral_value()
+    x -= n * _PI
+    term = total = x
+    k = 1
+    while abs(term) > abs(total) * Decimal("1e-45"):
+        term *= -x * x / ((k + 1) * (k + 2))
+        total += term
+        k += 2
+    return -total if n % 2 else total
+
+
+def reference_power_single(h_tx, h_rx, d, f, p_t=1.0):
+    """receive_power_single in 40-digit decimal arithmetic, its float inputs
+    taken as exact: P_t*(c/(2*omega))^2*((q/(l*lr))^2 + 4*sin^2(omega*q/(2c))/(l*lr))
+    with q = lr - l = 4*h_tx*h_rx/(l + lr), so that no two terms cancel."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h_tx, h_rx, d, f, p_t, c = map(Decimal, (h_tx, h_rx, d, f, p_t, SPEED_OF_LIGHT))
+        l_los = ((h_tx - h_rx) ** 2 + d * d).sqrt()
+        l_ref = ((h_tx + h_rx) ** 2 + d * d).sqrt()
+        q = 4 * h_tx * h_rx / (l_los + l_ref)
+        omega = 2 * _PI * f
+        half = _decimal_sin(omega * q / (2 * c))
+        ll = l_los * l_ref
+        return p_t * (c / (2 * omega)) ** 2 * ((q / ll) ** 2 + 4 * half * half / ll)
 
 
 def count_local_minima(geom, freq, d_lo=0.05, d_hi=5000.0, n=2_000_000):
@@ -230,6 +265,43 @@ class TestReceivePowerSingle:
         p1 = receive_power_single(EX_GEOM, 50.0, EX_FREQ_LOW, 1.0)
         p3 = receive_power_single(EX_GEOM, 50.0, EX_FREQ_LOW, 3.0)
         assert p3 == pytest.approx(3.0 * p1, rel=1e-14)
+
+    def test_accurate_at_the_nulls_and_in_the_far_field(self):
+        # Against the 40-digit reference.  Evaluated as 1/l - 1/lr and
+        # 1 - cos(phase), the kernel was off by up to 4.4e-10 within 1e-9 of a
+        # null, and returned 0 W on 420 of the 2000 far-field draws.
+        rng = np.random.default_rng(21)
+        samples = []
+        for h_rx in (1.0, 2.0, 3.0):
+            for f in (0.4e9, 1e9, 2.4e9, 3e9):
+                geom, freq = SceneGeometry(10.0, h_rx), CarrierFrequency(f)
+                d_k = null_distances(geom, freq)
+                d_k *= 1.0 + rng.uniform(-1e-9, 1e-9, d_k.size)
+                samples += [(geom, freq, d) for d in d_k]
+        n = 2000  # log-uniform far-field draws
+        h_tx, h_rx = 10.0 ** rng.uniform(-1.0, 2.0, (2, n))
+        f, d = 10.0 ** rng.uniform(6.0, 11.0, n), 10.0 ** rng.uniform(3.0, 12.0, n)
+        samples += [(SceneGeometry(*h), CarrierFrequency(f_i), d_i)
+                    for *h, f_i, d_i in zip(h_tx, h_rx, f, d)]
+        worst = 0.0
+        for geom, freq, d in samples:
+            want = reference_power_single(geom.h_tx, geom.h_rx, d, freq.f)
+            got = Decimal(receive_power_single(geom, d, freq))
+            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-12
+
+    def test_peak_memory_on_a_grid(self):
+        # The three ray terms and at most three arrays besides, computed in
+        # place: six grid-size arrays, as before the exact form.
+        d = np.linspace(1.0, 1e4, 200_000)
+        receive_power_single(EX_GEOM, d, EX_FREQ_LOW)  # imports and caches warm
+        tracemalloc.start()
+        try:
+            receive_power_single(EX_GEOM, d, EX_FREQ_LOW)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * d.nbytes, f"peak {peak / d.nbytes:.2f} grid-size arrays"
 
 
 POWER_KERNELS = [

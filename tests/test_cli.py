@@ -239,6 +239,21 @@ class TestWorstCase:
         fields = dict(line.split(": ") for line in out.strip().split("\n"))
         assert float(fields["grid_discrepancy_db"]) <= 0.01
 
+    def test_far_field_single_query_is_finite(self, capsys):
+        # The single-carrier kernel rounded to 0 W here and printed -inf dB.
+        code, out, _ = run(
+            capsys,
+            [
+                "worst-case",
+                "--htx", "10", "--hrx", "1.5", "--freq", "2e8",
+                "--dmin", "5e11", "--dmax", "1e12",
+            ],
+        )
+        assert code == 0
+        fields = dict(line.split(": ") for line in out.strip().split("\n"))
+        assert float(fields["worst_case_db"]) == pytest.approx(-456.478, abs=1e-3)
+        assert fields["candidate_kind"] == "upper_endpoint"
+
     def test_equal_pair_frequencies_name_the_cause(self, capsys):
         # two equal carriers would fail "f1 < f2"; FrequencyPair.of names
         # the cause instead

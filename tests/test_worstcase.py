@@ -146,7 +146,7 @@ class TestWorstCasePair:
             oracle = grid_min(
                 lambda d: sum_power_two(geom, d, pair),
                 iv,
-                phase_uniform_grid(geom, iv, pair.omega2),
+                phase_uniform_grid(geom, iv, CarrierFrequency(pair.f2).omega),
             )
             assert bound <= oracle.power + 1e-12
 

@@ -216,6 +216,28 @@ MUTANTS = [
         "(v < math.inf).all()",
         "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
     ),
+    # channel: the single-carrier kernel in its exact form.
+    Mutant(
+        "channel: carrier's sine term at 2*sin^2(phase/2)",
+        "src/freqassign/channel.py",
+        "power *= 4.0 * inv_ll",
+        "power *= 2.0 * inv_ll",
+        "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: carrier's sine at the full phase",
+        "src/freqassign/channel.py",
+        "power = np.sin(0.5 * rate * q)",
+        "power = np.sin(rate * q)",
+        "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: carrier's radial term not squared",
+        "src/freqassign/channel.py",
+        "    radial *= radial\n",
+        "",
+        "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
     # cli: floating-point trouble is an error line, not an inf or nan dB.
     Mutant(
         "cli: overflow not raised",
@@ -283,11 +305,11 @@ MUTANTS = [
         "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
     ),
     Mutant(
-        "worstcase: carriers skip their lower endpoint too",
+        "worstcase: carriers keep their lower endpoint",
         "src/freqassign/worstcase.py",
-        "if pairs:  # carriers",
-        "if True:  # carriers",
-        "tests/test_batched_worstcase.py::test_carriers_keep_their_lower_endpoint",
+        "if 2 * falls.sum() > falls.size:",
+        "if 2 * falls.sum() > falls.size and len(coeffs) == 4:",
+        "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
     ),
     # worstcase: the basin search's Brent loop stops on scipy's test.  Its
     # killer counts the steps, since a search stopping early mostly ends on
