@@ -215,22 +215,6 @@ def k_max(geom: SceneGeometry, freq: CarrierFrequency) -> int:
     return int(_k_max(min(geom.h_tx, geom.h_rx), freq.omega))
 
 
-def _null_distance(h_tx, h_rx, omega, k):
-    """Distance of the k-th null at angular rate omega; broadcasts over all four.
-
-    Only meaningful for 1 <= k <= k_max; see :func:`null_distances`.
-    """
-    ck = SPEED_OF_LIGHT * math.pi * k
-    w_rx = omega * h_rx
-    w_tx = omega * h_tx
-    a = ck * ck - w_rx * w_rx
-    b = ck * ck - w_tx * w_tx
-    scale = omega * SPEED_OF_LIGHT * math.pi * k
-    # Both factors are <= 0 for k <= k_max; clamp the tiny negative products
-    # that roundoff can produce right at the k_max boundary.
-    return np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))
-
-
 def null_distances(geom: SceneGeometry, freq: CarrierFrequency) -> np.ndarray:
     """Distances d_k of the receive-power minima, largest first.
 
@@ -239,13 +223,16 @@ def null_distances(geom: SceneGeometry, freq: CarrierFrequency) -> np.ndarray:
         d_k^2 = ((c*pi*k)^2 - (omega*h_rx)^2) * ((c*pi*k)^2 - (omega*h_tx)^2)
                 / (omega*c*pi*k)^2
 
-    for k = 1..k_max, of which there may be at most :data:`MAX_NULLS`.
+    for k = 1..k_max, of which there may be at most :data:`MAX_NULLS`.  It is
+    computed as :func:`_invert_path_difference` of the path difference
+    q = 2*pi*k*c/omega, which forms no power of omega and so stays finite over
+    the whole range of :class:`CarrierFrequency`.
     """
     count = k_max(geom, freq)
     if count > MAX_NULLS:
         raise ValueError(f"{count} interference minima; at most {MAX_NULLS} are listed")
     k = np.arange(1, count + 1, dtype=float)
-    return _null_distance(geom.h_tx, geom.h_rx, freq.omega, k)
+    return _invert_path_difference(geom._heights, TWO_PI * k * (SPEED_OF_LIGHT / freq.omega))
 
 
 def _single_coeffs(omega, p_t: float):

@@ -66,6 +66,18 @@ def reference_power_single(h_tx, h_rx, d, f, p_t=1.0):
         return p_t * (c / (2 * omega)) ** 2 * ((q / ll) ** 2 + 4 * half * half / ll)
 
 
+def reference_null(h_tx, h_rx, f, k):
+    """(d_k, l_ref at d_k) of the k-th null in 40-digit decimal arithmetic, the
+    float inputs taken as exact: with s = q/2 at the null's path difference
+    q = 2*pi*k*c/omega = k*c/f, d_k^2 = (s^2 - h_rx^2)*(s^2 - h_tx^2)/s^2."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h_tx, h_rx, f, c = map(Decimal, (h_tx, h_rx, f, SPEED_OF_LIGHT))
+        s_sq = (k * c / (2 * f)) ** 2
+        d_sq = max((s_sq - h_rx * h_rx) * (s_sq - h_tx * h_tx) / s_sq, Decimal(0))
+        return d_sq.sqrt(), ((h_tx + h_rx) ** 2 + d_sq).sqrt()
+
+
 def count_local_minima(geom, freq, d_lo=0.05, d_hi=5000.0, n=2_000_000):
     """Independent check of k_max: count power minima on a fine grid."""
     d = np.geomspace(d_lo, d_hi, n)
@@ -217,9 +229,32 @@ class TestNullDistances:
             nulls = null_distances(geom, freq)
             assert np.all(np.isfinite(nulls))
 
+    def test_accurate_against_a_decimal_reference(self):
+        # d_k is ill-conditioned in q next to the mast, by (l_ref/d_k)^2, so the
+        # relative error is held to 4*eps times that: |got - want|*want <= 4*eps*l_ref^2.
+        rng = np.random.default_rng(23)
+        draws = [(*rng.uniform(1.0, 15.0, 2), rng.uniform(0.4e9, 3e9)) for _ in range(200)]
+        draws += [(*10.0 ** rng.uniform(-3.0, 5.0, 2), 10.0 ** rng.uniform(0.0, 14.0))
+                  for _ in range(1000)]
+        worst, samples = 0.0, 0
+        for h_tx, h_rx, f in draws:
+            geom, freq = SceneGeometry(h_tx, h_rx), CarrierFrequency(f)
+            count = k_max(geom, freq)
+            if not 1 <= count <= channel.MAX_NULLS:
+                continue
+            nulls = null_distances(geom, freq)
+            for k in {1, count, int(rng.integers(1, count + 1))}:
+                want, l_ref = reference_null(h_tx, h_rx, f, k)
+                error = abs(Decimal(float(nulls[k - 1])) - want) * want / (l_ref * l_ref)
+                worst = max(worst, float(error) / np.finfo(float).eps)
+                samples += 1
+        assert samples > 1000
+        assert worst <= 4.0
+
     def test_null_at_the_mast_is_zero(self):
         # one float below 33*c/(2*h_rx) the phase supremum rounds to 33 full
-        # turns, while (c*pi*33)^2 - (omega*h_rx)^2 rounds above zero
+        # turns, while the 33rd null's path difference 2*pi*33*c/omega rounds
+        # above 2*h_rx, the supremum of q
         freq = CarrierFrequency(float(np.nextafter(33 * SPEED_OF_LIGHT / 4.0, 0.0)))
         geom = SceneGeometry(10.0, 2.0)
         nulls = null_distances(geom, freq)

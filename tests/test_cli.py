@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 
 import numpy as np
@@ -294,20 +295,38 @@ def test_carrier_whose_angular_rate_overflows_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e80"],
         ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e200"],
         ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "2.4e9", "--freq2", "1e200"],
         ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e200"],
         ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e-150"],
     ],
-    ids=["null-overflows", "carrier", "pair", "power-curve", "tiny-carrier"],
+    ids=["carrier", "pair", "power-curve", "tiny-carrier"],
 )
 def test_carrier_beyond_the_kernels_float_range_exits_2(capsys, argv):
-    # 1e80 Hz overflows the null distance, and the carrier refuses 1e-150 Hz, whose
-    # (c/(2*omega))**2 is inf, and 1e200 Hz, whose (2*pi*f)**2 is: no inf or nan dB
+    # the carrier refuses 1e-150 Hz, whose (c/(2*omega))**2 is inf, and 1e200 Hz,
+    # whose (2*pi*f)**2 is: no inf or nan dB
     code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", "1.5"])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "\n" not in err.rstrip("\n")
+
+
+@pytest.mark.parametrize("freq", ["1e80", "2.1e153"])
+def test_carrier_up_to_the_highest_accepted_has_a_finite_worst_case(capsys, freq):
+    # the null distance from (c*pi*k)**2 - (omega*h)**2 overflowed from about
+    # 1e76 Hz up, and the command exited 2
+    code, out, err = run(capsys, ["worst-case", "--dmin", "30", "--dmax", "100",
+                                  "--freq", freq, "--htx", "10", "--hrx", "1.5"])
+    assert code == 0 and err == ""
+    worst_db = float(out.splitlines()[0].removeprefix("worst_case_db: "))
+    assert -math.inf < worst_db < 0.0
+
+
+def test_distance_beyond_the_kernels_float_range_exits_2(capsys):
+    # d*d overflows: without the raised overflow this printed -inf dB
+    code, out, err = run(capsys, ["worst-case", "--dmin", "1e200", "--dmax", "1e201",
+                                  "--freq", "2.4e9", "--htx", "10", "--hrx", "1.5"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: inputs beyond the float range of the two-ray kernels")
 
 
 @pytest.mark.parametrize(

@@ -193,9 +193,8 @@ def _expected(p_t, message, *constants):
 
 def _refusal(query):
     try:
-        # A numpy scalar's constant warns as it overflows, and accepted queries
-        # from about 1e76 Hz up overflow later, in the null stage: only refusals count here.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A numpy scalar's constant warns as it overflows: only refusals count here.
+        with np.errstate(over="ignore"):
             query()
     except ValueError as exc:
         return str(exc)

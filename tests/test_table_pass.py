@@ -6,7 +6,9 @@ all pairs, per user, each pair batch with its own basin search, a
 zooming grid.  Its worst-case routine, basin search and the null and
 basin-edge helpers of ``freqassign.channel`` are copied here as they were,
 so the test compares against the whole old path and a change to a shared
-helper cannot hide behind the reference.  The power kernels themselves
+helper cannot hide behind the reference.  The one exception is the null
+distance, which, as in ``src/``, now comes from the copied inverse of the
+path difference at q = 2*pi*k*c/omega.  The power kernels themselves
 are shared with ``src/``; ``tests/test_channel.py`` checks them.  The new
 table must equal the reference bit for bit, except for the pair worst
 cases that the reference's basin search set: the basin is now searched by
@@ -65,13 +67,7 @@ def _k_max(geom, omega):
 
 
 def _null_distance(geom, omega, k):
-    ck = SPEED_OF_LIGHT * math.pi * k
-    w_rx = omega * geom.h_rx
-    w_tx = omega * geom.h_tx
-    a = ck * ck - w_rx * w_rx
-    b = ck * ck - w_tx * w_tx
-    scale = omega * SPEED_OF_LIGHT * math.pi * k
-    return np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))
+    return _invert_path_difference(geom, TWO_PI * k * (SPEED_OF_LIGHT / omega))
 
 
 def _reference_ray_terms(geom, d):

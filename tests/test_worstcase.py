@@ -79,6 +79,17 @@ class TestWorstCaseSingle:
         # ties go to the lower endpoint: at 1e12 m both powers round to 0.0
         assert result.candidate_kind == (LOWER_ENDPOINT if p_lo <= p_hi else UPPER_ENDPOINT)
 
+    @pytest.mark.parametrize("f", [1e76, 1e150, 2.1e153])
+    def test_finite_up_to_the_highest_accepted_carrier(self, f):
+        # the null distance from (c*pi*k)**2 - (omega*h)**2 overflowed from
+        # about 1e76 Hz up, although CarrierFrequency accepts up to 2.1e153 Hz
+        carrier = CarrierFrequency(f)
+        with np.errstate(over="raise", invalid="raise"):
+            result = worst_case_single(EX_GEOM, EX_INTERVAL, carrier)
+        assert 0.0 < result.power < np.inf
+        assert EX_INTERVAL.contains(result.argmin_distance)
+        assert result.power == receive_power_single(EX_GEOM, result.argmin_distance, carrier)
+
     def test_endpoints_compete_without_interior_null(self):
         # every null of the low carrier sits below this interval
         iv = DistanceInterval(60.0, 100.0)

@@ -244,14 +244,29 @@ MUTANTS = [
         "src/freqassign/cli.py",
         'with np.errstate(over="raise", invalid="raise"):',
         "with np.errstate():",
-        "tests/test_cli.py::test_carrier_beyond_the_kernels_float_range_exits_2",
+        "tests/test_cli.py::test_distance_beyond_the_kernels_float_range_exits_2",
     ),
     Mutant(
         "cli: FloatingPointError not reported",
         "src/freqassign/cli.py",
         "except FloatingPointError as exc:",
         "except ZeroDivisionError as exc:",
-        "tests/test_cli.py::test_carrier_beyond_the_kernels_float_range_exits_2",
+        "tests/test_cli.py::test_distance_beyond_the_kernels_float_range_exits_2",
+    ),
+    # Every phase maps to a distance through _invert_path_difference.
+    Mutant(
+        "worstcase: carrier null at half its path difference",
+        "src/freqassign/worstcase.py",
+        "TWO_PI * k * q_scale",
+        "math.pi * k * q_scale",
+        "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: null_distances at half the path difference",
+        "src/freqassign/channel.py",
+        "TWO_PI * k * (SPEED_OF_LIGHT / freq.omega)",
+        "math.pi * k * (SPEED_OF_LIGHT / freq.omega)",
+        "tests/test_acceptance.py::test_criterion_1_null_distances",
     ),
     # worstcase: which (user, entry) rows have a null.
     Mutant(
@@ -530,9 +545,12 @@ MUTANTS = [
         "if False:",
         "tests/test_qmkp.py::TestObjective::test_infeasible_rejected",
     ),
-    # The "Pin or delete" ledger in CHANGES.md: sites (1), (3)-(10) and (14).
-    # (2), a pair's null evaluated besides its basin, and (15), the 1e-12 m
-    # floor of the basin tolerance, are deleted; (11)-(13) went earlier.
+    # The "Pin or delete" ledger in CHANGES.md: sites (1), (3), (4), (6)-(10)
+    # and (14).  (2), a pair's null evaluated besides its basin, (5), the clamp
+    # of the carrier's own null formula, and (15), the 1e-12 m floor of the
+    # basin tolerance, are deleted; (11)-(13) went earlier.
+    # Ledger 1 survives since the carrier nulls come from the inverse of the
+    # path difference: no test tells the margin from its absence (CHANGES.md).
     Mutant(
         "ledger 1: null index without the 1e-9 margin",
         "src/freqassign/worstcase.py",
@@ -545,7 +563,7 @@ MUTANTS = [
         "src/freqassign/worstcase.py",
         "k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))",
         "k = np.ceil(rate * at_max[2] / TWO_PI - 1e-9)",
-        "tests/test_worstcase.py::TestWorstCaseSingle::test_phase_at_d_max_within_the_rounding_margin",
+        "tests/test_cli.py::TestWorstCase::test_far_field_single_query_is_finite",
     ),
     Mutant(
         "ledger 4: basin samples not ending at the bracket end",
@@ -553,13 +571,6 @@ MUTANTS = [
         "        x[-1] = hi[block]\n",
         "",
         "tests/test_worstcase.py::TestBasinMinimum::test_samples_end_at_the_bracket_end",
-    ),
-    Mutant(
-        "ledger 5: null distance without the clamp at zero",
-        "src/freqassign/channel.py",
-        "np.sqrt(np.maximum(a * b, 0.0) / (scale * scale))",
-        "np.sqrt(a * b / (scale * scale))",
-        "tests/test_channel.py::TestNullDistances::test_null_at_the_mast_is_zero",
     ),
     Mutant(
         "ledger 6: inverse path difference without the clamp at zero",
