@@ -59,8 +59,8 @@ class CarrierFrequency:
     f: float
 
     def __post_init__(self):
-        # The kernels square omega, which overflows above about 2.1e153 Hz,
-        # and c/(2*omega), which overflows below about 1.8e-147 Hz.
+        # The kernels square c/(2*omega), which overflows below about 1.8e-147 Hz.
+        # No kernel squares omega; its square bounds the range above, at 2.1e153 Hz.
         omega = self.omega
         amplitude = SPEED_OF_LIGHT / (2.0 * omega) if omega else math.inf
         if not _positive_finite(self.f, omega * omega, amplitude * amplitude):
@@ -241,52 +241,46 @@ def _single_coeffs(omega, p_t: float):
     return p_t * (a * a), omega / SPEED_OF_LIGHT
 
 
+def _amplitude_bracket(amplitude, sine, scale, l_los, l_ref, q):
+    """amplitude*((q/(l*lr))**2 + scale*sine/(l*lr)), the shape of both kernels,
+    in place on ``sine``: at most three arrays beside the ray terms."""
+    inv_ll = 1.0 / (l_los * l_ref)
+    sine *= scale * inv_ll
+    radial = q * inv_ll  # 1/l - 1/lr
+    radial *= radial
+    sine += radial
+    sine *= amplitude
+    return sine
+
+
 def _single_power(coeffs, l_los, l_ref, q):
     """Single-carrier power from :func:`_single_coeffs` and ray terms."""
     amplitude, rate = coeffs
-    # In place, the sine first: at most three arrays beside the ray terms.
     power = np.sin(0.5 * rate * q)
     power *= power
-    inv_ll = 1.0 / (l_los * l_ref)
-    power *= 4.0 * inv_ll  # 2*(1 - cos(phase))/(l*lr)
-    radial = q * inv_ll  # 1/l - 1/lr
-    radial *= radial
-    power += radial
-    power *= amplitude
-    return power
+    return _amplitude_bracket(amplitude, power, 4.0, l_los, l_ref, q)  # 2*(1 - cos(phase))
 
 
 def _lower_bound_coeffs(f1, f2, p_t: float):
-    """Per-pair constants of :func:`sum_power_lower_bound`; broadcasts.
-
-    With a_i = (P_t/2)*(c/2)^2/omega_i^2 the bound reads
-    (a1 + a2)*(1/l^2 + 1/lr^2) - (2/(l*lr))*sqrt(a1^2 + a2^2 + 2*a1*a2*cos(phase)).
-    """
-    w1 = TWO_PI * f1
-    w2 = TWO_PI * f2
-    half_c = 0.5 * SPEED_OF_LIGHT
-    scale = 0.5 * p_t * (half_c * half_c)
-    a1 = scale / (w1 * w1)
-    a2 = scale / (w2 * w2)
-    return a1 + a2, a1 * a1 + a2 * a2, 2.0 * a1 * a2, TWO_PI * (f2 - f1) / SPEED_OF_LIGHT
+    """Per-pair constants (A, 1 - t**2, rate) of :func:`sum_power_lower_bound`;
+    broadcasts.  With a_i = (P_t/2)*(c/(2*omega_i))**2 and rho = (f1/f2)**2 = a2/a1:
+    A = a1 + a2 = a1*(1 + rho), t = (a1 - a2)/A and 1 - t = 2*rho/(1 + rho), so
+    (1 - t)*(1 + t) is good to a few ulp for every rho, and <= 1 in floats too;
+    1 - t*t cancels as rho falls: 3e-5 off at f2/f1 = 1e6, 0.44 at 1e8."""
+    rho = (f1 / f2) ** 2
+    one_minus_t = 2.0 * rho / (1.0 + rho)
+    amplitude = _single_coeffs(TWO_PI * f1, 0.5 * p_t)[0] * (1.0 + rho)
+    return amplitude, one_minus_t * (2.0 - one_minus_t), TWO_PI * (f2 - f1) / SPEED_OF_LIGHT
 
 
 def _lower_bound_power(coeffs, l_los, l_ref, q):
     """Envelope lower bound from :func:`_lower_bound_coeffs` and ray terms."""
-    radial_coeff, env_const, env_cross, rate = coeffs
-    inv_ll = 1.0 / (l_los * l_ref)
-    radial = q * inv_ll  # 1/l - 1/lr
-    # In place: a profit table evaluates this on its whole pair tensor.
-    gap = np.sin(0.5 * rate * q)
-    gap *= gap
-    gap *= 2.0 * env_cross
-    # env_sq >= (a1 - a2)^2 analytically; clamp fp undershoot.
-    root = np.sqrt(np.maximum(env_const + env_cross - gap, 0.0))
-    root += radial_coeff
-    gap /= root
-    gap *= 2.0 * inv_ll
-    gap += radial_coeff * (radial * radial)
-    return gap
+    amplitude, cross, rate = coeffs
+    power = np.sin(0.5 * rate * q)
+    power *= power
+    power *= cross  # g = (1 - t**2)*sin^2(phase/2) <= 1, so the root needs no clamp
+    power /= 1.0 + np.sqrt(1.0 - power)  # 1 - sqrt(1 - g), without cancelling
+    return _amplitude_bracket(amplitude, power, 2.0, l_los, l_ref, q)
 
 
 def _kernel(f1, f2, p_t: float, shares: int = 1):
@@ -294,21 +288,24 @@ def _kernel(f1, f2, p_t: float, shares: int = 1):
     p_t/shares, or of pairs (f1, f2), f1 < f2, sharing p_t: omega the rate of
     the oscillation (the carrier, or the pair's spacing), power
     :func:`_single_power` or :func:`_lower_bound_power`, coeffs its constants,
-    the last one omega / c.  Refuses a transmit power that is not positive and
-    finite, then a constant that leaves the float range: a carrier's
-    P_t*(c/(2*omega))**2, a pair's a1**2 + a2**2.  Python floats take no numpy
-    call; arrays are checked with one ``.all()``.
+    the first one the amplitude and the last one omega / c.  Refuses a transmit
+    power that is not positive and finite, then an amplitude that leaves the
+    float range: a carrier's P_t*(c/(2*omega))**2, a pair's a1 + a2.  The
+    constants are formed without numpy's overflow warning, so an overflow is
+    only the refusal, and arrays are checked with one ``.all()``.
     """
     if not 0.0 < p_t < math.inf:  # NaN fails too
         raise ValueError("transmit power must be positive and finite")
-    if f2 is None:
-        omega = TWO_PI * f1
-        coeffs, power = _single_coeffs(omega, p_t / shares), _single_power
-        v, what = coeffs[0], "carrier and transmit power put P_t*(c/(2*omega))**2"
-    else:
-        omega = TWO_PI * (f2 - f1)
-        coeffs, power = _lower_bound_coeffs(f1, f2, p_t), _lower_bound_power
-        v, what = coeffs[1], "carriers and transmit power put a1**2 + a2**2"
+    with np.errstate(over="ignore"):
+        if f2 is None:
+            omega = TWO_PI * f1
+            coeffs, power = _single_coeffs(omega, p_t / shares), _single_power
+            what = "carrier and transmit power put P_t*(c/(2*omega))**2"
+        else:
+            omega = TWO_PI * (f2 - f1)
+            coeffs, power = _lower_bound_coeffs(f1, f2, p_t), _lower_bound_power
+            what = "carriers and transmit power put a1 + a2"
+    v = coeffs[0]
     if not (0.0 < v < math.inf if type(v) is float else ((0.0 < v) & (v < math.inf)).all()):
         raise ValueError(what + " outside the float range")
     return omega, coeffs, power
@@ -391,10 +388,11 @@ def sum_power_lower_bound(
 
     In exact arithmetic it is <= sum_power_two(d) at every distance.  In floats
     it can exceed it where the carrier phases (omega_i/c)*q are large: at 1e7 m
-    heights (7.8e8 rad, whose ulp is 1.2e-7 rad) by up to 5.3e-8 relative.  With
-    a_i the two carriers' weights and gap = 4*a1*a2*sin^2(delta_omega*(lr-l)/(2c)),
-    it is evaluated as (a1+a2)*(1/l-1/lr)^2 + (2/(l*lr))*gap/((a1+a2) + sqrt(env)),
-    env = (a1+a2)^2 - gap: no two large terms cancel, unlike in the form above.
+    heights (7.8e8 rad, whose ulp is 1.2e-7 rad) by up to 5.3e-8 relative.  It
+    is evaluated in the single-carrier kernel's shape, where no terms cancel:
+    lb = A*[(1/l - 1/lr)^2 + (2/(l*lr))*g/(1 + sqrt(1 - g))], A = a1 + a2 with
+    a_i = (P_t/2)*(c/(2*omega_i))^2, g = (1 - t^2)*sin^2(delta_omega*(lr-l)/(2c))
+    and t = (a1 - a2)/A.
     """
     return _power(geom, d, _kernel(pair.f1, pair.f2, p_t))
 

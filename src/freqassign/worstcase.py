@@ -62,12 +62,14 @@ _USER_BLOCK = 24576
 
 # p_lo cannot win where the power falls across [d_min, d_max].  If the phase
 # rate*q (a carrier's, or a pair's spacing) is <= pi at d_min it is throughout
-# (q falls with d), so sin(phi/2)**2 falls: with A a carrier's P_t*(c/(2*omega))**2
-# or a pair's a1+a2, the radial term A*(q/(l*lr))**2 falls by rho**2 and the sine
-# term by rho = (l*lr)(d_max)/(l*lr)(d_min).  Rounding moves a carrier's power by a
-# few ulp and a pair's by about sqrt(3*eps) = 2.6e-8 (the subtraction under its
-# root), so rho >= 1 + _FALL_MARGIN gives p_lo > p_hi where p_hi is finite and it
-# and (q/(l*lr))**2 are normal at d_max, lest A (to 1.8e308) scale up a subnormal.
+# (q falls with d), so sin(phi/2)**2 falls: with A the kernel's amplitude, the
+# radial term A*(q/(l*lr))**2 falls by rho**2 and the sine term by
+# rho = (l*lr)(d_max)/(l*lr)(d_min).  Rounding moves a carrier's power by a few
+# ulp; a pair's 1 - g by a few eps where g = (1 - t**2)*sin^2 is near 1, so its
+# root, and the power, by up to about sqrt(3*eps) = 2.6e-8 relative, as the root
+# enters 1 + sqrt(1 - g) >= 1.  rho >= 1 + _FALL_MARGIN gives p_lo > p_hi where
+# p_hi is finite and it and (q/(l*lr))**2 are normal at d_max, lest A (to
+# 1.8e308) scale up a subnormal.
 _FALL_MARGIN = 1e-6
 _TINY = np.finfo(float).tiny
 
@@ -224,17 +226,17 @@ def _endpoints(kernel, users: np.ndarray, entries: np.ndarray, out):
     rate, omega = coeffs[-1][entries], omega[entries]
     h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
-    # Null distances fall with k, so the largest null at or below d_max has
-    # the smallest k whose phase 2*pi*k is at least the phase at d_max: that
-    # phase over 2*pi, rounded up from below so that roundoff can only leave
-    # it one short, with d_k just above d_max, which then stands in for it
-    # (the next null down is shallower).  d_k lies within roundoff of d_max,
-    # except next to the mast, where phase and bound are flat in d and d_k is
-    # good to about 2*eps*(l_ref/d_k)**2 relative: 3.6e-6 m from a 10/1.5 m
-    # mast it lies 6e-4 relative off the exact null.
-    # A row whose k exceeds its null count k_max is skipped.  This runs before
-    # the endpoint powers, so its temporaries are freed before those exist.
-    k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))
+    # Null distances fall with k, so the largest null at or below d_max has the smallest
+    # k whose phase 2*pi*k is at least the phase at d_max: that phase over 2*pi, rounded
+    # up (at least 1, for a phase that underflows to 0).  Roundoff moves k by one only
+    # where d_max lies within roundoff of a null, whose power d_max's then stands in
+    # for; the next null down, at smaller d where (q/(l*lr))**2 is larger, is no deeper.
+    # d_k is good to roundoff, except next to the mast, where phase and bound are flat
+    # in d and d_k is good to about 2*eps*(l_ref/d_k)**2 relative: 3.6e-6 m from a
+    # 10/1.5 m mast it lies 6e-4 relative off the exact null.
+    # A row whose k exceeds its null count k_max is skipped.  This runs before the
+    # endpoint powers, so its temporaries are freed before those exist.
+    k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI))
     at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
     k = k[at]
 
@@ -292,8 +294,7 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     """
     pairs = f2 is not None
     f1 = np.array(f1, dtype=float, ndmin=1)
-    with np.errstate(over="ignore"):  # refused by _kernel instead
-        kernel = _kernel(f1, np.array(f2, dtype=float, ndmin=1) if pairs else None, p_t)
+    kernel = _kernel(f1, np.array(f2, dtype=float, ndmin=1) if pairs else None, p_t)
     omega, coeffs, power = kernel
     # One row per user: its heights, their cached height terms, its interval.
     users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])

@@ -451,7 +451,7 @@ def lower_endpoint_cases():
     below_pi = _distance_at_phase(geom, pair.delta_omega, math.pi * (1.0 - 1e-9))
     above_pi = _distance_at_phase(geom, pair.delta_omega, math.pi * (1.0 + 1e-9))
     edge = _first_distance_past_the_margin(geom, 300.0)
-    # a1 ~ a2: 1 kHz apart, so env_sq = (a1 + a2)**2 - gap nearly cancels at phi = pi.
+    # a1 ~ a2: 1 kHz apart, so 1 - g = 1 - (1 - t**2)*sin^2(phi/2) nearly cancels at phi = pi.
     tall, close = SceneGeometry(2e5, 1e5), FrequencyPair(2.4e9, 2.4e9 + 1e3)
     cancel = _distance_at_phase(tall, close.delta_omega, math.pi * (1.0 - 1e-9))
     wide = FrequencyPair(2.4e9, 2.7e9)  # three nulls at 10/1.5 m
@@ -465,8 +465,9 @@ def lower_endpoint_cases():
         # l*lr is the same float at both ends: the bound ties, and the tie
         # goes to the lower endpoint.
         ("nanometres-from-the-mast", geom, 1e-9, 2e-9, pair, 1.0, False),
-        # Both endpoint powers round to 0.0 and tie.
-        ("far-field-tiny-power", geom, 1e30, 2e30, pair, 1e-150, False),
+        # Both endpoint powers round to 0.0 and tie: about 2.4e-372 W at d_min,
+        # below the least subnormal.
+        ("far-field-tiny-power", geom, 1e30, 2e30, pair, 1e-250, False),
         # (a1 + a2) ~ 5e148 times a subnormal (q/(l*lr))**2 rounds to the same
         # power at both ends although l*lr grows by 1.2e-6.
         ("subnormal-radial-term", geom, 3.189770215466338e53, 3.189772129328467e53,

@@ -27,10 +27,12 @@ from freqassign import (
     assign_rr_simple,
     build_profit_table,
     feasible,
+    grid_min,
     phase_uniform_grid,
     receive_power_single,
     sum_power_lower_bound,
     sum_power_two,
+    to_decibel,
     worst_case_pair,
     worst_case_single,
 )
@@ -94,31 +96,50 @@ def test_frequency_whose_amplitude_constant_overflows(make):
 
 
 def _pair_table(pair, p_t):
-    # the bad pair among good ones: one array check covers every entry
+    # the pair among good ones: one array check covers every entry
     freqs = [CarrierFrequency(f) for f in (pair.f1, pair.f2, 2.45e9)]
     users = [UserProfile(1.5, EX_INTERVAL), UserProfile(2.0, EX_INTERVAL)]
-    return build_profit_table(users, freqs, SystemConfig(h_tx=10.0, p_t=p_t))
+    table = build_profit_table(users, freqs, SystemConfig(h_tx=10.0, p_t=p_t))
+    assert np.all(table.single > 0.0)
+    return np.concatenate((table.single, table.joint), axis=None)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        lambda pair, p_t: sum_power_lower_bound(EX_GEOM, np.array([30.0, 100.0]), pair, p_t),
-        lambda pair, p_t: worst_case_pair(EX_GEOM, EX_INTERVAL, pair, p_t),
-        _pair_table,
-    ],
-    ids=["kernel", "worst-case", "table"],
-)
+def _pair_kernel(pair, p_t):
+    return sum_power_lower_bound(EX_GEOM, np.array([30.0, 100.0]), pair, p_t)
+
+
+def _pair_worst_case(pair, p_t):
+    power = worst_case_pair(EX_GEOM, EX_INTERVAL, pair, p_t).power
+    oracle = grid_min(lambda d: sum_power_lower_bound(EX_GEOM, d, pair, p_t), EX_INTERVAL,
+                      phase_uniform_grid(EX_GEOM, EX_INTERVAL, pair.delta_omega))
+    assert abs(to_decibel(power) - to_decibel(oracle.power)) <= 0.01
+    return power
+
+
+@pytest.mark.parametrize("query", [_pair_kernel, _pair_worst_case, _pair_table],
+                         ids=["kernel", "worst-case", "table"])
 @pytest.mark.parametrize(
     "f1, f2, p_t",
-    [(1e-100, 2e-100, 1.0), (1e-100, 2.4e9, 1.0), (2.4e9, 2.5e9, 1e300), (2.4e9, 2.5e9, 1e-300)],
-    ids=["low-pair", "one-low-carrier", "high-power", "low-power"],
+    [(1e-100, 2e-100, 1.0), (1e-100, 2.4e9, 1.0), (2.4e9, 2.5e9, 1e300), (2.4e9, 2.5e9, 1e-300),
+     (1e-100, 2e-100, 1e100), (1e150, 1.5e150, 1e-300)],
+    ids=["low-pair", "one-low-carrier", "high-power", "low-power",
+         "low-pair-high-power", "high-pair-low-power"],
 )
 def test_pair_bound_constant_outside_the_float_range(query, f1, f2, p_t):
-    # a1**2 + a2**2 with a_i = (P_t/2)*(c/(2*omega_i))**2: inf gives nan
-    # (inf - inf), 0.0 drops the bound's interference term
-    with pytest.raises(ValueError, match=r"a1\*\*2 \+ a2\*\*2 outside the float range"):
-        query(FrequencyPair(f1, f2), p_t)
+    # A = a1 + a2, a_i = (P_t/2)*(c/(2*omega_i))**2, is the bound's one constant.
+    # The first four pairs keep A in the float range and are computed.  The
+    # last two put A itself at inf and at 0.0.  A lies between half
+    # and all of the lower carrier's P_t*(c/(2*omega1))**2, so a table, which
+    # checks its carriers first, refuses those two with the carrier's message.
+    pair = FrequencyPair(f1, f2)
+    a1 = 0.5 * p_t * (SPEED_OF_LIGHT / (4.0 * math.pi * f1)) ** 2
+    if not 0.0 < a1 * (1.0 + (f1 / f2) ** 2) < math.inf:
+        which = r"P_t\*\(c/\(2\*omega\)\)\*\*2" if query is _pair_table else r"a1 \+ a2"
+        with pytest.raises(ValueError, match=which + " outside the float range"):
+            query(pair, p_t)
+        return
+    got = query(pair, p_t)
+    assert np.all(np.isfinite(got)) and (query is _pair_table or np.all(got > 0.0))
 
 
 def _carrier_table(freq, p_t):
@@ -150,6 +171,24 @@ def test_carrier_constant_outside_the_float_range(query, f, p_t):
         query(CarrierFrequency(f), p_t)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda f, p_t: receive_power_single(EX_GEOM, 60.0, CarrierFrequency(f), p_t),
+        lambda f, p_t: sum_power_lower_bound(EX_GEOM, 60.0, FrequencyPair(f, 2.0 * f), p_t),
+        lambda f, p_t: worst_case_pair(EX_GEOM, EX_INTERVAL, FrequencyPair(f, 2.0 * f), p_t),
+    ],
+    ids=["carrier-kernel", "pair-kernel", "pair-worst-case"],
+)
+def test_numpy_scalar_constant_that_overflows_raises_no_warning(query):
+    # At 1e-140 Hz and 1e20 W the kernel constant overflows on numpy scalars,
+    # which warn where Python floats do not: the refusal comes alone, so a
+    # caller that turns warnings into errors still sees the ValueError.
+    with pytest.raises(ValueError, match="outside the float range"):
+        query(np.float64(1e-140), np.float64(1e20))
+
+
 @pytest.mark.parametrize(
     "query",
     [
@@ -168,7 +207,7 @@ def test_worst_case_names_an_invalid_transmit_power(query, p_t):
 
 _TRANSMIT = "transmit power must be positive and finite"
 _CARRIER = "carrier and transmit power put P_t*(c/(2*omega))**2 outside the float range"
-_PAIR = "carriers and transmit power put a1**2 + a2**2 outside the float range"
+_PAIR = "carriers and transmit power put a1 + a2 outside the float range"
 # From next to the lowest carrier that CarrierFrequency accepts to next to the highest.
 _EDGE_FREQS = (1.8e-147, 1e-140, 1e-67, 1.0, 2.4e9, 1e150, 2.1e153)
 _EDGE_PAIRS = [(f, 1.5 * f) for f in _EDGE_FREQS[:-1]] + [(1.8e-147, 2.4e9), (1e150, 2.1e153)]
@@ -180,9 +219,8 @@ def _carrier_constant(f, p_t):
 
 
 def _pair_constant(f1, f2, p_t):
-    scale = 0.5 * p_t * (0.5 * SPEED_OF_LIGHT) ** 2
-    a1, a2 = scale / (2.0 * math.pi * f1) ** 2, scale / (2.0 * math.pi * f2) ** 2
-    return a1 * a1 + a2 * a2
+    # A = a1 + a2 = a1*(1 + (f1/f2)**2), a1 the lower carrier's constant at P_t/2
+    return _carrier_constant(f1, 0.5 * p_t) * (1.0 + (f1 / f2) ** 2)
 
 
 def _expected(p_t, message, *constants):
@@ -193,9 +231,7 @@ def _expected(p_t, message, *constants):
 
 def _refusal(query):
     try:
-        # A numpy scalar's constant warns as it overflows: only refusals count here.
-        with np.errstate(over="ignore"):
-            query()
+        query()
     except ValueError as exc:
         return str(exc)
     return None
@@ -211,8 +247,9 @@ def test_one_refusal_rule_for_scalar_queries_and_tables(kind, p_t):
     # The kernels and worst_cases refuse the same inputs with the same message:
     # the transmit power first, then the constant that can leave the float
     # range, P_t*(c/(2*omega))**2 per carrier (at P_t/2 in sum_power_two) or a
-    # pair's a1**2 + a2**2.  At 5e-324 W the half of sum_power_two underflows
-    # to 0.0, a carrier constant of zero, although P_t itself is positive.
+    # pair's a1 + a2.  At 5e-324 W the half of sum_power_two underflows to 0.0,
+    # a carrier constant of zero, although P_t itself is positive.  A numpy
+    # scalar's constant that overflows raises the refusal alone, no warning.
     number = np.float64 if kind == "numpy" else float
     d = np.array([30.0, 60.0, 100.0]) if kind == "array" else 60.0
     f_of = (lambda f: np.array([f])) if kind == "array" else number

@@ -19,7 +19,13 @@ from freqassign import (
     worst_case_single,
 )
 from freqassign.channel import _height_terms, _lower_bound_coeffs
-from freqassign.worstcase import INTERIOR_NULL, LOWER_ENDPOINT, UPPER_ENDPOINT, _basin_minimum
+from freqassign.worstcase import (
+    INTERIOR_NULL,
+    LOWER_ENDPOINT,
+    UPPER_ENDPOINT,
+    _basin_minimum,
+    worst_cases,
+)
 
 from conftest import EX_FREQ_HIGH, EX_FREQ_LOW, EX_GEOM, EX_INTERVAL, EX_PAIR
 
@@ -67,10 +73,10 @@ class TestWorstCaseSingle:
         assert result.candidate_kind == LOWER_ENDPOINT
 
     @pytest.mark.parametrize("f, d_max", [(1e3, 1e6), (2e8, 1e12)], ids=["no-null", "two-nulls"])
-    def test_phase_at_d_max_within_the_rounding_margin(self, f, d_max):
-        # the phase at d_max is below 2*pi*1e-9, so the null index would round
-        # to 0 without its floor at 1 (and divide by zero).  1 kHz has no null
-        # at 10/1.5 m and is dropped before the null index; 200 MHz has two.
+    def test_phase_at_d_max_far_below_the_first_null(self, f, d_max):
+        # the phase at d_max is below 2*pi*1e-9, so the null index is 1: 1 kHz
+        # has no null at 10/1.5 m (and is dropped before the null index), and
+        # the first of 200 MHz's two nulls lies below d_min.
         iv = DistanceInterval(d_max / 2, d_max)
         carrier = CarrierFrequency(f)
         result = worst_case_single(EX_GEOM, iv, carrier)
@@ -89,6 +95,28 @@ class TestWorstCaseSingle:
         assert 0.0 < result.power < np.inf
         assert EX_INTERVAL.contains(result.argmin_distance)
         assert result.power == receive_power_single(EX_GEOM, result.argmin_distance, carrier)
+
+    def test_null_just_inside_the_upper_endpoint(self):
+        # d_max lies 4.6e-10 of a turn below null 2, so null 3 is the last
+        # null inside; at d/lambda of about 1e9, d_max's phase 5.8e-9 rad off
+        # null 2 is far from as deep as null 3.
+        geom, carrier = SceneGeometry(1e4, 2e3), CarrierFrequency(2.4e9)
+        iv = DistanceInterval(8.0055382685168892e7, 1.6011076529602095e8)
+        result = worst_case_single(geom, iv, carrier)
+        null_3 = null_distances(geom, carrier)[2]
+        assert (result.argmin_distance, result.candidate_kind) == (null_3, INTERIOR_NULL)
+        assert result.power == receive_power_single(geom, null_3, carrier)
+        assert result.power < 0.8 * receive_power_single(geom, iv.d_max, carrier)
+
+    def test_user_whose_phase_underflows_to_zero(self):
+        # 1e-170 m antennas: 4*h_tx*h_rx, so q and the phase at d_max, are 0.0,
+        # and the null index ceil(0) is held at 1 (null 0 would divide 0 by 0).
+        # The carrier keeps its null test for the other user, who has nulls.
+        iv = DistanceInterval(30.0, 100.0)
+        where = [(EX_GEOM, iv), (SceneGeometry(1e-170, 1e-170), iv)]
+        power, argmin, kind = worst_cases(where, EX_FREQ_HIGH.f)
+        assert (power[1, 0], argmin[1, 0], kind[1, 0]) == (0.0, 30.0, 0)
+        assert power[0, 0] == worst_case_single(EX_GEOM, iv, EX_FREQ_HIGH).power
 
     def test_endpoints_compete_without_interior_null(self):
         # every null of the low carrier sits below this interval
@@ -111,6 +139,13 @@ class TestWorstCaseSingle:
 
 
 class TestWorstCasePair:
+    @pytest.mark.parametrize("f", [1e100, 1e120, 1e150])
+    def test_finite_for_very_high_carriers(self, f):
+        # A = a1 + a2, about 4e-188 to 4e-288 W, is in the float range.
+        with np.errstate(all="raise"):
+            result = worst_case_pair(EX_GEOM, EX_INTERVAL, FrequencyPair(f, 1.5 * f))
+        assert 0.0 < result.power < np.inf
+
     def test_running_example(self):
         result = worst_case_pair(EX_GEOM, EX_INTERVAL, EX_PAIR)
         assert to_decibel(result.power) == pytest.approx(-82.9, abs=0.2)

@@ -175,13 +175,6 @@ MUTANTS = [
         "tests/test_channel.py::test_transmit_power_must_be_positive_and_finite",
     ),
     Mutant(
-        "channel: pair bound's a1^2 + a2^2 unchecked by the kernel",
-        "src/freqassign/channel.py",
-        "v, what = coeffs[1], ",
-        "v, what = 1.0, ",
-        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
-    ),
-    Mutant(
         "channel: kernel constant of zero accepted on Python floats",
         "src/freqassign/channel.py",
         "0.0 < v < math.inf if type(v) is float",
@@ -189,10 +182,17 @@ MUTANTS = [
         "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
     ),
     Mutant(
-        "channel: carrier's P_t*(c/(2*omega))^2 unchecked by the kernels",
+        "channel: kernel amplitude unchecked",
         "src/freqassign/channel.py",
-        "v, what = coeffs[0], ",
-        "v, what = 1.0, ",
+        "v = coeffs[0]",
+        "v = 1.0",
+        "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
+    ),
+    Mutant(
+        "channel: numpy values warn before the refusal",
+        "src/freqassign/channel.py",
+        'with np.errstate(over="ignore"):',
+        "with np.errstate():",
         "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
     ),
     Mutant(
@@ -220,23 +220,45 @@ MUTANTS = [
     Mutant(
         "channel: carrier's sine term at 2*sin^2(phase/2)",
         "src/freqassign/channel.py",
-        "power *= 4.0 * inv_ll",
-        "power *= 2.0 * inv_ll",
+        "_amplitude_bracket(amplitude, power, 4.0,",
+        "_amplitude_bracket(amplitude, power, 2.0,",
         "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
     ),
     Mutant(
         "channel: carrier's sine at the full phase",
         "src/freqassign/channel.py",
-        "power = np.sin(0.5 * rate * q)",
-        "power = np.sin(rate * q)",
+        "amplitude, rate = coeffs\n    power = np.sin(0.5 * rate * q)",
+        "amplitude, rate = coeffs\n    power = np.sin(rate * q)",
         "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
     ),
     Mutant(
-        "channel: carrier's radial term not squared",
+        "channel: kernels' radial term not squared",
         "src/freqassign/channel.py",
         "    radial *= radial\n",
         "",
         "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
+    # channel: the pair bound in the carrier kernel's shape, A*(radial^2 + 2*(1 - sqrt(1 - g))/(l*lr)).
+    Mutant(
+        "channel: pair bound's root without 1 + in its denominator",
+        "src/freqassign/channel.py",
+        "power /= 1.0 + np.sqrt(1.0 - power)",
+        "power /= np.sqrt(1.0 - power)",
+        "tests/test_acceptance.py::test_criterion_3_two_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: pair bound's 1 - t for 1 - t^2",
+        "src/freqassign/channel.py",
+        "one_minus_t * (2.0 - one_minus_t),",
+        "one_minus_t,",
+        "tests/test_acceptance.py::test_criterion_3_two_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: pair bound's g without 1 - t^2",
+        "src/freqassign/channel.py",
+        "    power *= cross  # g",
+        "    # g",
+        "tests/test_acceptance.py::test_criterion_4_lower_bound_property",
     ),
     # cli: floating-point trouble is an error line, not an inf or nan dB.
     Mutant(
@@ -323,7 +345,7 @@ MUTANTS = [
         "worstcase: carriers keep their lower endpoint",
         "src/freqassign/worstcase.py",
         "if 2 * falls.sum() > falls.size:",
-        "if 2 * falls.sum() > falls.size and len(coeffs) == 4:",
+        "if 2 * falls.sum() > falls.size and len(coeffs) == 3:",
         "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
     ),
     # worstcase: the basin search's Brent loop stops on scipy's test.  Its
@@ -545,25 +567,24 @@ MUTANTS = [
         "if False:",
         "tests/test_qmkp.py::TestObjective::test_infeasible_rejected",
     ),
-    # The "Pin or delete" ledger in CHANGES.md: sites (1), (3), (4), (6)-(10)
-    # and (14).  (2), a pair's null evaluated besides its basin, (5), the clamp
-    # of the carrier's own null formula, and (15), the 1e-12 m floor of the
-    # basin tolerance, are deleted; (11)-(13) went earlier.
-    # Ledger 1 survives since the carrier nulls come from the inverse of the
-    # path difference: no test tells the margin from its absence (CHANGES.md).
+    # The "Pin or delete" ledger in CHANGES.md: sites (3), (4) and (6)-(10).
+    # (1), the null index's 1e-9 margin, (2), a pair's null evaluated besides
+    # its basin, (5), the clamp of the carrier's own null formula, (14), the
+    # clamp of the pair bound's root, and (15), the 1e-12 m floor of the basin
+    # tolerance, are deleted; (11)-(13) went earlier.
     Mutant(
-        "ledger 1: null index without the 1e-9 margin",
+        "worstcase: null index with a 1e-9 margin",
         "src/freqassign/worstcase.py",
-        "np.ceil(rate * at_max[2] / TWO_PI - 1e-9)",
-        "np.ceil(rate * at_max[2] / TWO_PI)",
-        "tests/test_table_pass.py::test_queries_ending_one_float_above_a_null_match_reference",
+        "np.ceil(rate * at_max[2] / TWO_PI))",
+        "np.ceil(rate * at_max[2] / TWO_PI - 1e-9))",
+        "tests/test_worstcase.py::TestWorstCaseSingle::test_null_just_inside_the_upper_endpoint",
     ),
     Mutant(
         "ledger 3: null index without the floor at 1",
         "src/freqassign/worstcase.py",
-        "k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI - 1e-9))",
-        "k = np.ceil(rate * at_max[2] / TWO_PI - 1e-9)",
-        "tests/test_cli.py::TestWorstCase::test_far_field_single_query_is_finite",
+        "k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI))",
+        "k = np.ceil(rate * at_max[2] / TWO_PI)",
+        "tests/test_worstcase.py::TestWorstCaseSingle::test_user_whose_phase_underflows_to_zero",
     ),
     Mutant(
         "ledger 4: basin samples not ending at the bracket end",
@@ -613,13 +634,6 @@ MUTANTS = [
         "        if f_a == f_b:\n            raise ValueError(\"pair requires two distinct frequencies\")\n",
         "",
         "tests/test_cli.py::TestWorstCase::test_equal_pair_frequencies_name_the_cause",
-    ),
-    Mutant(
-        "ledger 14: envelope without the clamp at zero",
-        "src/freqassign/channel.py",
-        "np.sqrt(np.maximum(env_const + env_cross - gap, 0.0))",
-        "np.sqrt(env_const + env_cross - gap)",
-        "tests/test_channel.py::TestSumPowerLowerBound::test_finite_where_the_envelope_rounds_below_zero",
     ),
 ]
 
