@@ -5,8 +5,9 @@ single-carrier power (and of the two-carrier envelope bound) is attained
 at an interval endpoint or at the largest interference null inside, so it
 is read off from three closed-form evaluations.  For a carrier pair the
 slow spacing oscillation lets the amplitude move the minimum measurably off
-its null, so the null's basin is searched instead: 17 samples, then
-bounded Brent on numpy arrays of rows.  One routine, :func:`worst_cases`,
+its null, so the null's basin is searched instead: 17 samples, then a
+bracketed Newton-secant search for the sign change of the bound's
+closed-form slope, on numpy arrays of rows.  One routine, :func:`worst_cases`,
 serves every caller: a list of users (geometry and interval each) against
 an array of carriers or pairs, by broadcasts over blocks of users, with the
 basins of all users searched in one batch.  A profit table is one call for
@@ -32,6 +33,7 @@ from .channel import (
     _k_max,
     _kernel,
     _lower_bound_power,
+    _lower_bound_slope,
     _positive_finite,
     _ray_terms,
     path_difference,
@@ -45,16 +47,18 @@ UPPER_ENDPOINT = "upper_endpoint"
 INTERIOR_NULL = "interior_null"
 _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1, 2
 
-# Basin search: _BASIN_POINTS evenly spaced samples of each bracket, then
-# bounded Brent on the two spacings around the lowest one.
+# Basin search: _BASIN_POINTS evenly spaced samples of each bracket, then a
+# search for the sign change of the bound's slope on the two spacings around
+# the lowest one.
 _BASIN_POINTS = 17
 _BASIN_STEPS = np.arange(_BASIN_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # The locating round samples this many rows at a time, which keeps its
 # (samples, rows) temporaries small enough to stay in cache.
 _BASIN_BLOCK = 512
-_BRENT_MAXFUN = 500  # scipy's maxfun: a row not stopped after this many passes raises
+# A row not stopped after this many slope passes raises.  Bisection alone
+# stops a row within 42: its bracket is at most hi wide, tol >= 1e-12*hi/3.
+_SLOPE_PASSES = 100
 
 # The endpoint stage of worst_cases runs over blocks of users whose
 # (users, entries) temporaries hold about this many elements.
@@ -113,11 +117,18 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     locating round samples every bracket at 17 evenly spaced distances, 512
     rows at a time.  A row whose lowest sample is a bracket end x, and whose
     bound rises within tol = sqrt(eps)*x + 1e-12*hi/3 of it, takes that end.
-    Every other row runs scipy's bounded Brent search (``_minimize_scalar_bounded``)
-    on the two sample spacings around its lowest sample, seeded with that
-    sample and its neighbours.  Rows iterate together as arrays, each leaving
-    on scipy's stopping test, so no row depends on its batch; 0 < lo < hi.
-    A row that has not stopped after :data:`_BRENT_MAXFUN` passes raises.
+    Every other row searches the two sample spacings around its lowest
+    sample for the sign change of the bound's slope
+    (:func:`freqassign.channel._lower_bound_slope`), one slope evaluation per
+    pass.  It starts at the vertex of the parabola through its three samples
+    and takes Newton steps, on the parabola's curvature and then on secant
+    slopes, each kept inside the bracket that the signs leave; a step out of
+    it, or not below half the step before last, is a bisection instead.  A
+    row stops once its step is within tol of its iterate, at the step's end,
+    where the bound is evaluated once; it takes that point where the bound
+    there lies below its lowest sample.  Rows iterate together as arrays,
+    each leaving in the pass that stops it, so no row depends on its batch;
+    0 < lo < hi.  A row not stopped after :data:`_SLOPE_PASSES` passes raises.
     """
     xatol3 = 1e-12 * hi / 3.0
     # Per row: the lowest sample, its lower and its upper neighbour (the
@@ -145,65 +156,56 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     settled = np.zeros(lo.size, dtype=bool)
     settled[ends] = _lower_bound_power([a[ends] for a in coeffs], *terms) >= fx[ends]
     rows = np.flatnonzero(~settled)
+    if not rows.size:  # as in every narrow-band call: the setup below costs ~60 us
+        return fx, x
 
-    # Brent's state per row: bracket [a, b]; lowest point x, second lowest w and previous
-    # w, v, each as (distance, power); step before last e and last step rat, seeded so that
-    # the first step may fit the three samples; the row's tolerance term and constants.
-    w, v = np.where(lower[1] <= upper[1], near[1:], near[:0:-1])
-    e = upper[0] - lower[0]
-    state = [lower[0], upper[0], near[0], w, v, e, 0.5 * e, xatol3]
-    state = [s.take(rows, -1) for s in (*state, np.array(coeffs), np.array(heights))]
-    out = near[0].copy()
-    for _ in range(_BRENT_MAXFUN + 1):  # a stopping test follows each pass
-        if not rows.size:
+    # Each row starts at the vertex of the parabola through its three samples,
+    # or at its bracket's middle where the vertex is not inside (at a bracket
+    # end it lies outside), with the parabola's curvature as the slope's rate.
+    (x, fx), (a, f_a), (b, f_b) = near[:, :, rows]
+    half = 0.5 * (b - a)
+    bend = f_a - 2.0 * fx + f_b  # >= 0, as fx is the lowest sample
+    shift = np.divide(0.5 * half * (f_a - f_b), bend, out=np.full_like(x, math.inf), where=bend > 0.0)
+    vertex = x + shift
+    start = np.where((a < vertex) & (vertex < b), vertex, a + half)
+    # Per row: bracket [a, b], iterate x, previous iterate and its slope (in
+    # the first pass the curvature), the lengths of the step before last and
+    # of the last step; then the row's tolerance term, constants and heights.
+    constants = np.vstack([xatol3, *coeffs, *heights])[:, rows]
+    state = np.vstack([a, b, start, start, bend / (half * half), b - a, b - a, constants])
+    at = np.arange(rows.size)  # each row's place in ``rows``
+    stops = np.empty(rows.size)
+    for n in range(_SLOPE_PASSES):
+        if not at.size:
             break
-        a, b, (x, _), *_, xatol3 = state[:8]
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * x + xatol3
-        tol2 = 2.0 * tol1
-        run = np.abs(x - xm) > tol2 - 0.5 * (b - a)
-        if not run.all():  # rows that stop leave in this pass
-            stop, run = np.flatnonzero(~run), np.flatnonzero(run)
-            out[:, rows[stop]] = state[2].take(stop, 1)
-            rows, xm, tol1, tol2, *state = (s.take(run, -1) for s in (rows, xm, tol1, tol2, *state))
-            if not rows.size:
-                break
-        a, b, X, W, V, e, rat, xatol3, coeffs, heights = state
-        (x, fx), (w, fw), (v, fv) = X, W, V
-        # The parabola through x, w and v where it falls well inside the
-        # bracket and moves less than half the step before last; otherwise
-        # a golden-section step into the larger side.
-        xw, xv, ax, bx = x - w, x - v, a - x, b - x
-        r = xw * (fx - fv)
-        q = xv * (fx - fw)
-        p = xv * q - xw * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        parabolic = (np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-        parabolic &= (p > q * ax) & (p < q * bx)
-        golden = np.where(x >= xm, ax, bx)
-        e = np.where(parabolic, rat, golden)
-        rat = np.divide(p, q, out=_GOLDEN * golden, where=parabolic)
-        xr = x + rat
-        edge = parabolic & ((xr - a < tol2) | (b - xr < tol2))
-        rat = np.where(edge, np.copysign(tol1, xm - x), rat)  # -tol1 where xm < x
-        u = x + np.where(rat < 0.0, -1.0, 1.0) * np.maximum(np.abs(rat), tol1)
-        fu = _lower_bound_power(coeffs, *_ray_terms(heights, u))
+        a, b, x, x_prev, s_prev, before_last, last, xatol3 = state[:8]
+        s = _lower_bound_slope(state[8:11], x, *_ray_terms(state[11:], x))
+        rate = (s - s_prev) / (x - x_prev) if n else s_prev
+        # The slope's sign keeps the bracket.  A Newton step on the rate (the
+        # curvature, then secant slopes) stands where it stays in the bracket
+        # and is at most half the step before last; otherwise the row bisects.
+        rises = s > 0.0
+        a, b = np.where(rises, a, x), np.where(rises, x, b)
+        step = np.divide(-s, rate, out=np.full_like(s, math.inf), where=rate > 0.0)
+        u = x + step
+        newton = (np.abs(step) <= 0.5 * before_last) & (a <= u) & (u <= b)
+        u = np.where(newton, u, 0.5 * (a + b))
+        step = np.abs(u - x)
+        stop = step <= _SQRT_EPS * x + xatol3
+        state[:7] = np.array([a, b, u, x, s, last, step])  # x and last are views of state
+        if stop.any():
+            stops[at[stop]] = u[stop]
+            keep = ~stop
+            at, state = at[keep], state[:, keep]
+    if at.size:
+        raise RuntimeError(f"basin search still running after {_SLOPE_PASSES} slope passes")
 
-        better = fu <= fx
-        shift = better | (fu <= fw) | (w == x)
-        fresh_v = (fu <= fv) | (v == x) | (v == w)  # where not shift
-        new_end = np.where(better, x, u)
-        a, b = np.where(better == (u >= x), (new_end, b), (a, new_end))
-        U = np.array([u, fu])
-        V = np.where(shift, W, np.where(fresh_v, U, V))
-        W = np.where(better, X, np.where(shift, U, W))
-        X = np.where(better, U, X)
-        state = [a, b, X, W, V, e, rat, xatol3, coeffs, heights]
-    else:
-        raise RuntimeError(f"basin search still running after {_BRENT_MAXFUN} Brent passes")
-    return out[1], out[0]
+    # A row takes the point where it stopped if the bound there undercuts its
+    # lowest sample.
+    p = _lower_bound_power(constants[1:4], *_ray_terms(constants[4:], stops))
+    lower = p < near[0, 1, rows]
+    near[0][:, rows[lower]] = stops[lower], p[lower]
+    return near[0, 1], near[0, 0]
 
 
 def _take_lower(result, at, power, argmin) -> None:
@@ -371,7 +373,8 @@ def worst_case_pair(
     and the envelope lower bound as the evaluated power.  Because the
     spacing oscillation is slow, the interior minimum can sit measurably
     off the nominal null distance, so the basin around the deepest relevant
-    null is searched in its place: 17 samples, then bounded Brent.
+    null is searched in its place: 17 samples, then a search for the sign
+    change of the bound's slope.
     """
     return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 

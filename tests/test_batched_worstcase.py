@@ -3,10 +3,9 @@
 ``reference_worst_case_pair`` is the scalar worst case as it stood before
 the batched routine: endpoint and null candidates picked one at a time,
 and the null's basin polished by scipy's bounded Brent search.  It lives
-here only as the reference of the differential test.
-``seeded_bounded_brent`` is scipy's bounded Brent loop on plain floats,
-started from a given state; the basin search's port to arrays of rows
-must take the same steps, bit for bit.
+here only as the reference of the differential test.  The basin search's
+rows are also held against scipy's bounded search on the bracket that
+their locating round leaves.
 """
 
 import math
@@ -35,6 +34,7 @@ from freqassign.channel import (
     TWO_PI,
     _invert_path_difference,
     _lower_bound_power,
+    _lower_bound_slope,
     _ray_terms,
 )
 from freqassign.worstcase import _BASIN_BLOCK, _KINDS, WorstCaseResult, worst_cases
@@ -176,8 +176,8 @@ class TestUsersIndependence:
         where, freqs, hz, (f1, f2), p_t = wideband_trial(seed)
         singles = worst_cases(where, hz, None, p_t)
         # Basin rows of all users are searched together: enough of them to
-        # span several locating blocks, and to leave Brent at different
-        # iterations.
+        # span several locating blocks, and to leave the slope search at
+        # different passes.
         pairs, (_, _, lo, _) = basin_rows(monkeypatch, where, f1, f2, p_t)
         assert lo.size > 3 * _BASIN_BLOCK
         assert {a.shape for a in singles} == {(len(where), hz.size)}
@@ -281,7 +281,6 @@ class TestAgainstScipyReference:
 
 
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
-GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def locating_round(heights, coeffs, lo, hi):
@@ -298,125 +297,120 @@ def locating_round(heights, coeffs, lo, hi):
     return x[near], p[near], at
 
 
-def seeded_bounded_brent(f, a, b, x, w, v, fx, fw, fv, e, rat, xatol):
-    """The loop of scipy's ``_minimize_scalar_bounded`` on plain floats,
-    started from the given state instead of the golden-section point."""
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = SQRT_EPS * x + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(x - xm) > tol2 - 0.5 * (b - a):
-            return fx, x
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                rat = p / q
-                if x + rat - a < tol2 or b - (x + rat) < tol2:
-                    rat = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            rat = GOLDEN * e
-        u = x + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
-def reference_basin_minimum(f, lo, hi, x3, f3, at):
-    """One row of the basin search, from its locating round, on floats."""
-    (x, x_lo, x_hi), (fx, f_lo, f_hi) = x3, f3
-    xatol = max(1e-12, 1e-12 * hi)
-    if at in (0, worstcase._BASIN_POINTS - 1):
-        inward = 1.0 if at == 0 else -1.0
-        if f(x + inward * (SQRT_EPS * x + xatol / 3.0)) >= fx:
-            return fx, x
-    # x is the lowest point, w the lower of its neighbours, v the other
-    w, v, fw, fv = (x_lo, x_hi, f_lo, f_hi) if f_lo <= f_hi else (x_hi, x_lo, f_hi, f_lo)
-    width = x_hi - x_lo
-    return seeded_bounded_brent(f, x_lo, x_hi, x, w, v, fx, fw, fv, width, 0.5 * width, xatol)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
-    # Every basin row of a wideband trial.  The vectorised search takes
-    # scipy's steps bit for bit from the same start, and as many of them (a
-    # search that stops early often ends on the same point), and comes out
-    # no more than 1e-9 above scipy's own search with the same xatol on the
-    # bracket the locating round leaves.
+    # Every basin row of a wideband trial comes out no more than 1e-9 above
+    # scipy's bounded search (Brent's method) with the same xatol on the
+    # bracket that the locating round leaves, and its argmin inside that
+    # bracket.
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
     _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    evaluated = []  # rows of each kernel call on a row vector: the end probe, each Brent pass
-    kernel = worstcase._lower_bound_power
-
-    def counting(c, *terms):
-        evaluated.append(terms[2].size if terms[2].ndim == 1 else 0)
-        return kernel(c, *terms)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(worstcase, "_lower_bound_power", counting)
-        basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
-    x3, f3, at = locating_round(heights, coeffs, lo, hi)
+    basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
+    x3, _, _ = locating_round(heights, coeffs, lo, hi)
     scipy_p = np.empty(lo.size)
-    steps = []
     for m in range(lo.size):
         row_coeffs, row_heights = [c[m] for c in coeffs], [h[m] for h in heights]
-        bound = lambda d: float(_lower_bound_power(row_coeffs, *_ray_terms(row_heights, d)))
-        step = lambda d: steps.append(d) or bound(d)
-        expected = reference_basin_minimum(step, lo[m], hi[m], x3[:, m].tolist(), f3[:, m].tolist(), at[m])
-        assert (basin_p[m], basin_x[m]) == expected, f"row {m}"
         res = minimize_scalar(
-            bound,
+            lambda d: float(_lower_bound_power(row_coeffs, *_ray_terms(row_heights, d))),
             bounds=(x3[1, m], x3[2, m]),
             method="bounded",
             options={"xatol": max(1e-12, 1e-12 * x3[2, m])},
         )
         scipy_p[m] = res.fun
-    assert sum(evaluated) == len(steps)
     rel = (basin_p - scipy_p) / scipy_p
     assert rel.max() <= 1e-9, f"row {rel.argmax()} above scipy by {rel.max():.3g}"
-    assert np.all((lo <= basin_x) & (basin_x <= hi))
+    assert np.all((x3[1] <= basin_x) & (basin_x <= x3[2]))
 
 
-def test_brent_passes_capped_at_maxfun(monkeypatch):
-    # The search raises once a row has had _BRENT_MAXFUN passes without
-    # stopping, rather than loop on: the cap, patched down to the passes
-    # a wideband trial needs, still lets it through, and one fewer raises.
-    where, _, _, (f1, f2), p_t = wideband_trial(0)
-    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    calls = []  # kernel calls on a row vector: the end probe, then each Brent pass
-    kernel = worstcase._lower_bound_power
+def slope_passes(monkeypatch, *rows):
+    """``_basin_minimum(*rows)`` and the number of rows of each slope pass."""
+    passes = []
+    slope = worstcase._lower_bound_slope
 
-    def counting(c, *terms):
-        calls.append(terms[2].ndim == 1)
-        return kernel(c, *terms)
+    def counting(c, d, *terms):
+        passes.append(d.size)
+        return slope(c, d, *terms)
 
     with monkeypatch.context() as patch:
-        patch.setattr(worstcase, "_lower_bound_power", counting)
-        expected = worstcase._basin_minimum(heights, coeffs, lo, hi)
-    passes = sum(calls) - 1
-    assert 0 < passes < worstcase._BRENT_MAXFUN // 10
-    monkeypatch.setattr(worstcase, "_BRENT_MAXFUN", passes)
-    for got, want in zip(worstcase._basin_minimum(heights, coeffs, lo, hi), expected):
+        patch.setattr(worstcase, "_lower_bound_slope", counting)
+        result = worstcase._basin_minimum(*rows)
+    return result, passes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basin_rows_stop_within_tolerance_of_the_slope_sign_change(seed, monkeypatch):
+    # A row that takes the point where its search stopped has the bound
+    # falling at that point minus tol and rising at that point plus tol,
+    # tol = sqrt(eps)*x + 1e-12*hi/3: the point lies within tol of a minimum.
+    where, _, _, (f1, f2), p_t = wideband_trial(seed)
+    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    (basin_p, basin_x), passes = slope_passes(monkeypatch, heights, coeffs, lo, hi)
+    x3, f3, _ = locating_round(heights, coeffs, lo, hi)
+    moved = basin_p < f3[0]
+    assert moved.sum() > 0.8 * passes[0]
+    x, h, c = basin_x[moved], [a[moved] for a in heights], [a[moved] for a in coeffs]
+    tol = SQRT_EPS * x + 1e-12 * hi[moved] / 3.0
+    below = _lower_bound_slope(c, x - tol, *_ray_terms(h, x - tol))
+    above = _lower_bound_slope(c, x + tol, *_ray_terms(h, x + tol))
+    assert np.all(below <= 0.0) and np.all(above >= 0.0)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_one_row_iterates_keep_the_bracket_and_stop_at_the_first_small_step(seed, monkeypatch):
+    # Each basin row of a wideband trial, searched alone: every iterate lies
+    # in the bracket that the slope's signs at the earlier iterates keep,
+    # starting from the two sample spacings around the lowest sample.  Each
+    # step before the last is longer than tol = sqrt(eps)*x + 1e-12*hi/3 at
+    # its start x, and a row that takes the point where it stopped took one
+    # more step, of at most tol, from its last iterate to a point inside the
+    # bracket.  On these trials a Newton step leaves the bracket in a few
+    # rows, and steps of up to twice tol occur.
+    where, _, _, (f1, f2), p_t = wideband_trial(seed)
+    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    x3, f3, _ = locating_round(heights, coeffs, lo, hi)
+    iterates = []
+    slope = worstcase._lower_bound_slope
+
+    def recording(c, d, *terms):
+        s = slope(c, d, *terms)
+        iterates.append((d.item(), s.item()))
+        return s
+
+    monkeypatch.setattr(worstcase, "_lower_bound_slope", recording)
+    searched = 0
+    for m in range(lo.size):
+        iterates.clear()
+        row = [h[m : m + 1] for h in heights], [c[m : m + 1] for c in coeffs], lo[m : m + 1], hi[m : m + 1]
+        (power,), (argmin,) = worstcase._basin_minimum(*row)
+        tol = lambda x: SQRT_EPS * x + 1e-12 * hi[m] / 3.0
+        a, b = x3[1, m], x3[2, m]
+        for k, (x, s) in enumerate(iterates):
+            assert a <= x <= b, f"row {m}, pass {k}"
+            if k:
+                assert abs(x - iterates[k - 1][0]) > tol(iterates[k - 1][0]), f"row {m}, pass {k}"
+            a, b = (a, x) if s > 0.0 else (x, b)
+        if power < f3[0, m]:
+            assert abs(argmin - iterates[-1][0]) <= tol(iterates[-1][0]) and a <= argmin <= b, f"row {m}"
+        searched += bool(iterates)
+    assert searched > 1000
+
+
+def test_slope_passes_capped(monkeypatch):
+    # The search raises once a row has had _SLOPE_PASSES passes without
+    # stopping, rather than loop on: the cap, patched down to the passes a
+    # wideband trial needs, gives the same result bit for bit, and one fewer
+    # raises.
+    where, _, _, (f1, f2), p_t = wideband_trial(0)
+    _, rows = basin_rows(monkeypatch, where, f1, f2, p_t)
+    expected, passes = slope_passes(monkeypatch, *rows)
+    passes = len(passes)
+    assert 0 < passes < worstcase._SLOPE_PASSES // 10
+    monkeypatch.setattr(worstcase, "_SLOPE_PASSES", passes)
+    for got, want in zip(worstcase._basin_minimum(*rows), expected):
         assert got.tobytes() == want.tobytes()
-    monkeypatch.setattr(worstcase, "_BRENT_MAXFUN", passes - 1)
-    with pytest.raises(RuntimeError, match=f"after {passes - 1} Brent passes"):
-        worstcase._basin_minimum(heights, coeffs, lo, hi)
+    monkeypatch.setattr(worstcase, "_SLOPE_PASSES", passes - 1)
+    with pytest.raises(RuntimeError, match=f"after {passes - 1} slope passes"):
+        worstcase._basin_minimum(*rows)
 
 
 def _distance_at_phase(geom, omega, phase):

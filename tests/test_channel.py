@@ -502,6 +502,125 @@ class TestSumPowerLowerBound:
         assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
 
 
+def reference_lower_bound_slope(h_tx, h_rx, d, f1, f2, p_t=1.0):
+    """d/dd of :func:`reference_lower_bound` in 40-digit decimal arithmetic, the
+    float inputs taken as exact, and the sum of its terms' magnitudes.  With
+    m = l*lr, S = l/lr + lr/l, psi = pi*(f2 - f1)*q/c and R = sqrt(A^2 - gap),
+    the bound is A*(q/m)^2 + 2*(A - R)/m, gap = 4*a1*a2*sin^2(psi), and
+    dq/dd = -d*q/m, dm/dd = d*S give
+    -2*A*d*q^2*(1 + S)/m^3 - 2*(A - R)*d*S/m^2
+    - 4*a1*a2*sin(2*psi)*(pi*(f2 - f1)/c)*d*q/(R*m^2)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h_tx, h_rx, d, f1, f2, p_t, c = map(Decimal, (h_tx, h_rx, d, f1, f2, p_t, SPEED_OF_LIGHT))
+        l_los = ((h_tx - h_rx) ** 2 + d * d).sqrt()
+        l_ref = ((h_tx + h_rx) ** 2 + d * d).sqrt()
+        q = 4 * h_tx * h_rx / (l_los + l_ref)
+        a1, a2 = (p_t / 2 * (c / (4 * _PI * f)) ** 2 for f in (f1, f2))
+        psi = _PI * (f2 - f1) * q / c
+        half = _decimal_sin(psi)
+        gap, amplitude, m = 4 * a1 * a2 * half * half, a1 + a2, l_los * l_ref
+        root = (amplitude**2 - gap).sqrt()
+        spread = l_los / l_ref + l_ref / l_los
+        terms = (
+            -2 * amplitude * d * q * q * (1 + spread) / m**3,
+            -2 * gap / (amplitude + root) * d * spread / m**2,  # A - R without cancelling
+            -4 * a1 * a2 * _decimal_sin(2 * psi) * (_PI * (f2 - f1) / c) * d * q / (root * m * m),
+        )
+        return sum(terms), sum(abs(term) for term in terms)
+
+
+def slope_families():
+    """Draws (h_tx, h_rx, d, f1, f2) by family: physical (1-15 m, 0.4-3 GHz,
+    1-2000 m); close carriers, 1e-12 to 1e-9.5 of f1 apart, drawn until
+    1 - t**2 rounds to 1 (heights to 10 km, d to 100 km); next to the mast (d from
+    1e-3 to 1e-1 m); the far field (to 1e12 m, carriers up to 2x apart)."""
+    rng = np.random.default_rng(29)
+    families = {name: [] for name in ("physical", "close", "mast", "far")}
+    for _ in range(100):
+        f1, f2 = np.sort(rng.uniform(0.4e9, 3e9, 2))
+        families["physical"].append((*rng.uniform(1.0, 15.0, 2), rng.uniform(1.0, 2000.0), f1, f2))
+        f1, f2 = 1.0, 2.0
+        while _lower_bound_coeffs(f1, f2, 1.0)[1] != 1.0:
+            f1 = rng.uniform(0.4e9, 3e9)
+            f2 = f1 * (1.0 + 10.0 ** rng.uniform(-12.0, -9.5))
+        families["close"].append((*10.0 ** rng.uniform(0.0, 4.0, 2), 10.0 ** rng.uniform(0.0, 5.0), f1, f2))
+        f1, f2 = np.sort(rng.uniform(0.4e9, 3e9, 2))
+        families["mast"].append((*rng.uniform(1.0, 15.0, 2), 10.0 ** rng.uniform(-3.0, -1.0), f1, f2))
+        f1 = 10.0 ** rng.uniform(6.0, 11.0)
+        f2 = f1 * (1.0 + 10.0 ** rng.uniform(-6.0, 0.0))
+        families["far"].append((*10.0 ** rng.uniform(-1.0, 2.0, 2), 10.0 ** rng.uniform(3.0, 12.0), f1, f2))
+    return families
+
+
+def float_slope(h_tx, h_rx, d, f1, f2, p_t=1.0):
+    coeffs = _lower_bound_coeffs(f1, f2, p_t)
+    return channel._lower_bound_slope(coeffs, d, *channel._ray_terms(SceneGeometry(h_tx, h_rx)._heights, d))
+
+
+class TestLowerBoundSlope:
+    @pytest.mark.parametrize("family", ["physical", "close", "mast", "far"])
+    def test_matches_a_decimal_reference(self, family):
+        # Within 1e-12 of the sum of the terms' magnitudes, the scale of the
+        # slope's roundoff where its terms cancel at a minimum.
+        worst = 0.0
+        for h_tx, h_rx, d, f1, f2 in slope_families()[family]:
+            want, scale = reference_lower_bound_slope(h_tx, h_rx, d, f1, f2)
+            got = Decimal(float(float_slope(h_tx, h_rx, d, f1, f2)))
+            worst = max(worst, float(abs(got - want) / scale))
+        assert worst <= 1e-12, f"{worst:.3g}"
+
+    @pytest.mark.parametrize("family", ["physical", "close", "mast", "far"])
+    def test_matches_a_central_difference(self, family):
+        # The central difference of the 40-digit bound, in 50 digits with a
+        # step of 1e-15*d: it and the decimal reference above are independent
+        # of the float kernels and of each other's formulas.
+        worst = 0.0
+        for h_tx, h_rx, d, f1, f2 in slope_families()[family]:
+            _, scale = reference_lower_bound_slope(h_tx, h_rx, d, f1, f2)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                step = Decimal(d) * Decimal("1e-15")
+                rise = reference_lower_bound(h_tx, h_rx, Decimal(d) + step, f1, f2)
+                rise -= reference_lower_bound(h_tx, h_rx, Decimal(d) - step, f1, f2)
+                want = rise / (2 * step)
+            got = Decimal(float(float_slope(h_tx, h_rx, d, f1, f2)))
+            worst = max(worst, float(abs(got - want) / scale))
+        assert worst <= 1e-12, f"{worst:.3g}"
+
+    @pytest.mark.parametrize("family", ["physical", "close", "mast", "far"])
+    def test_sign_follows_the_bound(self, family):
+        # Where _lower_bound_power moves by more than 1e-11 relative across
+        # d*(1 -+ 1e-4), the slope has the sign of that move.
+        compared = 0
+        for h_tx, h_rx, d, f1, f2 in slope_families()[family]:
+            bound = sum_power_lower_bound(SceneGeometry(h_tx, h_rx), d * (1.0 + np.array([-1e-4, 1e-4])),
+                                          FrequencyPair(f1, f2))
+            move = bound[1] - bound[0]
+            if abs(move) > 1e-11 * bound[0]:
+                assert np.sign(float_slope(h_tx, h_rx, d, f1, f2)) == np.sign(move)
+                compared += 1
+        assert compared >= 60
+
+    def test_finite_where_the_spacing_phase_is_pi_and_1_minus_t_squared_is_1(self):
+        # The geometry of test_finite_where_the_envelope_rounds_below_zero:
+        # 1 - g vanishes at phase pi once 1 - t**2 rounds to 1, so the slope
+        # must not divide by sqrt(1 - g) formed as a difference.  Together
+        # with the families above, finite everywhere, and no numpy warning.
+        f1, delta_f = 2493507242.378777, 10.0
+        assert _lower_bound_coeffs(f1, f1 + delta_f, 1.0)[1] == 1.0
+        q = SPEED_OF_LIGHT / (2.0 * delta_f)
+        d0 = (4.0 * 1e14 - q * q) / (2.0 * q)
+        d = d0 * (1.0 + np.linspace(-1e-7, 1e-7, 1001))
+        slope = float_slope(1e7, 1e7, d, f1, f1 + delta_f)
+        assert np.all(np.isfinite(slope))
+        for samples in slope_families().values():
+            h_tx, h_rx, d, f1, f2 = np.array(samples).T
+            coeffs = _lower_bound_coeffs(f1, f2, 1.0)
+            terms = channel._ray_terms(channel._height_terms(h_tx, h_rx), d)
+            assert np.all(np.isfinite(channel._lower_bound_slope(coeffs, d, *terms)))
+
+
 class TestEnvelopeIdentity:
     def test_zero_time(self):
         assert envelope_identity_residual(1e9, 2.3e9, 0.0) <= 1e-13

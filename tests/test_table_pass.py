@@ -11,9 +11,9 @@ distance, which, as in ``src/``, now comes from the copied inverse of the
 path difference at q = 2*pi*k*c/omega.  The power kernels themselves
 are shared with ``src/``; ``tests/test_channel.py`` checks them.  The new
 table must equal the reference bit for bit, except for the pair worst
-cases that the reference's basin search set: the basin is now searched by
-bounded Brent, and those worst cases are compared as powers, within
-:data:`BASIN_REL`.
+cases that the reference's basin search set: the basin is now searched for
+the sign change of the bound's slope, and those worst cases are compared
+as powers, within :data:`BASIN_REL`.
 """
 
 import math
@@ -185,7 +185,7 @@ def assert_bitwise_equal(actual, expected):
 
 
 # A worst case the reference's basin search set may move by this much
-# relative to it, and may never rise by more: the grid and bounded Brent
+# relative to it, and may never rise by more: the grid and the slope search
 # both stop within sqrt(eps)*x + xatol/3 of the minimum, not on it.
 BASIN_REL = 1e-9
 
@@ -425,6 +425,31 @@ def test_queries_near_the_mast_match_reference():
         power, argmin, kind = (a.item() for a in _reference_worst_cases(geom, iv, f1, f2))
         result = worst_case_pair(geom, iv, FrequencyPair(f1, f2))
         assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+
+
+def test_flat_basins_with_equal_slopes_match_reference(monkeypatch):
+    # At 1e-305 W the bound's slope a few micrometres from the mast is
+    # subnormal, so two successive iterates of the basin search can have
+    # the same slope and the secant no rate; such rows bisect, with no
+    # division by zero, and every query still matches the reference.
+    h_tx, queries = near_mast_queries()
+    p_t, slopes, repeats = 1e-305, [], 0
+    slope = worstcase._lower_bound_slope
+
+    def recording(c, d, *terms):
+        s = slope(c, d, *terms)
+        slopes.append(s.item())
+        return s
+
+    monkeypatch.setattr(worstcase, "_lower_bound_slope", recording)
+    for h_rx, f1, f2, iv in queries:
+        geom = SceneGeometry(h_tx, h_rx)
+        power, argmin, kind = (a.item() for a in _reference_worst_cases(geom, iv, f1, f2, p_t))
+        slopes.clear()
+        result = worst_case_pair(geom, iv, FrequencyPair(f1, f2), p_t)
+        assert result == WorstCaseResult(power, argmin, _KINDS[kind])
+        repeats += any(a == b for a, b in zip(slopes, slopes[1:]))
+    assert repeats >= 10
 
 
 @pytest.mark.parametrize("seed", [3, 4])

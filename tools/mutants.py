@@ -260,6 +260,29 @@ MUTANTS = [
         "    # g",
         "tests/test_acceptance.py::test_criterion_4_lower_bound_property",
     ),
+    # channel: the pair bound's slope, -(A*d/m^2)*F with
+    # F = 2*(q^2/m)*(1 + S) + 2*G*S + (1 - t^2)*rate*q*sin(phi)/(2*sqrt(1 - g)).
+    Mutant(
+        "channel: pair bound's slope with its sine term's sign flipped",
+        "src/freqassign/channel.py",
+        "    f += cross * half * s * c / root",
+        "    f -= cross * half * s * c / root",
+        "tests/test_acceptance.py::test_criterion_6_theorem_oracle_equivalence",
+    ),
+    Mutant(
+        "channel: pair bound's slope without 1/sqrt(1 - g)",
+        "src/freqassign/channel.py",
+        "half * s * c / root",
+        "half * s * c",
+        "tests/test_channel.py::TestLowerBoundSlope::test_matches_a_decimal_reference",
+    ),
+    Mutant(
+        "channel: pair bound's slope without the (1 + S) of its radial term",
+        "src/freqassign/channel.py",
+        "    f += radial\n    f *= (l_los",
+        "    f *= (l_los",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
+    ),
     # cli: floating-point trouble is an error line, not an inf or nan dB.
     Mutant(
         "cli: overflow not raised",
@@ -348,31 +371,30 @@ MUTANTS = [
         "if 2 * falls.sum() > falls.size and len(coeffs) == 3:",
         "tests/test_batched_worstcase.py::test_lower_endpoint_skipped_only_where_it_cannot_win",
     ),
-    # worstcase: the basin search's Brent loop stops on scipy's test.  Its
-    # killer counts the steps, since a search stopping early mostly ends on
-    # the same point.  Doubling the bracket term instead (tol2 - (b - a))
-    # never stops, as the bracket does not shrink below about 2*tol1, so
-    # the pass cap raises.
+    # worstcase: the basin search's slope loop.  A search that stops early
+    # mostly ends on the same point, so the stopping test's killer follows
+    # each row's iterates, as does the bracket clamp's: a Newton step leaves
+    # the bracket in only a few rows of a trial.
     Mutant(
-        "worstcase: Brent stops at twice its tolerance",
+        "worstcase: basin search stops at twice its tolerance",
         "src/freqassign/worstcase.py",
-        "tol2 - 0.5 * (b - a)",
-        "2.0 * tol2 - 0.5 * (b - a)",
-        "tests/test_batched_worstcase.py::test_basin_rows_match_scipy_bounded_brent",
+        "stop = step <= _SQRT_EPS * x + xatol3",
+        "stop = step <= 2.0 * (_SQRT_EPS * x + xatol3)",
+        "tests/test_batched_worstcase.py::test_one_row_iterates_keep_the_bracket_and_stop_at_the_first_small_step",
     ),
     Mutant(
-        "worstcase: Brent stops at its doubled bracket term",
+        "worstcase: basin search's Newton step unclamped",
         "src/freqassign/worstcase.py",
-        "tol2 - 0.5 * (b - a)",
-        "tol2 - (b - a)",
-        "tests/test_acceptance.py::test_criterion_6_theorem_oracle_equivalence",
+        " & (a <= u) & (u <= b)",
+        "",
+        "tests/test_batched_worstcase.py::test_one_row_iterates_keep_the_bracket_and_stop_at_the_first_small_step",
     ),
     Mutant(
-        "worstcase: Brent passes uncapped",
+        "worstcase: basin search divides by a zero secant rate",
         "src/freqassign/worstcase.py",
-        "for _ in range(_BRENT_MAXFUN + 1):",
-        "for _ in iter(int, 1):",
-        "tests/test_batched_worstcase.py::test_brent_passes_capped_at_maxfun",
+        "step = np.divide(-s, rate, out=np.full_like(s, math.inf), where=rate > 0.0)",
+        "step = -s / rate",
+        "tests/test_table_pass.py::test_flat_basins_with_equal_slopes_match_reference",
     ),
     # The input checks of the public functions, one mutant each (two where a
     # check tests two things).
