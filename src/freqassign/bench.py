@@ -204,9 +204,6 @@ class BenchReport:
             "trials": [t.to_dict() for t in self.trial_results],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -280,7 +277,7 @@ def export_report(report: BenchReport, fmt: str, destination) -> None:
     if fmt == "csv":
         text = report.to_csv()
     elif fmt == "json":
-        text = report.to_json(indent=2) + "\n"
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
         raise ValueError("format must be 'csv' or 'json'")
     write_output(text, destination)

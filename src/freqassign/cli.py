@@ -47,6 +47,14 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _decibel(power, p_t: float):
+    """``to_decibel`` of receive powers; one that rounds to 0 W has no dB value."""
+    db = to_decibel(power, p_t)
+    if np.any(db == -np.inf):
+        raise ValueError("receive power below the float range: it rounds to 0 W")
+    return db
+
+
 def cmd_power_curve(args) -> None:
     geom = SceneGeometry(args.htx, args.hrx)
     if args.samples < 2:
@@ -56,13 +64,13 @@ def cmd_power_curve(args) -> None:
     lines = [f"# reference_power_watts: {_fmt(args.pt)}"]
     if args.freq2 is None:
         freq = CarrierFrequency(args.freq)
-        power = to_decibel(receive_power_single(geom, d, freq, args.pt), args.pt)
+        power = _decibel(receive_power_single(geom, d, freq, args.pt), args.pt)
         lines.append("distance,power_db")
         lines += [f"{_fmt(di)},{_fmt(pi)}" for di, pi in zip(d, power)]
     else:
         pair = FrequencyPair.of(args.freq, args.freq2)
-        p_sum = to_decibel(sum_power_two(geom, d, pair, args.pt), args.pt)
-        p_low = to_decibel(sum_power_lower_bound(geom, d, pair, args.pt), args.pt)
+        p_sum = _decibel(sum_power_two(geom, d, pair, args.pt), args.pt)
+        p_low = _decibel(sum_power_lower_bound(geom, d, pair, args.pt), args.pt)
         lines.append("distance,power_sum_db,lower_bound_db")
         lines += [
             f"{_fmt(di)},{_fmt(si)},{_fmt(li)}" for di, si, li in zip(d, p_sum, p_low)
@@ -75,7 +83,7 @@ def cmd_minima(args) -> None:
     freq = CarrierFrequency(args.freq)
     nulls = null_distances(geom, freq)
     # One kernel call, which checks the transmit power even with no minima.
-    power = to_decibel(receive_power_single(geom, nulls, freq, args.pt), args.pt)
+    power = _decibel(receive_power_single(geom, nulls, freq, args.pt), args.pt)
     lines = [f"# reference_power_watts: {_fmt(args.pt)}", "k,distance_m,power_db"]
     for k, (d_k, p) in enumerate(zip(nulls, power), start=1):
         lines.append(f"{k},{_fmt(d_k)},{_fmt(p)}")
@@ -97,7 +105,7 @@ def cmd_worst_case(args) -> None:
         result = worst_case_pair(geom, interval, pair, args.pt)
         power_fn = lambda d: sum_power_lower_bound(geom, d, pair, args.pt)
         osc_omega = pair.delta_omega
-    worst_db = to_decibel(result.power, args.pt)
+    worst_db = _decibel(result.power, args.pt)
     lines = [
         f"worst_case_db: {_fmt(worst_db)}",
         f"argmin_distance_m: {_fmt(result.argmin_distance)}",
@@ -105,7 +113,7 @@ def cmd_worst_case(args) -> None:
     ]
     if args.verify_grid:
         grid = phase_uniform_grid(geom, interval, osc_omega)
-        oracle_db = to_decibel(grid_min(power_fn, interval, grid).power, args.pt)
+        oracle_db = _decibel(grid_min(power_fn, interval, grid).power, args.pt)
         lines.append(f"grid_oracle_db: {_fmt(oracle_db)}")
         lines.append(f"grid_discrepancy_db: {_fmt(abs(worst_db - oracle_db))}")
     write_output("\n".join(lines) + "\n", args.out)

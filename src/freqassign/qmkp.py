@@ -248,39 +248,24 @@ def exhaustive_solve(instance: Instance) -> Assignment:
     """Optimal assignment by full enumeration; small instances only.
 
     Every item independently goes to one of the K knapsacks or stays out,
-    so (K+1)**N allocations are scanned.  Ties resolve to the first
-    optimum in lexicographic order of the per-item codes (0 = unassigned),
-    making the result deterministic.
+    so (K+1)**N allocations are scanned, each kept if :func:`feasible`
+    accepts it and scored as the sum of :func:`knapsack_profit` over its
+    knapsacks.  Ties resolve to the first optimum in lexicographic order of
+    the per-item codes (0 = unassigned), making the result deterministic.
     """
     n, k = instance.n_items, instance.n_knapsacks
     if (k + 1) ** n > EXHAUSTIVE_LIMIT:
         raise ValueError("instance too large for exhaustive enumeration")
-    best_code = None
-    best_value = -np.inf
+    best, best_value = None, -np.inf
     for code in itertools.product(range(k + 1), repeat=n):
-        loads = np.zeros(k)
-        ok = True
-        for i, c in enumerate(code):
-            if c:
-                loads[c - 1] += instance.weights[i]
-                if loads[c - 1] > instance.capacities[c - 1]:
-                    ok = False
-                    break
-        if not ok:
+        lists = [[i for i, c in enumerate(code) if c == u] for u in range(1, k + 1)]
+        assignment = Assignment.from_lists(lists)
+        if not feasible(instance, assignment):
             continue
-        value = 0.0
-        for u in range(k):
-            items = [i for i, c in enumerate(code) if c == u + 1]
-            if items:
-                value += knapsack_profit(instance, u, items)
+        value = sum(knapsack_profit(instance, u, items) for u, items in enumerate(assignment.knapsacks))
         if value > best_value:
-            best_value = value
-            best_code = code
-    lists: list[list[int]] = [[] for _ in range(k)]
-    for i, c in enumerate(best_code):
-        if c:
-            lists[c - 1].append(i)
-    return Assignment.from_lists(lists)
+            best, best_value = assignment, value
+    return best
 
 
 def _require_frequency_shape(instance: Instance) -> None:
@@ -347,9 +332,9 @@ def assign_rr_profits(instance: Instance) -> Assignment:
             candidates = np.flatnonzero(free)
             if candidates.size == 0:
                 break
+            # Unit weights: the profit sums are the value densities.
             sums = _profit_sums(instance.profits[u], instance.joint[u], instance.index, lists[u])
-            density = sums / instance.weights
-            best = int(candidates[np.argmax(density[candidates])])
+            best = int(candidates[np.argmax(sums[candidates])])
             lists[u].append(best)
             free[best] = False
     return Assignment.from_lists(lists)

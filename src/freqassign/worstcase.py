@@ -217,31 +217,13 @@ def _take_lower(result, at, power, argmin) -> None:
         a[at] = value
 
 
-def _endpoints(kernel, users: np.ndarray, entries: np.ndarray, out):
+def _endpoints(kernel, users: np.ndarray, out) -> None:
     """Write the endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
-    against every entry of ``kernel`` (:func:`freqassign.channel._kernel`) into
-    ``out``, their rows of the result arrays (the lower endpoint only where it may
-    win).  Returns the rows ``(u, m)`` (u indexing ``users``, m the kernel's entries)
-    with a null at or below d_max among ``entries``, and their null index k.
-    """
-    omega, coeffs, power = kernel
-    rate, omega = coeffs[-1][entries], omega[entries]
-    h_tx, h_rx, *heights, d_min, d_max = users.T[:, :, None]
+    against every entry of ``kernel`` (:func:`freqassign.channel._kernel`) into ``out``,
+    their rows of the result arrays; the lower endpoint only where it may win."""
+    _, coeffs, power = kernel
+    _, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
-    # Null distances fall with k, so the largest null at or below d_max has the smallest
-    # k whose phase 2*pi*k is at least the phase at d_max: that phase over 2*pi, rounded
-    # up (at least 1, for a phase that underflows to 0).  Roundoff moves k by one only
-    # where d_max lies within roundoff of a null, whose power d_max's then stands in
-    # for; the next null down, at smaller d where (q/(l*lr))**2 is larger, is no deeper.
-    # d_k is good to roundoff, except next to the mast, where phase and bound are flat
-    # in d and d_k is good to about 2*eps*(l_ref/d_k)**2 relative: 3.6e-6 m from a
-    # 10/1.5 m mast it lies 6e-4 relative off the exact null.
-    # A row whose k exceeds its null count k_max is skipped.  This runs before the
-    # endpoint powers, so its temporaries are freed before those exist.
-    k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI))
-    at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))
-    k = k[at]
-
     p_hi = power(coeffs, *at_max)
     at_min = _ray_terms(heights, d_min)
     cols, p_lo, at_lo = slice(None), p_hi, False  # the columns of p_lo: all, some or None
@@ -263,7 +245,6 @@ def _endpoints(kernel, users: np.ndarray, entries: np.ndarray, out):
     for a, lo, hi in zip(out, (p_lo, d_min, 0), (p_hi, d_max, 1)):
         np.copyto(a, hi)
         np.copyto(a, lo, where=at_lo)
-    return at[0], entries[at[1]], k
 
 
 def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
@@ -281,14 +262,16 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
 
     Candidates are both endpoints and the largest null d_k of the
     oscillation (the carrier, or the pair's spacing) inside the interval.
-    The endpoints and k are broadcasts of the users' heights and intervals,
-    as (users, 1) columns, against the frequency-only data
-    (:func:`freqassign.channel._kernel`, built once for all users),
-    over blocks of users whose temporaries hold about :data:`_USER_BLOCK`
-    elements, so that they stay in cache.  Entries without a null even at
-    the largest min(h_tx, h_rx) have none for any user and are dropped from
-    the null test first: in a narrow band, every pair.  The lower endpoint
-    is skipped where it cannot win (:data:`_FALL_MARGIN`).  The null of a
+    The users' lower antennas, height terms and intervals, as (users, 1)
+    columns, are broadcast against the frequency-only data
+    (:func:`freqassign.channel._kernel`, built once for all users).  k is
+    found once per call: entries without a null even at the tallest
+    min(h_tx, h_rx) have none for any user and are dropped first (in a
+    narrow band, every pair), and a row keeps k only where it is at most
+    the row's null count.  The endpoint powers run over blocks of users
+    whose temporaries hold about :data:`_USER_BLOCK` elements, so that they
+    stay in cache; the lower endpoint is skipped where it cannot win
+    (:data:`_FALL_MARGIN`).  The null of a
     carrier, or the basin of a pair's null, is computed only on the rows that
     have one, each with its own user's heights, all basins in one
     :func:`_basin_minimum` call.  Every entry is computed elementwise,
@@ -298,45 +281,52 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     f1 = np.array(f1, dtype=float, ndmin=1)
     kernel = _kernel(f1, np.array(f2, dtype=float, ndmin=1) if pairs else None, p_t)
     omega, coeffs, power = kernel
-    # One row per user: its heights, their cached height terms, its interval.
-    users = np.array([(g.h_tx, g.h_rx, *g._heights, iv.d_min, iv.d_max) for g, iv in where])
-    top = np.minimum(users[:, 0], users[:, 1]).max()
-    entries = np.flatnonzero(_k_max(top, omega) >= 1.0)
+    # One row per user: its lower antenna, its cached height terms, its interval.
+    users = np.array([(min(g.h_tx, g.h_rx), *g._heights, iv.d_min, iv.d_max) for g, iv in where])
+    low, *heights, _, d_max = users.T[:, :, None]
+    # Null distances fall with k, so the largest null at or below d_max has the smallest
+    # k whose phase 2*pi*k is at least the phase at d_max: that phase over 2*pi, rounded
+    # up (at least 1, for a phase that underflows to 0).  Roundoff moves k by one only
+    # where d_max lies within roundoff of a null, whose power d_max's then stands in
+    # for; the next null down, at smaller d where (q/(l*lr))**2 is larger, is no deeper.
+    # d_k is good to roundoff, except next to the mast, where phase and bound are flat
+    # in d and d_k is good to about 2*eps*(l_ref/d_k)**2 relative: 3.6e-6 m from a
+    # 10/1.5 m mast it lies 6e-4 relative off the exact null.
+    # A row whose k exceeds its null count k_max is skipped.
+    entries = np.flatnonzero(_k_max(low.max(), omega) >= 1.0)
+    k = np.maximum(1.0, np.ceil(coeffs[-1][entries] * _ray_terms(heights, d_max)[2] / TWO_PI))
+    u, m = np.nonzero(k <= _k_max(low, omega[entries]))
+    k, m = k[u, m], entries[m]
     shape = (len(users), omega.size)
     result = (out,) if out is not None else tuple(np.empty(shape, t) for t in (float, float, int))
     per_block = max(1, _USER_BLOCK // max(1, omega.size))
-    found = []
     for start in range(0, len(users), per_block):
         block = slice(start, start + per_block)
-        u, m, k = _endpoints(kernel, users[block], entries, [a[block] for a in result])
-        found.append((u + start, m, k))
-    u, m, k = (np.concatenate(a) for a in zip(*found))
-    at = u, m
-    _, _, *heights, d_min, d_max = users[u].T
+        _endpoints(kernel, users[block], [a[block] for a in result])
+    _, *heights, d_min, d_max = users[u].T
     coeffs = [a[m] for a in coeffs]
     q_scale = SPEED_OF_LIGHT / omega[m]
     if not pairs:
         d_k = _invert_path_difference(heights, TWO_PI * k * q_scale)
         # Without a null inside, the third candidate repeats d_min and ties it.
         d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
-        _take_lower(result, at, power(coeffs, *_ray_terms(heights, d_null)), d_null)
-        return result if out is None else out
-
-    # A pair's null d_k lies inside its basin, so the basin search stands in
-    # for evaluating d_k.  The amplitude shifts the minimum off d_k towards
-    # larger d, so the basins of nulls above d_max hold nothing below the
-    # bound at d_max; next to the mast, where a basin is flat to 1e-14
-    # relative, only to roundoff.
-    # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
-    # d_lo means nothing; it then trims only the part of the basin next to
-    # the mast, where 1/l^2 makes the bound fall with d.
-    d_hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
-    d_lo = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)
-    search = d_lo < d_hi
-    at = u[search], m[search]
-    heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
-    d_lo, d_hi = d_lo[search], d_hi[search]
-    _take_lower(result, at, *_basin_minimum(heights, coeffs, d_lo, d_hi))
+        minimum = power(coeffs, *_ray_terms(heights, d_null)), d_null
+    else:
+        # A pair's null d_k lies inside its basin, so the basin search stands in
+        # for evaluating d_k.  The amplitude shifts the minimum off d_k towards
+        # larger d, so the basins of nulls above d_max hold nothing below the
+        # bound at d_max; next to the mast, where a basin is flat to 1e-14
+        # relative, only to roundoff.
+        # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
+        # d_lo means nothing; it then trims only the part of the basin next to
+        # the mast, where 1/l^2 makes the bound fall with d.
+        d_hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
+        d_lo = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)
+        search = d_lo < d_hi
+        u, m = u[search], m[search]
+        heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
+        minimum = _basin_minimum(heights, coeffs, d_lo[search], d_hi[search])
+    _take_lower(result, (u, m), *minimum)
     return result if out is None else out
 
 

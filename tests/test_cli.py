@@ -332,6 +332,29 @@ def test_distance_beyond_the_kernels_float_range_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["worst-case", "--dmin", "1e100", "--dmax", "1e101", "--freq", "2.4e9"],
+        ["worst-case", "--dmin", "1e100", "--dmax", "1e101", "--freq", "2.4e9",
+         "--freq2", "2.5e9"],
+        ["power-curve", "--dmin", "1e90", "--dmax", "1e100", "--freq", "2.4e9",
+         "--samples", "3"],
+        ["power-curve", "--dmin", "1e90", "--dmax", "1e100", "--freq", "2.4e9",
+         "--freq2", "2.5e9", "--samples", "3"],
+        ["minima", "--freq", "1e150", "--pt", "1e-10"],
+    ],
+    ids=["worst-case", "worst-case-pair", "power-curve", "power-curve-pair", "minima"],
+)
+def test_power_that_rounds_to_zero_exits_2(capsys, argv):
+    # The exact powers (about 1e-400 W, 1e-329 W for minima) lie below the
+    # float range: each printed -inf dB and exited 0.
+    hrx = "3e-142" if argv[0] == "minima" else "1.5"
+    code, out, err = run(capsys, argv + ["--htx", "10", "--hrx", hrx])
+    assert code == 2 and out == ""
+    assert err == "error: receive power below the float range: it rounds to 0 W\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["worst-case", "--dmin", "30", "--dmax", "100", "--freq", "1e-140"],
         ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e-140"],
         ["power-curve", "--dmin", "1", "--dmax", "10", "--samples", "2", "--freq", "1e-140",

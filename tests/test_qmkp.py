@@ -286,6 +286,16 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_solve(big)
 
+    def test_ties_resolve_to_the_first_code(self):
+        # Every feasible assignment scores 0; the first code leaves every item out.
+        inst = Instance(
+            weights=[1.0, 1.0, 1.0],
+            capacities=[2.0, 2.0],
+            profits=np.zeros((2, 3)),
+            joint_profits=np.zeros((2, 3, 3)),
+        )
+        assert exhaustive_solve(inst).as_lists() == [[], []]
+
     def test_negative_profit_items_left_out(self):
         inst = Instance(
             weights=[1.0, 1.0],

@@ -298,6 +298,13 @@ MUTANTS = [
         "except ZeroDivisionError as exc:",
         "tests/test_cli.py::test_distance_beyond_the_kernels_float_range_exits_2",
     ),
+    Mutant(
+        "cli: a power that rounds to 0 W prints -inf dB",
+        "src/freqassign/cli.py",
+        "if np.any(db == -np.inf):",
+        "if False:",
+        "tests/test_cli.py::test_power_that_rounds_to_zero_exits_2",
+    ),
     # Every phase maps to a distance through _invert_path_difference.
     Mutant(
         "worstcase: carrier null at half its path difference",
@@ -317,15 +324,15 @@ MUTANTS = [
     Mutant(
         "worstcase: k_max of the taller antenna",
         "src/freqassign/worstcase.py",
-        "at = np.nonzero(k <= _k_max(np.minimum(h_tx, h_rx), omega))",
-        "at = np.nonzero(k <= _k_max(np.maximum(h_tx, h_rx), omega))",
+        "users = np.array([(min(g.h_tx, g.h_rx),",
+        "users = np.array([(max(g.h_tx, g.h_rx),",
         "tests/test_table_pass.py::test_edge_users_match_reference",
     ),
     Mutant(
         "worstcase: prefilter at the shortest user",
         "src/freqassign/worstcase.py",
-        "top = np.minimum(users[:, 0], users[:, 1]).max()",
-        "top = np.minimum(users[:, 0], users[:, 1]).min()",
+        "_k_max(low.max(), omega)",
+        "_k_max(low.min(), omega)",
         "tests/test_batched_worstcase.py::TestUsersIndependence::test_mixed_geometries_match_one_user_and_scalar_calls",
     ),
     # worstcase: a pair's lower endpoint is skipped only where it cannot win.
@@ -569,6 +576,13 @@ MUTANTS = [
         "tests/test_acceptance.py::test_criterion_7_greedy_vs_exhaustive",
     ),
     Mutant(
+        "qmkp: exhaustive keeps the last optimum on ties",
+        "src/freqassign/qmkp.py",
+        "if value > best_value:",
+        "if value >= best_value:",
+        "tests/test_qmkp.py::TestExhaustive::test_ties_resolve_to_the_first_code",
+    ),
+    Mutant(
         "qmkp: baseline schemes accept any weights and capacities",
         "src/freqassign/qmkp.py",
         "if not (np.all(instance.weights == 1.0) and np.all(instance.capacities == 2.0)):",
@@ -585,8 +599,8 @@ MUTANTS = [
     Mutant(
         "qmkp: profits of an infeasible assignment",
         "src/freqassign/qmkp.py",
-        "if not feasible(instance, assignment):",
-        "if False:",
+        "if not feasible(instance, assignment):\n        raise",
+        "if False:\n        raise",
         "tests/test_qmkp.py::TestObjective::test_infeasible_rejected",
     ),
     # The "Pin or delete" ledger in CHANGES.md: sites (3), (4) and (6)-(10).
@@ -597,15 +611,15 @@ MUTANTS = [
     Mutant(
         "worstcase: null index with a 1e-9 margin",
         "src/freqassign/worstcase.py",
-        "np.ceil(rate * at_max[2] / TWO_PI))",
-        "np.ceil(rate * at_max[2] / TWO_PI - 1e-9))",
+        "_ray_terms(heights, d_max)[2] / TWO_PI))",
+        "_ray_terms(heights, d_max)[2] / TWO_PI - 1e-9))",
         "tests/test_worstcase.py::TestWorstCaseSingle::test_null_just_inside_the_upper_endpoint",
     ),
     Mutant(
         "ledger 3: null index without the floor at 1",
         "src/freqassign/worstcase.py",
-        "k = np.maximum(1.0, np.ceil(rate * at_max[2] / TWO_PI))",
-        "k = np.ceil(rate * at_max[2] / TWO_PI)",
+        "k = np.maximum(1.0, np.ceil(coeffs[-1][entries] * _ray_terms(heights, d_max)[2] / TWO_PI))",
+        "k = np.ceil(coeffs[-1][entries] * _ray_terms(heights, d_max)[2] / TWO_PI)",
         "tests/test_worstcase.py::TestWorstCaseSingle::test_user_whose_phase_underflows_to_zero",
     ),
     Mutant(
