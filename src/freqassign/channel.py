@@ -284,15 +284,18 @@ def _lower_bound_power(coeffs, l_los, l_ref, q):
 
 
 def _lower_bound_slope(coeffs, d, l_los, l_ref, q):
-    """Derivative in d of :func:`_lower_bound_power`, on its constants and the
-    ray terms at ground distances d; broadcasts.  With m = l*lr, S = l/lr + lr/l,
-    s and c the sine and cosine of phi/2, phi = rate*q, and g = (1 - t**2)*s**2:
-    dq/dd = -d*q/m and dm/dd = d*S, so dP/dd = -(A*d/m**2)*F with
+    """Derivative in d of :func:`_lower_bound_power` per unit amplitude,
+    (dP/dd)/A, on its constants and the ray terms at ground distances d;
+    broadcasts.  A is constant per pair, so this has the sign of dP/dd and the
+    same ratio between two distances, and no product with A (up to 1.8e308)
+    can overflow.  With m = l*lr, S = l/lr + lr/l, s and c the sine and cosine
+    of phi/2, phi = rate*q, and g = (1 - t**2)*s**2: dq/dd = -d*q/m and
+    dm/dd = d*S, so dP/dd = -(A*d/m**2)*F with
     F = 2*(q**2/m)*(1 + S) + 2*G*S + (1 - t**2)*rate*q*s*c/r,
     r = sqrt(1 - g) and G = g/(1 + r).  r is formed as sqrt(c**2 + t**2*s**2),
     which does not cancel where g is near 1 and vanishes only where cos(phi/2)
     does, which no float phase reaches."""
-    amplitude, cross, rate = coeffs
+    _, cross, rate = coeffs
     half = (0.5 * rate) * q
     s, c = np.sin(half), np.cos(half)
     s_sq = s * s
@@ -305,7 +308,7 @@ def _lower_bound_slope(coeffs, d, l_los, l_ref, q):
     f *= (l_los * l_los + l_ref * l_ref) * inv_ll
     f += radial
     f += cross * half * s * c / root
-    return (-2.0 * amplitude) * d * inv_ll * inv_ll * f
+    return -2.0 * d * inv_ll * inv_ll * f
 
 
 def _kernel(f1, f2, p_t: float, shares: int = 1):

@@ -5,9 +5,10 @@ single-carrier power (and of the two-carrier envelope bound) is attained
 at an interval endpoint or at the largest interference null inside, so it
 is read off from three closed-form evaluations.  For a carrier pair the
 slow spacing oscillation lets the amplitude move the minimum measurably off
-its null, so the null's basin is searched instead: 17 samples, then a
-bracketed Newton-secant search for the sign change of the bound's
-closed-form slope, on numpy arrays of rows.  One routine, :func:`worst_cases`,
+its null, so the null's basin is searched instead: the bound's closed-form
+slope at two distances fixed by the spacing phase, then, where it falls at
+the first and rises at the second, a bracketed Newton-secant search for its
+sign change between them, on numpy arrays of rows.  One routine, :func:`worst_cases`,
 serves every caller: a list of users (geometry and interval each) against
 an array of carriers or pairs, by broadcasts over blocks of users, with the
 basins of all users searched in one batch.  A profit table is one call for
@@ -47,16 +48,8 @@ UPPER_ENDPOINT = "upper_endpoint"
 INTERIOR_NULL = "interior_null"
 _KINDS = (LOWER_ENDPOINT, UPPER_ENDPOINT, INTERIOR_NULL)  # candidate codes 0, 1, 2
 
-# Basin search: _BASIN_POINTS evenly spaced samples of each bracket, then a
-# search for the sign change of the bound's slope on the two spacings around
-# the lowest one.
-_BASIN_POINTS = 17
-_BASIN_STEPS = np.arange(_BASIN_POINTS, dtype=float)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# The locating round samples this many rows at a time, which keeps its
-# (samples, rows) temporaries small enough to stay in cache.
-_BASIN_BLOCK = 512
-# A row not stopped after this many slope passes raises.  Bisection alone
+# A basin row not stopped after this many slope passes raises.  Bisection alone
 # stops a row within 42: its bracket is at most hi wide, tol >= 1e-12*hi/3.
 _SLOPE_PASSES = 100
 
@@ -109,81 +102,59 @@ class WorstCaseResult:
     candidate_kind: str
 
 
-def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
-    """Minimum of the envelope bound on each row's bracket [lo, hi].
+def _basin_minimum(heights, coeffs, a, b, hi):
+    """Minimum of the envelope bound on each row's basin bracket [a, hi].
 
     Row m has pair constants ``coeffs[.][m]`` and the height terms
-    ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``).  One
-    locating round samples every bracket at 17 evenly spaced distances, 512
-    rows at a time.  A row whose lowest sample is a bracket end x, and whose
-    bound rises within tol = sqrt(eps)*x + 1e-12*hi/3 of it, takes that end.
-    Every other row searches the two sample spacings around its lowest
-    sample for the sign change of the bound's slope
-    (:func:`freqassign.channel._lower_bound_slope`), one slope evaluation per
-    pass.  It starts at the vertex of the parabola through its three samples
-    and takes Newton steps, on the parabola's curvature and then on secant
-    slopes, each kept inside the bracket that the signs leave; a step out of
-    it, or not below half the step before last, is a bisection instead.  A
-    row stops once its step is within tol of its iterate, at the step's end,
-    where the bound is evaluated once; it takes that point where the bound
-    there lies below its lowest sample.  Rows iterate together as arrays,
-    each leaving in the pass that stops it, so no row depends on its batch;
-    0 < lo < hi.  A row not stopped after :data:`_SLOPE_PASSES` passes raises.
+    ``heights[.][m]`` of its own geometry (``SceneGeometry._heights``);
+    0 < a <= b <= hi, with the bound falling at a unless a is the interval's
+    d_min.  The bound's slope (:func:`freqassign.channel._lower_bound_slope`)
+    is evaluated once at a and once at b.  A row whose bound falls at a and
+    rises at b searches [a, b] for the slope's sign change, one slope
+    evaluation per pass: from the secant point of those two slopes, Newton
+    steps on secant slopes, each kept inside the bracket that the signs
+    leave; a step out of it, or not below half the step before last, is a
+    bisection instead.  It stops once its step is within
+    tol = sqrt(eps)*x + 1e-12*hi/3 of its iterate x, at the step's end, and
+    takes that point.  Every other row takes the lower of the bound at a and
+    at hi, ties to a.  Rows iterate together as arrays, each leaving in the
+    pass that stops it, so no row depends on its batch.  A row not stopped
+    after :data:`_SLOPE_PASSES` passes raises.
     """
-    xatol3 = 1e-12 * hi / 3.0
-    # Per row: the lowest sample, its lower and its upper neighbour (the
-    # sample itself at a bracket end), each as (distance, power).
-    near = np.empty((3, 2, lo.size))
-    for start in range(0, lo.size, _BASIN_BLOCK):
-        block = slice(start, start + _BASIN_BLOCK)
-        # Samples run down axis 0 and rows along axis 1, so per-row values
-        # broadcast along the contiguous axis.
-        step = (hi[block] - lo[block]) / (_BASIN_POINTS - 1)
-        x = lo[block] + step * _BASIN_STEPS[:, None]
-        x[-1] = hi[block]
-        terms = _ray_terms([a[block] for a in heights], x)
-        p = _lower_bound_power([a[block] for a in coeffs], *terms)
-        at = p.argmin(axis=0)
-        at3 = np.array([at, np.maximum(at - 1, 0), np.minimum(at + 1, _BASIN_POINTS - 1)])
-        at3 = at3, np.arange(at.size)
-        near[:, 0, block], near[:, 1, block] = x[at3], p[at3]
+    if not a.size:  # as in every narrow-band call
+        return a, a
+    ends = np.array([a, b])
+    s_a, s_b = _lower_bound_slope(coeffs, ends, *_ray_terms(heights, ends))
+    dips = (s_a < 0.0) & (s_b > 0.0)
+    power, argmin = np.empty(a.size), np.empty(a.size)
+    rows = np.flatnonzero(~dips)
+    ends = np.array([a[rows], hi[rows]])
+    p = _lower_bound_power([c[rows] for c in coeffs], *_ray_terms([h[rows] for h in heights], ends))
+    power[rows], argmin[rows] = p.min(axis=0), np.where(p[1] < p[0], ends[1], ends[0])
+    rows = np.flatnonzero(dips)
+    if not rows.size:  # as in every paper call: the setup below costs ~60 us
+        return power, argmin
 
-    (x, fx), lower, upper = near
-    inward = (lower[0] == x) - (upper[0] == x) * 1.0  # +1 at lo, -1 at hi, else 0
-    ends = np.flatnonzero(inward)
-    probe = x[ends] + inward[ends] * (_SQRT_EPS * x[ends] + xatol3[ends])
-    terms = _ray_terms([a[ends] for a in heights], probe)
-    settled = np.zeros(lo.size, dtype=bool)
-    settled[ends] = _lower_bound_power([a[ends] for a in coeffs], *terms) >= fx[ends]
-    rows = np.flatnonzero(~settled)
-    if not rows.size:  # as in every narrow-band call: the setup below costs ~60 us
-        return fx, x
-
-    # Each row starts at the vertex of the parabola through its three samples,
-    # or at its bracket's middle where the vertex is not inside (at a bracket
-    # end it lies outside), with the parabola's curvature as the slope's rate.
-    (x, fx), (a, f_a), (b, f_b) = near[:, :, rows]
-    half = 0.5 * (b - a)
-    bend = f_a - 2.0 * fx + f_b  # >= 0, as fx is the lowest sample
-    shift = np.divide(0.5 * half * (f_a - f_b), bend, out=np.full_like(x, math.inf), where=bend > 0.0)
-    vertex = x + shift
-    start = np.where((a < vertex) & (vertex < b), vertex, a + half)
-    # Per row: bracket [a, b], iterate x, previous iterate and its slope (in
-    # the first pass the curvature), the lengths of the step before last and
-    # of the last step; then the row's tolerance term, constants and heights.
-    constants = np.vstack([xatol3, *coeffs, *heights])[:, rows]
-    state = np.vstack([a, b, start, start, bend / (half * half), b - a, b - a, constants])
+    # Per row: bracket [a, b], iterate x, previous iterate and its slope, the
+    # lengths of the step before last and of the last step; then the row's
+    # tolerance term, constants and heights.  The secant point rounds to b
+    # where s_b is below eps/2 times -s_a; the row starts one float below b
+    # then, so that its first secant has a length.
+    a, b, s_a, s_b = a[rows], b[rows], s_a[rows], s_b[rows]
+    start = np.minimum(a - s_a * ((b - a) / (s_b - s_a)), np.nextafter(b, a))
+    constants = np.vstack([1e-12 * hi / 3.0, *coeffs, *heights])[:, rows]
+    state = np.vstack([a, b, start, b, s_b, b - a, b - a, constants])
     at = np.arange(rows.size)  # each row's place in ``rows``
     stops = np.empty(rows.size)
-    for n in range(_SLOPE_PASSES):
+    for _ in range(_SLOPE_PASSES):
         if not at.size:
             break
         a, b, x, x_prev, s_prev, before_last, last, xatol3 = state[:8]
         s = _lower_bound_slope(state[8:11], x, *_ray_terms(state[11:], x))
-        rate = (s - s_prev) / (x - x_prev) if n else s_prev
-        # The slope's sign keeps the bracket.  A Newton step on the rate (the
-        # curvature, then secant slopes) stands where it stays in the bracket
-        # and is at most half the step before last; otherwise the row bisects.
+        rate = (s - s_prev) / (x - x_prev)
+        # The slope's sign keeps the bracket.  A Newton step on the secant
+        # rate stands where it stays in the bracket and is at most half the
+        # step before last; otherwise the row bisects.
         rises = s > 0.0
         a, b = np.where(rises, a, x), np.where(rises, x, b)
         step = np.divide(-s, rate, out=np.full_like(s, math.inf), where=rate > 0.0)
@@ -199,13 +170,9 @@ def _basin_minimum(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
             at, state = at[keep], state[:, keep]
     if at.size:
         raise RuntimeError(f"basin search still running after {_SLOPE_PASSES} slope passes")
-
-    # A row takes the point where it stopped if the bound there undercuts its
-    # lowest sample.
-    p = _lower_bound_power(constants[1:4], *_ray_terms(constants[4:], stops))
-    lower = p < near[0, 1, rows]
-    near[0][:, rows[lower]] = stops[lower], p[lower]
-    return near[0, 1], near[0, 0]
+    power[rows] = _lower_bound_power(constants[1:4], *_ray_terms(constants[4:], stops))
+    argmin[rows] = stops
+    return power, argmin
 
 
 def _take_lower(result, at, power, argmin) -> None:
@@ -306,26 +273,28 @@ def worst_cases(where, f1, f2=None, p_t: float = 1.0, out=None):
     _, *heights, d_min, d_max = users[u].T
     coeffs = [a[m] for a in coeffs]
     q_scale = SPEED_OF_LIGHT / omega[m]
+    d_k = _invert_path_difference(heights, TWO_PI * k * q_scale)
     if not pairs:
-        d_k = _invert_path_difference(heights, TWO_PI * k * q_scale)
         # Without a null inside, the third candidate repeats d_min and ties it.
         d_null = np.where((d_k >= d_min) & (d_k <= d_max), d_k, d_min)
         minimum = power(coeffs, *_ray_terms(heights, d_null)), d_null
     else:
-        # A pair's null d_k lies inside its basin, so the basin search stands in
-        # for evaluating d_k.  The amplitude shifts the minimum off d_k towards
-        # larger d, so the basins of nulls above d_max hold nothing below the
-        # bound at d_max; next to the mast, where a basin is flat to 1e-14
-        # relative, only to roundoff.
-        # For k = k_max the phase 2*pi*k + pi can lie beyond the supremum, where
-        # d_lo means nothing; it then trims only the part of the basin next to
-        # the mast, where 1/l^2 makes the bound fall with d.
-        d_hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
-        d_lo = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)
-        search = d_lo < d_hi
-        u, m = u[search], m[search]
-        heights, coeffs = [a[search] for a in heights], [a[search] for a in coeffs]
-        minimum = _basin_minimum(heights, coeffs, d_lo[search], d_hi[search])
+        # A pair's null d_k lies in a basin that runs from phase 2*pi*k + pi
+        # through d_k to the crest at 2*pi*k - pi.  Up to d_k every term of the
+        # bound falls with d (sin(phi/2)**2, so g; q/(l*lr); 1/(l*lr)), so
+        # nothing there undercuts d_k: the basin search covers a = max(d_k,
+        # d_min) to hi = min(crest, d_max), with b at phase 2*pi*k - pi/2, and
+        # stands in for evaluating d_k.  The amplitude shifts the minimum off
+        # d_k towards larger d, so the basins
+        # of nulls above d_max hold nothing below the bound at d_max; next to
+        # the mast, where a basin is flat to 1e-14 relative, only to roundoff.
+        hi = np.minimum(_invert_path_difference(heights, (TWO_PI * k - math.pi) * q_scale), d_max)
+        a = np.maximum(d_k, d_min)
+        search = a < hi
+        u, m, k, q_scale, a, hi = (x[search] for x in (u, m, k, q_scale, a, hi))
+        heights, coeffs = [x[search] for x in heights], [x[search] for x in coeffs]
+        b = _invert_path_difference(heights, (TWO_PI * k - 0.5 * math.pi) * q_scale)
+        minimum = _basin_minimum(heights, coeffs, a, np.clip(b, a, hi), hi)
     _take_lower(result, (u, m), *minimum)
     return result if out is None else out
 
@@ -362,9 +331,10 @@ def worst_case_pair(
     distances computed from the spacing delta_omega instead of the carrier
     and the envelope lower bound as the evaluated power.  Because the
     spacing oscillation is slow, the interior minimum can sit measurably
-    off the nominal null distance, so the basin around the deepest relevant
-    null is searched in its place: 17 samples, then a search for the sign
-    change of the bound's slope.
+    off the nominal null distance, so the basin beyond the deepest relevant
+    null is searched in its place: where the bound's slope falls at the null
+    and rises a quarter period beyond it, for the slope's sign change
+    between the two.
     """
     return _one(worst_cases([(geom, interval)], pair.f1, pair.f2, p_t))
 

@@ -2,12 +2,15 @@
 
 ``basin_minimum_33`` is ``worstcase._basin_minimum`` as it stood with 33
 locating samples, 256 rows at a time, copied verbatim with its constants;
-it lives here only as the reference of this differential test.  The
-search now samples fewer points, so a row may start Brent from another
-pair of sample spacings and stop elsewhere within its tolerance.  On every
-basin row of the wideband trials of seeds 0-4 and of 300 criterion-6
-queries, each query searched alone as a one-row call, its minimum stays
-within 1e-9 relative of the old one and its argmin inside the bracket.
+it lives here only as the reference of this differential test.  It searches
+each row's whole basin [d_lo, hi] within the interval, from phase
+2*pi*k + pi, computed here, to the crest at 2*pi*k - pi; the search now
+starts at max(d_k, d_min), at phase 2*pi*k, and finds the sign change of the
+bound's slope, so a row may stop elsewhere within its tolerance.  On every
+basin row of the wideband trials of seeds 0-4, of 120 trials over 0.1-6 GHz
+and of 300 criterion-6 queries, each query searched alone as a one-row
+call, its minimum stays within 1e-9 relative of the old one, so nothing in
+[d_lo, d_k) lies lower, and its argmin inside [a, hi].
 """
 
 import math
@@ -16,8 +19,9 @@ import numpy as np
 import pytest
 
 from freqassign import DistanceInterval, SceneGeometry, worstcase
-from freqassign.channel import _lower_bound_power, _ray_terms
-from test_batched_worstcase import basin_rows, wideband_trial
+from freqassign.bench import ScenarioConfig, generate_scenario
+from freqassign.channel import TWO_PI, _invert_path_difference, _lower_bound_power, _ray_terms
+from test_batched_worstcase import all_pairs, basin_row_intervals, basin_rows, wideband_trial
 
 _BASIN_POINTS = 33
 _BASIN_STEPS = np.arange(_BASIN_POINTS, dtype=float)
@@ -116,21 +120,61 @@ def basin_minimum_33(heights, coeffs, lo: np.ndarray, hi: np.ndarray):
     return out[1], out[0]
 
 
-def assert_matches_the_33_sample_search(heights, coeffs, lo, hi):
-    new_p, new_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
-    old_p, _ = basin_minimum_33(heights, coeffs, lo, hi)
+def old_bracket_start(row, intervals):
+    """The start d_lo of the basin [d_lo, hi] that ``basin_minimum_33``
+    searched: phase 2*pi*k + pi (the supremum where that lies beyond it),
+    within the interval."""
+    heights, coeffs = row[:2]
+    d_min, _, k, low = intervals
+    q_lo = np.minimum((TWO_PI * k + math.pi) / coeffs[2], 2.0 * low)
+    return np.maximum(_invert_path_difference(heights, q_lo), d_min)
+
+
+def assert_matches_the_33_sample_search(row, intervals):
+    heights, coeffs, a, _, hi = row
+    d_lo = old_bracket_start(row, intervals)
+    assert np.all(d_lo <= a)
+    new_p, new_x = worstcase._basin_minimum(*row)
+    old_p, _ = basin_minimum_33(heights, coeffs, d_lo, hi)
     assert np.all(new_p <= old_p * (1.0 + 1e-9))
     rel = np.abs(new_p - old_p) / old_p
     assert np.all(rel <= 1e-9), f"row {rel.argmax()} moved by {rel.max():.3g}"
-    assert np.all((lo <= new_x) & (new_x <= hi))
+    assert np.all((a <= new_x) & (new_x <= hi))
+
+
+def basin_rows_and_intervals(monkeypatch, where, f1, f2, p_t):
+    _, row = basin_rows(monkeypatch, where, f1, f2, p_t)
+    return row, basin_row_intervals(where, f1, f2)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_wideband_basin_rows(seed, monkeypatch):
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
-    _, rows = basin_rows(monkeypatch, where, f1, f2, p_t)
-    assert rows[2].size > 1000
-    assert_matches_the_33_sample_search(*rows)
+    row, intervals = basin_rows_and_intervals(monkeypatch, where, f1, f2, p_t)
+    assert row[2].size > 1000
+    assert_matches_the_33_sample_search(row, intervals)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_basin_rows_over_0_1_to_6_ghz(seed, monkeypatch):
+    # 30 trials of the wideband workload's users with carriers from 0.1 to
+    # 6 GHz, where more nulls, and more of them next to the mast, fall in
+    # each basin row's interval; all rows of a seed searched as one batch.
+    config = ScenarioConfig(n_users=8, n_freqs=24, band=(0.1e9, 6e9), master_seed=seed)
+    rows, intervals = [], []
+    for trial in range(30):
+        users, freqs = generate_scenario(config, trial)
+        where = [(SceneGeometry(config.h_tx, u.h_rx), u.interval) for u in users]
+        f1, f2 = all_pairs(np.array([fr.f for fr in freqs]))
+        row, interval = basin_rows_and_intervals(monkeypatch, where, f1, f2, config.p_t)
+        rows.append(row)
+        intervals.append(interval)
+    row = tuple(
+        [np.concatenate(parts) for parts in zip(*group)] if isinstance(group[0], list) else np.concatenate(group)
+        for group in zip(*rows)
+    )
+    assert row[2].size > 50_000
+    assert_matches_the_33_sample_search(row, np.concatenate(intervals, axis=1))
 
 
 def test_one_row_criterion_6_queries(monkeypatch):
@@ -144,7 +188,7 @@ def test_one_row_criterion_6_queries(monkeypatch):
         span = float(rng.uniform(1.0, min(100.0, 500.0 - d_min)))
         f1, f2 = (float(f) for f in np.sort(rng.uniform(0.4e9, 3e9, size=2)))
         where = [(geom, DistanceInterval(d_min, d_min + span))]
-        _, rows = basin_rows(monkeypatch, where, f1, f2, 1.0)
-        searched += rows[2].size
-        assert_matches_the_33_sample_search(*rows)
+        row, intervals = basin_rows_and_intervals(monkeypatch, where, np.array([f1]), np.array([f2]), 1.0)
+        searched += row[2].size
+        assert_matches_the_33_sample_search(row, intervals)
     assert searched > 100

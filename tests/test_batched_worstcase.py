@@ -4,8 +4,8 @@
 the batched routine: endpoint and null candidates picked one at a time,
 and the null's basin polished by scipy's bounded Brent search.  It lives
 here only as the reference of the differential test.  The basin search's
-rows are also held against scipy's bounded search on the bracket that
-their locating round leaves.
+rows are also held against scipy's bounded search on the part of their
+bracket that the bound's slopes at its a and b leave.
 """
 
 import math
@@ -36,8 +36,9 @@ from freqassign.channel import (
     _lower_bound_power,
     _lower_bound_slope,
     _ray_terms,
+    path_difference,
 )
-from freqassign.worstcase import _BASIN_BLOCK, _KINDS, WorstCaseResult, worst_cases
+from freqassign.worstcase import _KINDS, WorstCaseResult, worst_cases
 
 
 def _reference_min_over_candidates(power_fn, interval, nulls):
@@ -121,14 +122,14 @@ def wideband_trial(seed):
 
 
 def basin_rows(monkeypatch, *args):
-    """``worst_cases(*args)`` and the (heights, coeffs, lo, hi) rows it
+    """``worst_cases(*args)`` and the (heights, coeffs, a, b, hi) rows it
     passed to the basin search."""
     rows = []
     search = worstcase._basin_minimum
 
-    def record(heights, coeffs, lo, hi):
-        rows.append((heights, coeffs, lo, hi))
-        return search(heights, coeffs, lo, hi)
+    def record(*row):
+        rows.append(row)
+        return search(*row)
 
     with monkeypatch.context() as patch:
         patch.setattr(worstcase, "_basin_minimum", record)
@@ -176,10 +177,10 @@ class TestUsersIndependence:
         where, freqs, hz, (f1, f2), p_t = wideband_trial(seed)
         singles = worst_cases(where, hz, None, p_t)
         # Basin rows of all users are searched together: enough of them to
-        # span several locating blocks, and to leave the slope search at
-        # different passes.
-        pairs, (_, _, lo, _) = basin_rows(monkeypatch, where, f1, f2, p_t)
-        assert lo.size > 3 * _BASIN_BLOCK
+        # leave the slope search at many different passes.
+        pairs, row = basin_rows(monkeypatch, where, f1, f2, p_t)
+        _, passes = slope_passes(monkeypatch, *row)
+        assert len(set(passes[1:])) > 4
         assert {a.shape for a in singles} == {(len(where), hz.size)}
         assert {a.shape for a in pairs} == {(len(where), f1.size)}
         assert set(pairs[2].ravel().tolist()) == {0, 1, 2}  # every candidate kind occurs
@@ -283,47 +284,60 @@ class TestAgainstScipyReference:
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def locating_round(heights, coeffs, lo, hi):
-    """Each row's lowest of ``_BASIN_POINTS`` evenly spaced samples of its
-    bracket, and its lower and upper neighbour (the sample itself at a
-    bracket end), as (3, rows) distances and powers; and the lowest
-    sample's index."""
-    last = worstcase._BASIN_POINTS - 1
-    x = lo + (hi - lo) / float(last) * np.arange(last + 1.0)[:, None]
-    x[-1] = hi
-    p = _lower_bound_power(coeffs, *_ray_terms(heights, x))
-    at = p.argmin(axis=0)
-    near = np.stack([at, np.maximum(at - 1, 0), np.minimum(at + 1, last)]), np.arange(lo.size)
-    return x[near], p[near], at
+def bracket_slopes(heights, coeffs, a, b):
+    """The bound's slope per unit amplitude at each row's a and at its b."""
+    return tuple(_lower_bound_slope(coeffs, x, *_ray_terms(heights, x)) for x in (a, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basin_brackets_sit_at_the_phases_around_the_null(seed, monkeypatch):
+    # Each basin row's bracket comes from its null's index k: a = max(d_k,
+    # d_min), at spacing phase 2*pi*k; hi = min(crest, d_max), the crest at
+    # 2*pi*k - pi; b at 2*pi*k - pi/2, clipped to [a, hi].  The phases are
+    # read forward, in turns from the null, at the distances the search got.
+    where, _, _, (f1, f2), p_t = wideband_trial(seed)
+    _, (heights, coeffs, a, b, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    d_min, d_max, k, _ = basin_row_intervals(where, f1, f2)
+    assert a.size == k.size > 1000
+    turns = lambda d: coeffs[2] * _ray_terms(heights, d)[2] / TWO_PI - k
+    near = lambda d, at: np.abs(turns(d) - at) <= 1e-9 * k
+    assert np.all((a == d_min) & (turns(d_min) <= 1e-9 * k) | (a > d_min) & near(a, 0.0))
+    assert np.all((hi == d_max) & (turns(d_max) >= -0.5 - 1e-9 * k) | (hi < d_max) & near(hi, -0.5))
+    clipped = (b == a) & (turns(a) <= -0.25 + 1e-9 * k) | (b == hi) & (turns(hi) >= -0.25 - 1e-9 * k)
+    assert np.all(clipped | (a < b) & (b < hi) & near(b, -0.25))
+    assert 0 < clipped.sum() < 0.5 * a.size  # both kinds occur
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basin_rows_match_scipy_bounded_brent(seed, monkeypatch):
     # Every basin row of a wideband trial comes out no more than 1e-9 above
-    # scipy's bounded search (Brent's method) with the same xatol on the
-    # bracket that the locating round leaves, and its argmin inside that
-    # bracket.
+    # scipy's bounded search (Brent's method) with the same xatol, on [a, b]
+    # where the slope falls at a and rises at b and on [a, hi] elsewhere,
+    # and its argmin lies inside that bracket.
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
-    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, lo, hi)
-    x3, _, _ = locating_round(heights, coeffs, lo, hi)
-    scipy_p = np.empty(lo.size)
-    for m in range(lo.size):
+    _, (heights, coeffs, a, b, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    basin_p, basin_x = worstcase._basin_minimum(heights, coeffs, a, b, hi)
+    s_a, s_b = bracket_slopes(heights, coeffs, a, b)
+    end = np.where((s_a < 0.0) & (s_b > 0.0), b, hi)
+    scipy_p = np.empty(a.size)
+    for m in range(a.size):
         row_coeffs, row_heights = [c[m] for c in coeffs], [h[m] for h in heights]
         res = minimize_scalar(
             lambda d: float(_lower_bound_power(row_coeffs, *_ray_terms(row_heights, d))),
-            bounds=(x3[1, m], x3[2, m]),
+            bounds=(a[m], end[m]),
             method="bounded",
-            options={"xatol": max(1e-12, 1e-12 * x3[2, m])},
+            options={"xatol": max(1e-12, 1e-12 * end[m])},
         )
         scipy_p[m] = res.fun
     rel = (basin_p - scipy_p) / scipy_p
     assert rel.max() <= 1e-9, f"row {rel.argmax()} above scipy by {rel.max():.3g}"
-    assert np.all((x3[1] <= basin_x) & (basin_x <= x3[2]))
+    assert np.all((a <= basin_x) & (basin_x <= end))
 
 
 def slope_passes(monkeypatch, *rows):
-    """``_basin_minimum(*rows)`` and the number of rows of each slope pass."""
+    """``_basin_minimum(*rows)`` and the number of points of each slope
+    evaluation: the bracket's a and b of every row, then one per loop pass
+    and row."""
     passes = []
     slope = worstcase._lower_bound_slope
 
@@ -339,71 +353,81 @@ def slope_passes(monkeypatch, *rows):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_basin_rows_stop_within_tolerance_of_the_slope_sign_change(seed, monkeypatch):
-    # A row that takes the point where its search stopped has the bound
+    # The rows whose slope falls at a and rises at b, and only those, enter
+    # the loop; each takes the point where its search stopped, with the bound
     # falling at that point minus tol and rising at that point plus tol,
     # tol = sqrt(eps)*x + 1e-12*hi/3: the point lies within tol of a minimum.
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
-    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    (basin_p, basin_x), passes = slope_passes(monkeypatch, heights, coeffs, lo, hi)
-    x3, f3, _ = locating_round(heights, coeffs, lo, hi)
-    moved = basin_p < f3[0]
-    assert moved.sum() > 0.8 * passes[0]
-    x, h, c = basin_x[moved], [a[moved] for a in heights], [a[moved] for a in coeffs]
-    tol = SQRT_EPS * x + 1e-12 * hi[moved] / 3.0
+    _, (heights, coeffs, a, b, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
+    (basin_p, basin_x), passes = slope_passes(monkeypatch, heights, coeffs, a, b, hi)
+    s_a, s_b = bracket_slopes(heights, coeffs, a, b)
+    dips = (s_a < 0.0) & (s_b > 0.0)
+    assert passes[:2] == [2 * a.size, dips.sum()] and dips.sum() > 0.8 * a.size
+    x, h, c = basin_x[dips], [v[dips] for v in heights], [v[dips] for v in coeffs]
+    tol = SQRT_EPS * x + 1e-12 * hi[dips] / 3.0
     below = _lower_bound_slope(c, x - tol, *_ray_terms(h, x - tol))
     above = _lower_bound_slope(c, x + tol, *_ray_terms(h, x + tol))
     assert np.all(below <= 0.0) and np.all(above >= 0.0)
+    assert np.all(basin_p[dips] == _lower_bound_power(c, *_ray_terms(h, x)))
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_one_row_iterates_keep_the_bracket_and_stop_at_the_first_small_step(seed, monkeypatch):
-    # Each basin row of a wideband trial, searched alone: every iterate lies
-    # in the bracket that the slope's signs at the earlier iterates keep,
-    # starting from the two sample spacings around the lowest sample.  Each
-    # step before the last is longer than tol = sqrt(eps)*x + 1e-12*hi/3 at
-    # its start x, and a row that takes the point where it stopped took one
+    # Each basin row of a wideband trial, searched alone: the slope is first
+    # taken at a and b.  A row whose slope falls at a and rises at b starts
+    # at the secant point of those two slopes, and every iterate lies in the
+    # bracket that the slope's signs at the earlier iterates keep, starting
+    # from [a, b].  Each step before the last is longer than
+    # tol = sqrt(eps)*x + 1e-12*hi/3 at its start x, and the row took one
     # more step, of at most tol, from its last iterate to a point inside the
-    # bracket.  On these trials a Newton step leaves the bracket in a few
-    # rows, and steps of up to twice tol occur.
+    # bracket.  Any other row takes a or hi with no further slope.  On these
+    # trials a Newton step leaves the bracket in a few rows, and steps of up
+    # to twice tol occur.
     where, _, _, (f1, f2), p_t = wideband_trial(seed)
-    _, (heights, coeffs, lo, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
-    x3, f3, _ = locating_round(heights, coeffs, lo, hi)
+    _, (heights, coeffs, a, b, hi) = basin_rows(monkeypatch, where, f1, f2, p_t)
     iterates = []
     slope = worstcase._lower_bound_slope
 
     def recording(c, d, *terms):
         s = slope(c, d, *terms)
-        iterates.append((d.item(), s.item()))
+        iterates.append((d.ravel().tolist(), s.ravel().tolist()))
         return s
 
     monkeypatch.setattr(worstcase, "_lower_bound_slope", recording)
     searched = 0
-    for m in range(lo.size):
+    for m in range(a.size):
         iterates.clear()
-        row = [h[m : m + 1] for h in heights], [c[m : m + 1] for c in coeffs], lo[m : m + 1], hi[m : m + 1]
+        row = [h[m : m + 1] for h in heights], [c[m : m + 1] for c in coeffs], a[m : m + 1], b[m : m + 1], hi[m : m + 1]
         (power,), (argmin,) = worstcase._basin_minimum(*row)
+        (ends, (s_a, s_b)), *loop = iterates
+        assert ends == [a[m], b[m]], f"row {m}"
+        if not s_a < 0.0 < s_b:
+            assert not loop and argmin in (a[m], hi[m]), f"row {m}"
+            continue
         tol = lambda x: SQRT_EPS * x + 1e-12 * hi[m] / 3.0
-        a, b = x3[1, m], x3[2, m]
-        for k, (x, s) in enumerate(iterates):
-            assert a <= x <= b, f"row {m}, pass {k}"
+        assert loop[0][0][0] == pytest.approx((a[m] * s_b - b[m] * s_a) / (s_b - s_a), rel=1e-12, abs=0.0)
+        lo, up = a[m], b[m]
+        for k, ((x,), (s,)) in enumerate(loop):
+            assert lo <= x <= up, f"row {m}, pass {k}"
             if k:
-                assert abs(x - iterates[k - 1][0]) > tol(iterates[k - 1][0]), f"row {m}, pass {k}"
-            a, b = (a, x) if s > 0.0 else (x, b)
-        if power < f3[0, m]:
-            assert abs(argmin - iterates[-1][0]) <= tol(iterates[-1][0]) and a <= argmin <= b, f"row {m}"
-        searched += bool(iterates)
+                previous = loop[k - 1][0][0]
+                assert abs(x - previous) > tol(previous), f"row {m}, pass {k}"
+            lo, up = (lo, x) if s > 0.0 else (x, up)
+        last = loop[-1][0][0]
+        assert abs(argmin - last) <= tol(last) and lo <= argmin <= up, f"row {m}"
+        searched += 1
     assert searched > 1000
 
 
 def test_slope_passes_capped(monkeypatch):
-    # The search raises once a row has had _SLOPE_PASSES passes without
+    # The search raises once a row has had _SLOPE_PASSES loop passes without
     # stopping, rather than loop on: the cap, patched down to the passes a
     # wideband trial needs, gives the same result bit for bit, and one fewer
     # raises.
     where, _, _, (f1, f2), p_t = wideband_trial(0)
     _, rows = basin_rows(monkeypatch, where, f1, f2, p_t)
     expected, passes = slope_passes(monkeypatch, *rows)
-    passes = len(passes)
+    passes = len(passes) - 1  # the first slope evaluation is the bracket's
     assert 0 < passes < worstcase._SLOPE_PASSES // 10
     monkeypatch.setattr(worstcase, "_SLOPE_PASSES", passes)
     for got, want in zip(worstcase._basin_minimum(*rows), expected):
@@ -411,6 +435,24 @@ def test_slope_passes_capped(monkeypatch):
     monkeypatch.setattr(worstcase, "_SLOPE_PASSES", passes - 1)
     with pytest.raises(RuntimeError, match=f"after {passes - 1} slope passes"):
         worstcase._basin_minimum(*rows)
+
+
+def basin_row_intervals(where, f1, f2):
+    """(d_min, d_max, k, min(h_tx, h_rx)) of each basin row of
+    ``worst_cases(where, f1, f2)``, in its order, from forward phases alone:
+    every (user, pair) with a spacing null at or below d_max, the largest of
+    index k, whose interval starts before the crest beyond it, at phase
+    2*pi*k - pi."""
+    rate = TWO_PI * (f2 - f1) / SPEED_OF_LIGHT
+    rows = []
+    for geom, iv in where:
+        low = min(geom.h_tx, geom.h_rx)
+        phase_min, phase_max = (rate * path_difference(geom, d) for d in (iv.d_min, iv.d_max))
+        k = np.maximum(1.0, np.ceil(phase_max / TWO_PI))
+        keep = (k <= np.floor(2.0 * rate * low / TWO_PI)) & (phase_min > TWO_PI * k - math.pi)
+        keep &= iv.d_min < iv.d_max
+        rows += [(iv.d_min, iv.d_max, float(k_m), low) for k_m in k[keep]]
+    return np.array(rows).reshape(-1, 4).T
 
 
 def _distance_at_phase(geom, omega, phase):

@@ -502,9 +502,18 @@ class TestSumPowerLowerBound:
         assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
 
 
+def reference_amplitude(f1, f2, p_t=1.0):
+    """The pair bound's amplitude A = a1 + a2 in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        f1, f2, p_t, c = map(Decimal, (f1, f2, p_t, SPEED_OF_LIGHT))
+        return sum(p_t / 2 * (c / (4 * _PI * f)) ** 2 for f in (f1, f2))
+
+
 def reference_lower_bound_slope(h_tx, h_rx, d, f1, f2, p_t=1.0):
-    """d/dd of :func:`reference_lower_bound` in 40-digit decimal arithmetic, the
-    float inputs taken as exact, and the sum of its terms' magnitudes.  With
+    """d/dd of :func:`reference_lower_bound` per unit amplitude A in 40-digit
+    decimal arithmetic, the float inputs taken as exact, and the sum of its
+    terms' magnitudes, per unit amplitude too.  With
     m = l*lr, S = l/lr + lr/l, psi = pi*(f2 - f1)*q/c and R = sqrt(A^2 - gap),
     the bound is A*(q/m)^2 + 2*(A - R)/m, gap = 4*a1*a2*sin^2(psi), and
     dq/dd = -d*q/m, dm/dd = d*S give
@@ -527,7 +536,7 @@ def reference_lower_bound_slope(h_tx, h_rx, d, f1, f2, p_t=1.0):
             -2 * gap / (amplitude + root) * d * spread / m**2,  # A - R without cancelling
             -4 * a1 * a2 * _decimal_sin(2 * psi) * (_PI * (f2 - f1) / c) * d * q / (root * m * m),
         )
-        return sum(terms), sum(abs(term) for term in terms)
+        return sum(terms) / amplitude, sum(abs(term) for term in terms) / amplitude
 
 
 def slope_families():
@@ -573,8 +582,9 @@ class TestLowerBoundSlope:
     @pytest.mark.parametrize("family", ["physical", "close", "mast", "far"])
     def test_matches_a_central_difference(self, family):
         # The central difference of the 40-digit bound, in 50 digits with a
-        # step of 1e-15*d: it and the decimal reference above are independent
-        # of the float kernels and of each other's formulas.
+        # step of 1e-15*d, over its amplitude: it and the decimal reference
+        # above are independent of the float kernels and of each other's
+        # formulas.
         worst = 0.0
         for h_tx, h_rx, d, f1, f2 in slope_families()[family]:
             _, scale = reference_lower_bound_slope(h_tx, h_rx, d, f1, f2)
@@ -583,7 +593,7 @@ class TestLowerBoundSlope:
                 step = Decimal(d) * Decimal("1e-15")
                 rise = reference_lower_bound(h_tx, h_rx, Decimal(d) + step, f1, f2)
                 rise -= reference_lower_bound(h_tx, h_rx, Decimal(d) - step, f1, f2)
-                want = rise / (2 * step)
+                want = rise / (2 * step) / reference_amplitude(f1, f2)
             got = Decimal(float(float_slope(h_tx, h_rx, d, f1, f2)))
             worst = max(worst, float(abs(got - want) / scale))
         assert worst <= 1e-12, f"{worst:.3g}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -18,7 +20,16 @@ from freqassign import (
     worst_case_pair,
     worst_case_single,
 )
-from freqassign.channel import _height_terms, _lower_bound_coeffs
+from freqassign import worstcase
+from freqassign.channel import (
+    SPEED_OF_LIGHT,
+    TWO_PI,
+    _height_terms,
+    _invert_path_difference,
+    _lower_bound_coeffs,
+    _lower_bound_slope,
+    _ray_terms,
+)
 from freqassign.worstcase import (
     INTERIOR_NULL,
     LOWER_ENDPOINT,
@@ -146,6 +157,24 @@ class TestWorstCasePair:
             result = worst_case_pair(EX_GEOM, EX_INTERVAL, FrequencyPair(f, 1.5 * f))
         assert 0.0 < result.power < np.inf
 
+    def test_amplitude_near_the_float_max(self):
+        # The 2.0/2.5 GHz pair at 10/1.5 m, with every frequency divided by
+        # and every length multiplied by 1000: its minimum lies inside the
+        # basin, beyond the null near 49 km, so the search runs.  At the
+        # transmit power that puts A one float below the float max, the
+        # slope per unit amplitude overflows nowhere, and the search takes
+        # the same steps as at 1 W: the same argmin, the power times p_t.
+        geom, iv, pair = SceneGeometry(1e4, 1.5e3), DistanceInterval(3e4, 8e4), FrequencyPair(2e6, 2.5e6)
+        p_t = float(np.nextafter(np.finfo(float).max, 0.0)) / _lower_bound_coeffs(2e6, 2.5e6, 1.0)[0]
+        assert _lower_bound_coeffs(2e6, 2.5e6, p_t)[0] > 1.7e308
+        with np.errstate(all="raise"):
+            loud = worst_case_pair(geom, iv, pair, p_t)
+        quiet = worst_case_pair(geom, iv, pair)
+        assert loud.candidate_kind == quiet.candidate_kind == INTERIOR_NULL
+        assert loud.argmin_distance == quiet.argmin_distance
+        assert 0.0 < loud.power < np.inf
+        assert loud.power == pytest.approx(p_t * quiet.power, rel=1e-14)
+
     def test_running_example(self):
         result = worst_case_pair(EX_GEOM, EX_INTERVAL, EX_PAIR)
         assert to_decibel(result.power) == pytest.approx(-82.9, abs=0.2)
@@ -260,64 +289,106 @@ class TestGridMin:
         assert result.candidate_kind == INTERIOR_NULL
 
 
+def basin_bracket(geom, pair, k=1):
+    """(a, b, hi) of the basin of the k-th spacing null, unclipped: the
+    distances at spacing phases 2*pi*k, 2*pi*k - pi/2 and 2*pi*k - pi."""
+    rate = pair.delta_omega / SPEED_OF_LIGHT
+    return tuple(
+        float(_invert_path_difference(geom._heights, (TWO_PI * k - shift) / rate))
+        for shift in (0.0, 0.5 * math.pi, math.pi)
+    )
+
+
 class TestBasinMinimum:
-    def test_samples_end_at_the_bracket_end(self):
-        # lo + 32*((hi - lo)/32) can round one float above hi; on a bound
-        # that falls towards hi the search must still stop at hi
+    def test_bound_falling_at_a_and_b_takes_the_lower_end(self):
+        # 1 MHz apart: no spacing null, so the bound falls with distance and
+        # the lower of a and hi is hi, with b anywhere in [a, hi]
         rng = np.random.default_rng(7)
-        lo = rng.uniform(10.0, 100.0, 2000)
-        hi = rng.uniform(20.0, 300.0, 2000)
-        over = (lo < hi) & (lo + 32.0 * ((hi - lo) / 32.0) > hi)
-        lo, hi = lo[over], hi[over]
-        assert lo.size > 10
-        # 1 MHz apart: no spacing null, so the bound falls with distance
-        f1, f2 = np.full(lo.size, 2.400e9), np.full(lo.size, 2.401e9)
-        heights = _height_terms(np.full(lo.size, 10.0), np.full(lo.size, 1.5))
-        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), lo, hi)
+        a = rng.uniform(10.0, 100.0, 200)
+        hi = a + rng.uniform(1e-6, 200.0, 200)
+        b = a + rng.uniform(0.0, 1.0, 200) * (hi - a)
+        b[0], b[1] = a[0], hi[1]
+        f1, f2 = np.full(a.size, 2.400e9), np.full(a.size, 2.401e9)
+        heights = _height_terms(np.full(a.size, 10.0), np.full(a.size, 1.5))
+        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), a, b, hi)
         assert argmin.tolist() == hi.tolist()
         pair = FrequencyPair(2.400e9, 2.401e9)
         assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), hi, pair).tolist()
 
-    def test_samples_start_at_the_bracket_start(self):
+    def test_bound_rising_at_a_takes_a(self):
         # 500 MHz apart at these heights, the bound rises with distance from
-        # its spacing null at 49 m to the crest near 85 m; the search must
-        # stop at lo and report the power there
+        # its spacing null at 49 m to the crest near 85 m; a row whose slope
+        # rises at a takes a and reports the power there
         rng = np.random.default_rng(8)
-        lo = rng.uniform(49.5, 65.0, 200)
-        hi = lo + rng.uniform(1e-6, 15.0, 200)
-        f1, f2 = np.full(lo.size, 2.0e9), np.full(lo.size, 2.5e9)
-        heights = _height_terms(np.full(lo.size, 10.0), np.full(lo.size, 1.5))
-        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), lo, hi)
-        assert argmin.tolist() == lo.tolist()
+        a = rng.uniform(49.5, 65.0, 200)
+        hi = a + rng.uniform(1e-6, 15.0, 200)
+        b = a + rng.uniform(0.0, 1.0, 200) * (hi - a)
+        f1, f2 = np.full(a.size, 2.0e9), np.full(a.size, 2.5e9)
+        heights = _height_terms(np.full(a.size, 10.0), np.full(a.size, 1.5))
+        power, argmin = _basin_minimum(heights, _lower_bound_coeffs(f1, f2, 1.0), a, b, hi)
+        assert argmin.tolist() == a.tolist()
         pair = FrequencyPair(2.0e9, 2.5e9)
-        assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), lo, pair).tolist()
+        assert power.tolist() == sum_power_lower_bound(SceneGeometry(10.0, 1.5), a, pair).tolist()
 
-    def test_flat_bound_settles_at_the_bracket_start(self):
+    def test_flat_bound_ties_to_a(self):
         # nanometres from the mast d^2 lies below the roundoff of the height
-        # terms, so the bound is one number on the whole bracket; ties go
-        # to the lower end, as between candidates
+        # terms, so the bound is one number on the whole bracket; the slope
+        # still falls at a and b, and the tie between a and hi goes to a, as
+        # between candidates
         geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
-        lo = np.array([1e-9, 2e-9, 5e-9])
-        hi = 3.0 * lo
-        flat = sum_power_lower_bound(geom, np.linspace(lo, hi, 1001), pair)
+        a = np.array([1e-9, 2e-9, 5e-9])
+        hi = 3.0 * a
+        flat = sum_power_lower_bound(geom, np.linspace(a, hi, 1001), pair)
         assert np.all(flat == flat[0])  # the case occurs
         heights = _height_terms(np.full(3, 10.0), np.full(3, 1.5))
         coeffs = _lower_bound_coeffs(np.full(3, 2.0e9), np.full(3, 2.5e9), 1.0)
-        power, argmin = _basin_minimum(heights, coeffs, lo, hi)
-        assert argmin.tolist() == lo.tolist()
+        power, argmin = _basin_minimum(heights, coeffs, a, 2.0 * a, hi)
+        assert argmin.tolist() == a.tolist()
         assert power.tolist() == flat[0].tolist()
 
     def test_bound_dipping_inside_the_bracket(self):
-        # On [28, 80] m the bound rises from lo to a crest near 33 m, falls
-        # into the spacing null near 49 m and rises again to hi: it rises at
-        # both ends, yet its minimum is inside, far below either end
+        # From the spacing null d_k near 49 m the bound falls a little further,
+        # as the amplitude shifts the minimum off d_k, then rises through b
+        # (phase 3*pi/2) to the crest hi (phase pi): the search finds the
+        # minimum between a and b, below the bound at d_k
+        geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
+        a, b, hi = basin_bracket(geom, pair)
+        heights = _height_terms(np.array([10.0]), np.array([1.5]))
+        coeffs = _lower_bound_coeffs(np.array([2.0e9]), np.array([2.5e9]), 1.0)
+        ends = np.array([[a], [b]])
+        slopes = _lower_bound_slope(coeffs, ends, *_ray_terms(heights, ends))
+        assert slopes[0] < 0.0 < slopes[1]  # the case occurs
+        power, argmin = _basin_minimum(heights, coeffs, np.array([a]), np.array([b]), np.array([hi]))
+        bound = lambda d: float(sum_power_lower_bound(geom, d, pair))
+        floor = minimize_scalar(bound, bounds=(a, b), method="bounded", options={"xatol": 1e-12 * hi})
+        assert a < argmin[0] < b
+        assert power[0] <= floor.fun * (1.0 + 1e-9)
+        assert power[0] < bound(a)
+        assert power[0] == bound(argmin[0])
+
+    def test_equal_successive_slopes_bisect(self, monkeypatch):
+        # A slope that is -1 below 50 m and +1 from there on: the secant start
+        # is 50 m, whose slope equals the slope at b, and later iterates repeat
+        # -1; each such pass has no secant rate and bisects, without dividing
+        # by zero, and the search stops within its tolerance of the sign change
+        monkeypatch.setattr(worstcase, "_lower_bound_slope", lambda c, d, *terms: np.where(d < 50.0, -1.0, 1.0))
         geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
         heights = _height_terms(np.array([10.0]), np.array([1.5]))
         coeffs = _lower_bound_coeffs(np.array([2.0e9]), np.array([2.5e9]), 1.0)
-        power, argmin = _basin_minimum(heights, coeffs, np.array([28.0]), np.array([80.0]))
-        bound = lambda d: float(sum_power_lower_bound(geom, d, pair))
-        near_null = minimize_scalar(bound, bounds=(45.0, 55.0), method="bounded", options={"xatol": 55e-12})
-        assert 45.0 < argmin[0] < 55.0
-        assert power[0] <= near_null.fun * (1.0 + 1e-9)
-        assert power[0] < 1e-3 * min(bound(28.0), bound(80.0))
-        assert power[0] == bound(argmin[0])
+        power, argmin = _basin_minimum(heights, coeffs, np.array([40.0]), np.array([60.0]), np.array([80.0]))
+        tol = math.sqrt(np.finfo(float).eps) * 50.0 + 1e-12 * 80.0 / 3.0
+        assert abs(argmin[0] - 50.0) <= tol
+        assert power[0] == float(sum_power_lower_bound(geom, argmin[0], pair))
+
+    def test_secant_start_rounding_to_b(self, monkeypatch):
+        # A slope of -1 below 50 m and 1e-20 from there on: the secant point
+        # of the slopes at a and b rounds to b, so the search starts one float
+        # below b, and its first secant has a length
+        monkeypatch.setattr(worstcase, "_lower_bound_slope", lambda c, d, *terms: np.where(d < 50.0, -1.0, 1e-20))
+        geom, pair = SceneGeometry(10.0, 1.5), FrequencyPair(2.0e9, 2.5e9)
+        heights = _height_terms(np.array([10.0]), np.array([1.5]))
+        coeffs = _lower_bound_coeffs(np.array([2.0e9]), np.array([2.5e9]), 1.0)
+        power, argmin = _basin_minimum(heights, coeffs, np.array([40.0]), np.array([50.0]), np.array([80.0]))
+        tol = math.sqrt(np.finfo(float).eps) * 50.0 + 1e-12 * 80.0 / 3.0
+        assert 50.0 - tol <= argmin[0] <= 50.0
+        assert power[0] == float(sum_power_lower_bound(geom, argmin[0], pair))

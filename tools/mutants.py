@@ -260,14 +260,14 @@ MUTANTS = [
         "    # g",
         "tests/test_acceptance.py::test_criterion_4_lower_bound_property",
     ),
-    # channel: the pair bound's slope, -(A*d/m^2)*F with
+    # channel: the pair bound's slope per unit amplitude, -(d/m^2)*F with
     # F = 2*(q^2/m)*(1 + S) + 2*G*S + (1 - t^2)*rate*q*sin(phi)/(2*sqrt(1 - g)).
     Mutant(
         "channel: pair bound's slope with its sine term's sign flipped",
         "src/freqassign/channel.py",
         "    f += cross * half * s * c / root",
         "    f -= cross * half * s * c / root",
-        "tests/test_acceptance.py::test_criterion_6_theorem_oracle_equivalence",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
     ),
     Mutant(
         "channel: pair bound's slope without 1/sqrt(1 - g)",
@@ -333,7 +333,7 @@ MUTANTS = [
         "src/freqassign/worstcase.py",
         "_k_max(low.max(), omega)",
         "_k_max(low.min(), omega)",
-        "tests/test_batched_worstcase.py::TestUsersIndependence::test_mixed_geometries_match_one_user_and_scalar_calls",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
     ),
     # worstcase: a pair's lower endpoint is skipped only where it cannot win.
     Mutant(
@@ -401,7 +401,41 @@ MUTANTS = [
         "src/freqassign/worstcase.py",
         "step = np.divide(-s, rate, out=np.full_like(s, math.inf), where=rate > 0.0)",
         "step = -s / rate",
-        "tests/test_table_pass.py::test_flat_basins_with_equal_slopes_match_reference",
+        "tests/test_worstcase.py::TestBasinMinimum::test_equal_successive_slopes_bisect",
+    ),
+    Mutant(
+        "worstcase: basin search's secant start allowed to round to b",
+        "src/freqassign/worstcase.py",
+        "np.minimum(a - s_a * ((b - a) / (s_b - s_a)), np.nextafter(b, a))",
+        "a - s_a * ((b - a) / (s_b - s_a))",
+        "tests/test_worstcase.py::TestBasinMinimum::test_secant_start_rounding_to_b",
+    ),
+    # worstcase: each basin row's bracket, from the phases around its null,
+    # and the rule for rows whose slope does not fall at a and rise at b.
+    # The differential against the 33-sample search runs first and fails
+    # first; each also fails its own test: the first two
+    # test_batched_worstcase.py::test_basin_brackets_sit_at_the_phases_around_the_null,
+    # the third test_worstcase.py::TestBasinMinimum::test_bound_rising_at_a_takes_a.
+    Mutant(
+        "worstcase: basin's b at phase 2*pi*k - pi",
+        "src/freqassign/worstcase.py",
+        "(TWO_PI * k - 0.5 * math.pi) * q_scale",
+        "(TWO_PI * k - math.pi) * q_scale",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
+    ),
+    Mutant(
+        "worstcase: basin bracket starts at d_lo",
+        "src/freqassign/worstcase.py",
+        "a = np.maximum(d_k, d_min)",
+        "a = np.maximum(_invert_path_difference(heights, (TWO_PI * k + math.pi) * q_scale), d_min)",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
+    ),
+    Mutant(
+        "worstcase: basin rows rising at a take hi",
+        "src/freqassign/worstcase.py",
+        "p.min(axis=0), np.where(p[1] < p[0], ends[1], ends[0])",
+        "p[1], ends[1]",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
     ),
     # The input checks of the public functions, one mutant each (two where a
     # check tests two things).
@@ -603,10 +637,11 @@ MUTANTS = [
         "if False:\n        raise",
         "tests/test_qmkp.py::TestObjective::test_infeasible_rejected",
     ),
-    # The "Pin or delete" ledger in CHANGES.md: sites (3), (4) and (6)-(10).
+    # The "Pin or delete" ledger in CHANGES.md: sites (3) and (6)-(10).
     # (1), the null index's 1e-9 margin, (2), a pair's null evaluated besides
-    # its basin, (5), the clamp of the carrier's own null formula, (14), the
-    # clamp of the pair bound's root, and (15), the 1e-12 m floor of the basin
+    # its basin, (4), the basin samples' last one set to the bracket end,
+    # (5), the clamp of the carrier's own null formula, (14), the clamp of
+    # the pair bound's root, and (15), the 1e-12 m floor of the basin
     # tolerance, are deleted; (11)-(13) went earlier.
     Mutant(
         "worstcase: null index with a 1e-9 margin",
@@ -623,18 +658,11 @@ MUTANTS = [
         "tests/test_worstcase.py::TestWorstCaseSingle::test_user_whose_phase_underflows_to_zero",
     ),
     Mutant(
-        "ledger 4: basin samples not ending at the bracket end",
-        "src/freqassign/worstcase.py",
-        "        x[-1] = hi[block]\n",
-        "",
-        "tests/test_worstcase.py::TestBasinMinimum::test_samples_end_at_the_bracket_end",
-    ),
-    Mutant(
         "ledger 6: inverse path difference without the clamp at zero",
         "src/freqassign/channel.py",
         "np.sqrt(np.maximum(l_los * l_los - dh_sq, 0.0))",
         "np.sqrt(l_los * l_los - dh_sq)",
-        "tests/test_acceptance.py::test_criterion_6_theorem_oracle_equivalence",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
     ),
     Mutant(
         "ledger 7: to_decibel warns on zero power",
