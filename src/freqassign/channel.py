@@ -253,10 +253,22 @@ def _amplitude_bracket(amplitude, sine, scale, l_los, l_ref, q):
     return sine
 
 
-def _single_power(coeffs, l_los, l_ref, q):
-    """Single-carrier power from :func:`_single_coeffs` and ray terms."""
+def _half_phase_sine(rate, q, out):
+    """sin(rate*q/2), the kernels' sine.  Given ``out``, an array of the
+    broadcast shape, it is computed there, so that a (users, entries) block
+    takes no temporary.  Otherwise it is the plain expression: np.sin(...,
+    out=) refuses the numpy scalars that :func:`_power` passes for a scalar d,
+    and np.multiply or any ufunc keyword costs a scalar call 0.4-0.7 us."""
+    if out is None:
+        return np.sin(0.5 * rate * q)
+    return np.sin(np.multiply(0.5 * rate, q, out=out), out=out)
+
+
+def _single_power(coeffs, l_los, l_ref, q, out=None):
+    """Single-carrier power from :func:`_single_coeffs` and ray terms, written
+    into ``out`` and returned in it if given (:func:`_half_phase_sine`)."""
     amplitude, rate = coeffs
-    power = np.sin(0.5 * rate * q)
+    power = _half_phase_sine(rate, q, out)
     power *= power
     return _amplitude_bracket(amplitude, power, 4.0, l_los, l_ref, q)  # 2*(1 - cos(phase))
 
@@ -273,13 +285,18 @@ def _lower_bound_coeffs(f1, f2, p_t: float):
     return amplitude, one_minus_t * (2.0 - one_minus_t), TWO_PI * (f2 - f1) / SPEED_OF_LIGHT
 
 
-def _lower_bound_power(coeffs, l_los, l_ref, q):
-    """Envelope lower bound from :func:`_lower_bound_coeffs` and ray terms."""
+def _lower_bound_power(coeffs, l_los, l_ref, q, out=None):
+    """Envelope lower bound from :func:`_lower_bound_coeffs` and ray terms,
+    written into ``out`` and returned in it if given (:func:`_half_phase_sine`);
+    then its root takes one temporary."""
     amplitude, cross, rate = coeffs
-    power = np.sin(0.5 * rate * q)
+    power = _half_phase_sine(rate, q, out)
     power *= power
     power *= cross  # g = (1 - t**2)*sin^2(phase/2) <= 1, so the root needs no clamp
-    power /= 1.0 + np.sqrt(1.0 - power)  # 1 - sqrt(1 - g), without cancelling
+    root = 1.0 - power
+    root = np.sqrt(root) if out is None else np.sqrt(root, out=root)
+    root += 1.0
+    power /= root  # 1 - sqrt(1 - g) as g/(1 + sqrt(1 - g)), without cancelling
     return _amplitude_bracket(amplitude, power, 2.0, l_los, l_ref, q)
 
 

@@ -77,6 +77,12 @@ _GRID_PHASE_STEP = 0.01
 _GRID_MIN_POINTS = 1024
 _GRID_MAX_POINTS = 10**6
 
+# The constants of scipy 1.17's bounded Brent search, as it writes them: its
+# sqrt(2.2e-16) is not sqrt(eps), and its evaluation cap is maxiter's default.
+_BRENT_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_BRENT_MAXFUN = 500
+
 
 @dataclass(frozen=True)
 class DistanceInterval:
@@ -187,13 +193,14 @@ def _take_lower(result, at, power, argmin) -> None:
 def _endpoints(kernel, users: np.ndarray, out) -> None:
     """Write the endpoint candidates of ``users`` (rows as in :func:`worst_cases`)
     against every entry of ``kernel`` (:func:`freqassign.channel._kernel`) into ``out``,
-    their rows of the result arrays; the lower endpoint only where it may win."""
+    their rows of the result arrays; the lower endpoint only where it may win.
+    The upper endpoint's powers are computed in ``out[0]`` itself."""
     _, coeffs, power = kernel
     _, *heights, d_min, d_max = users.T[:, :, None]
     at_max = _ray_terms(heights, d_max)
-    p_hi = power(coeffs, *at_max)
+    p_hi = power(coeffs, *at_max, out=out[0])
     at_min = _ray_terms(heights, d_min)
-    cols, p_lo, at_lo = slice(None), p_hi, False  # the columns of p_lo: all, some or None
+    cols, at_lo = slice(None), False  # the columns of p_lo: all, some or None
     # The kernel's own product at d_min: it overflows only where the kernel would.
     falls = (0.5 * coeffs[-1]) * at_min[2].max() <= 0.5 * math.pi
     # Unless most entries fall, skipping the rest costs more than it saves.
@@ -209,7 +216,8 @@ def _endpoints(kernel, users: np.ndarray, out) -> None:
             p_lo[:, cols] = evaluated
         # Ties go to the earlier candidate: lower endpoint, upper endpoint, null.
         at_lo = p_lo <= p_hi
-    for a, lo, hi in zip(out, (p_lo, d_min, 0), (p_hi, d_max, 1)):
+        np.copyto(p_hi, p_lo, where=at_lo)
+    for a, lo, hi in zip(out[1:], (d_min, 0), (d_max, 1)):
         np.copyto(a, hi)
         np.copyto(a, lo, where=at_lo)
 
@@ -368,6 +376,79 @@ def phase_uniform_grid(
     return d
 
 
+def _bounded_brent(func, lo: float, hi: float, xatol: float):
+    """``(x, func(x), evaluations)``: Brent's bounded minimization of ``func`` on
+    [lo, hi] (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 5), ported from scipy 1.17's ``_minimize_scalar_bounded`` to
+    Python floats with its constants, steps and stopping test, so that it
+    takes the same points bit for bit.  Golden-section steps, or parabolic
+    ones through the three best points where those stay inside and shrink;
+    each step at least tol1 = sqrt(2.2e-16)*|x| + xatol/3.  After
+    :data:`_BRENT_MAXFUN` evaluations it returns its best point so far.  NaN
+    values compare as in scipy: one is never taken as the best unless it is the
+    first, and then it is returned.  Bounds must be finite, lo <= hi, as scipy
+    requires.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError("bounds must be finite, lower bound first")
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN_MEAN * (b - a)  # best, second best, third best
+    rat = e = 0.0  # the last step and the one before
+    fx = fnfc = ffulc = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _BRENT_SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q  # + 0.0 as in scipy: -0.0 becomes 0.0
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:  # no closer than tol1 to an end
+                    rat = tol1 if xm - xf >= 0.0 else -tol1  # a, b and xf are not NaN here
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)  # times sign(rat) + (rat == 0), as in scipy
+        x = xf - step if rat < 0.0 else xf + step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _BRENT_SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx, num
+
+
 def grid_min(
     power_fn: Callable, interval: DistanceInterval, grid: np.ndarray
 ) -> WorstCaseResult:
@@ -376,15 +457,11 @@ def grid_min(
     ``power_fn`` must accept ndarray distances.  ``grid`` is the scan
     resolution policy; build it with :func:`phase_uniform_grid` so that the
     phase argument moves by at most 0.01 rad per step.  Every sampled local
-    minimum is then polished by a bounded scalar minimization before the
-    basins are ranked: near a deep null the grid samples sit well above the
-    basin floor, so ranking raw samples could pick the wrong basin.  Serves
-    as the independent oracle for the closed-form worst-case evaluations.
+    minimum is then polished by Brent's bounded search (:func:`_bounded_brent`)
+    before the basins are ranked: near a deep null the grid samples sit well
+    above the basin floor, so ranking raw samples could pick the wrong basin.
+    Serves as the independent oracle for the closed-form worst-case evaluations.
     """
-    # The oracle is the only user of scipy; importing it here keeps the
-    # theorem path and ``import freqassign`` free of scipy.optimize.
-    from scipy.optimize import minimize_scalar
-
     powers = np.asarray(power_fn(grid))
     candidates = [(float(powers[0]), float(grid[0]))]
     if grid.size > 1:
@@ -406,14 +483,9 @@ def grid_min(
             mid = (i_lo + i_hi) // 2
             best_p, best_d = float(powers[mid]), float(grid[mid])
             if hi > lo:
-                res = minimize_scalar(
-                    lambda d: float(power_fn(d)),
-                    bounds=(lo, hi),
-                    method="bounded",
-                    options={"xatol": max(1e-12, 1e-12 * hi)},
-                )
-                if res.fun < best_p:
-                    best_p, best_d = float(res.fun), float(res.x)
+                x, fun, _ = _bounded_brent(lambda d: float(power_fn(d)), lo, hi, max(1e-12, 1e-12 * hi))
+                if fun < best_p:
+                    best_p, best_d = fun, x
             candidates.append((best_p, best_d))
     best_p, best_d = min(candidates, key=lambda c: c[0])
     if best_d == interval.d_min:

@@ -569,7 +569,7 @@ def test_lower_endpoint_skipped_only_where_it_cannot_win(case, monkeypatch):
 
     def record(*args):
         omega, coeffs, power = make_kernel(*args)
-        return omega, coeffs, lambda *a: calls.append(1) or power(*a)
+        return omega, coeffs, lambda *a, **kw: calls.append(1) or power(*a, **kw)
 
     monkeypatch.setattr(worstcase, "_kernel", record)
     where = [(geom, DistanceInterval(d_min, d_max))]

@@ -96,12 +96,14 @@ MUTANTS = [
         "result = (out, out, out) if out",
         "tests/test_acceptance.py::test_criterion_8_benchmark_row_small",
     ),
+    # Its two extra (users, entries) arrays fault pages every trial; it fails
+    # test_packed_profits.py::test_table_peak_memory_is_the_packed_array_and_block_buffers too.
     Mutant(
         "worstcase: out= still forms argmin and kind arrays",
         "src/freqassign/worstcase.py",
         "result = (out,) if out",
         "result = (out, np.empty(shape), np.empty(shape, int)) if out",
-        "tests/test_packed_profits.py::test_table_peak_memory_is_the_packed_array_and_block_buffers",
+        "tests/test_inplace_kernels.py::test_paper_trials_take_no_page_faults_without_scipy",
     ),
     Mutant(
         "profits: carrier call forms argmin and kind arrays",
@@ -224,12 +226,20 @@ MUTANTS = [
         "_amplitude_bracket(amplitude, power, 2.0,",
         "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
     ),
+    # Both kernels' sine, plain (scalars) and written into out= (tables).
     Mutant(
-        "channel: carrier's sine at the full phase",
+        "channel: kernels' sine at the full phase",
         "src/freqassign/channel.py",
-        "amplitude, rate = coeffs\n    power = np.sin(0.5 * rate * q)",
-        "amplitude, rate = coeffs\n    power = np.sin(rate * q)",
+        "        return np.sin(0.5 * rate * q)\n",
+        "        return np.sin(rate * q)\n",
         "tests/test_acceptance.py::test_criterion_2_single_frequency_worst_case",
+    ),
+    Mutant(
+        "channel: kernels' sine in out= at the full phase",
+        "src/freqassign/channel.py",
+        "np.multiply(0.5 * rate, q, out=out)",
+        "np.multiply(rate, q, out=out)",
+        "tests/test_acceptance.py::test_criterion_3_two_frequency_worst_case",
     ),
     Mutant(
         "channel: kernels' radial term not squared",
@@ -242,8 +252,8 @@ MUTANTS = [
     Mutant(
         "channel: pair bound's root without 1 + in its denominator",
         "src/freqassign/channel.py",
-        "power /= 1.0 + np.sqrt(1.0 - power)",
-        "power /= np.sqrt(1.0 - power)",
+        "    root += 1.0\n",
+        "",
         "tests/test_acceptance.py::test_criterion_3_two_frequency_worst_case",
     ),
     Mutant(
@@ -326,7 +336,8 @@ MUTANTS = [
         "src/freqassign/worstcase.py",
         "users = np.array([(min(g.h_tx, g.h_rx),",
         "users = np.array([(max(g.h_tx, g.h_rx),",
-        "tests/test_table_pass.py::test_edge_users_match_reference",
+        # Its extra null rows fault pages; test_table_pass.py::test_edge_users_match_reference fails too.
+        "tests/test_inplace_kernels.py::test_paper_trials_take_no_page_faults_without_scipy",
     ),
     Mutant(
         "worstcase: prefilter at the shortest user",
@@ -691,6 +702,45 @@ MUTANTS = [
         "        brackets.append((grid.size - 2, grid.size - 1))\n",
         "",
         "tests/test_worstcase.py::TestGridMin::test_minimum_between_an_endpoint_and_its_neighbour",
+    ),
+    # worstcase._bounded_brent: scipy's bounded Brent search on Python floats,
+    # held against scipy bit for bit.  The bracket differential kills the
+    # first three; the equality case of the parabola's acceptance and the cap
+    # need the synthetic brackets.
+    Mutant(
+        "worstcase: Brent's golden mean rounded",
+        "src/freqassign/worstcase.py",
+        "_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))",
+        "_GOLDEN_MEAN = 0.381966",
+        "tests/test_bounded_brent.py::test_every_polish_bracket_of_criterion_6_draws",
+    ),
+    Mutant(
+        "worstcase: Brent's sqrt(2.2e-16) as sqrt(eps)",
+        "src/freqassign/worstcase.py",
+        "_BRENT_SQRT_EPS = math.sqrt(2.2e-16)",
+        "_BRENT_SQRT_EPS = math.sqrt(np.finfo(float).eps)",
+        "tests/test_bounded_brent.py::test_every_polish_bracket_of_criterion_6_draws",
+    ),
+    Mutant(
+        "worstcase: Brent's second best kept where it is the best",
+        "src/freqassign/worstcase.py",
+        "if (fu <= fnfc) or (nfc == xf):",
+        "if fu <= fnfc:",
+        "tests/test_bounded_brent.py::test_every_polish_bracket_of_criterion_6_draws",
+    ),
+    Mutant(
+        "worstcase: Brent's parabola accepted at half the step before last",
+        "src/freqassign/worstcase.py",
+        "abs(p) < abs(0.5 * q * r)",
+        "abs(p) <= abs(0.5 * q * r)",
+        "tests/test_bounded_brent.py::test_synthetic_brackets",
+    ),
+    Mutant(
+        "worstcase: Brent's evaluation cap one late",
+        "src/freqassign/worstcase.py",
+        "if num >= _BRENT_MAXFUN:",
+        "if num > _BRENT_MAXFUN:",
+        "tests/test_bounded_brent.py::test_synthetic_brackets",
     ),
     Mutant(
         "ledger 10: FrequencyPair.of accepts equal frequencies",
