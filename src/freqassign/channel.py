@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -138,9 +138,13 @@ def _ray_terms(heights, d):
 
 
 def _checked_ray_terms(geom: SceneGeometry, d):
-    """(l_los, l_ref, q) of :func:`_ray_terms` at ground distances d >= 0."""
-    d = np.asarray(d, dtype=float)
-    if (d < 0).any():
+    """(l_los, l_ref, q) of :func:`_ray_terms` at ground distances d >= 0; NaN
+    fails, +inf passes (both rays infinitely long, 0 W).  ``[()]`` makes a
+    scalar d a numpy scalar, not a 0-d array, on which each ufunc costs about
+    ten times as much, and an array a view of itself.  The guards count with
+    np.count_nonzero, which costs a fraction of ``.any()`` on a scalar."""
+    d = np.asarray(d, dtype=float)[()]
+    if np.count_nonzero(d >= 0) != d.size:
         raise ValueError("ground distance must be nonnegative")
     return _ray_terms(geom._heights, d)
 
@@ -151,7 +155,8 @@ def path_lengths(geom: SceneGeometry, d) -> PathLengths:
     l_los = sqrt((h_tx - h_rx)^2 + d^2)
     l_ref = sqrt((h_tx + h_rx)^2 + d^2)
 
-    ``d`` may be a scalar or an ndarray of ground distances in meters.
+    ``d`` may be a scalar or an ndarray of ground distances in meters, each
+    nonnegative (+inf included); NaN is refused.
     """
     l_los, l_ref, _ = _checked_ray_terms(geom, d)
     if l_los.ndim == 0:
@@ -356,10 +361,28 @@ def _kernel(f1, f2, p_t: float, shares: int = 1):
     return omega, coeffs, power
 
 
+# Scalar queries repeat one carrier or pair and transmit power call after call
+# (the oracle's Brent polish); a query at a new one evicts the oldest.
+_cached_kernel = lru_cache(maxsize=16, typed=True)(_kernel)
+
+
+def _scalar_kernel(f1, f2, p_t, shares: int = 1):
+    """:func:`_kernel` of the public kernels, cached on its arguments and their
+    types: a numpy float32 equals a float of the same value, but computes in
+    float32.  A hashable argument is a number, so a cached result holds
+    numbers and a function, which no caller can change.  A refusal raises
+    again on each call (no exception is cached), and an unhashable argument,
+    such as a 0-d array, builds its kernel anew."""
+    try:
+        return _cached_kernel(f1, f2, p_t, shares)
+    except TypeError:  # unhashable; a TypeError of _kernel's own is raised again
+        return _kernel(f1, f2, p_t, shares)
+
+
 def _power(geom: SceneGeometry, d, kernel, other=None):
     """Power of a :func:`_kernel` result, plus ``other``'s if given, at ground distances d [W]."""
     terms = _checked_ray_terms(geom, d)
-    if (terms[0] == 0.0).any():
+    if np.count_nonzero(terms[0] == 0.0):
         raise ValueError("singular geometry: d=0 with h_tx == h_rx")
     power = kernel[2](kernel[1], *terms)
     return power if other is None else power + other[2](other[1], *terms)
@@ -385,14 +408,15 @@ def receive_power_single(
     geom : SceneGeometry
         Antenna heights [m].
     d : float or ndarray
-        Ground distance(s) [m]; d=0 is rejected when h_tx == h_rx because
-        the line-of-sight length vanishes there.
+        Ground distance(s) [m], nonnegative; NaN is refused, and +inf gives
+        0 W.  d=0 is rejected when h_tx == h_rx because the line-of-sight
+        length vanishes there.
     freq : CarrierFrequency
         Carrier.
     p_t : float
         Transmit power [W].
     """
-    return _power(geom, d, _kernel(freq.f, None, p_t))
+    return _power(geom, d, _scalar_kernel(freq.f, None, p_t))
 
 
 def sum_power_two(
@@ -412,7 +436,7 @@ def sum_power_two(
     :func:`receive_power_single` at omega1 plus at omega2, each at P_t/2,
     on one set of ray terms.
     """
-    return _power(geom, d, _kernel(pair.f1, None, p_t, 2), _kernel(pair.f2, None, p_t, 2))
+    return _power(geom, d, _scalar_kernel(pair.f1, None, p_t, 2), _scalar_kernel(pair.f2, None, p_t, 2))
 
 
 def sum_power_lower_bound(
@@ -439,7 +463,7 @@ def sum_power_lower_bound(
     a_i = (P_t/2)*(c/(2*omega_i))^2, g = (1 - t^2)*sin^2(delta_omega*(lr-l)/(2c))
     and t = (a1 - a2)/A.
     """
-    return _power(geom, d, _kernel(pair.f1, pair.f2, p_t))
+    return _power(geom, d, _scalar_kernel(pair.f1, pair.f2, p_t))
 
 
 def envelope_identity_residual(omega1, omega2, t):

@@ -115,11 +115,15 @@ class TestPathLengths:
         assert lens.l_los == pytest.approx(1.0)
         assert lens.l_ref == pytest.approx(7.0)
 
-    def test_negative_distance_rejected(self):
+    @pytest.mark.parametrize("fn", [path_lengths, path_difference])
+    @pytest.mark.parametrize(
+        "d",
+        [-1.0, np.array([10.0, -1e-9, 30.0]), math.nan, np.array([10.0, math.nan, 30.0])],
+        ids=["scalar", "array", "nan", "nan-in-array"],
+    )
+    def test_negative_distance_rejected(self, fn, d):
         with pytest.raises(ValueError, match="ground distance must be nonnegative"):
-            path_lengths(EX_GEOM, -1.0)
-        with pytest.raises(ValueError, match="ground distance must be nonnegative"):
-            path_lengths(EX_GEOM, np.array([10.0, -1e-9, 30.0]))
+            fn(EX_GEOM, d)
 
     def test_length_identity(self):
         # l_ref^2 - l_los^2 = 4 h_tx h_rx regardless of distance; the

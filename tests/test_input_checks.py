@@ -287,7 +287,11 @@ def test_pair_from_nonpositive_spacing(spacing):
     ],
     ids=["single", "sum", "lower-bound"],
 )
-@pytest.mark.parametrize("d", [-1.0, np.array([10.0, -1e-9, 30.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "d",
+    [-1.0, np.array([10.0, -1e-9, 30.0]), math.nan, np.array([10.0, math.nan, 30.0])],
+    ids=["scalar", "array", "nan", "nan-in-array"],
+)
 def test_negative_distance(kernel, carrier, d):
     with pytest.raises(ValueError, match="ground distance must be nonnegative"):
         kernel(EX_GEOM, d, carrier)

@@ -474,16 +474,45 @@ MUTANTS = [
     Mutant(
         "channel: negative distance accepted",
         "src/freqassign/channel.py",
-        "if (d < 0).any():",
+        "if np.count_nonzero(d >= 0) != d.size:",
         "if False:",
+        "tests/test_channel.py::TestPathLengths::test_negative_distance_rejected",
+    ),
+    Mutant(
+        "channel: NaN distance accepted",
+        "src/freqassign/channel.py",
+        "if np.count_nonzero(d >= 0) != d.size:",
+        "if np.count_nonzero(d < 0):",
         "tests/test_channel.py::TestPathLengths::test_negative_distance_rejected",
     ),
     Mutant(
         "channel: singular geometry accepted",
         "src/freqassign/channel.py",
-        "if (terms[0] == 0.0).any():",
+        "if np.count_nonzero(terms[0] == 0.0):",
         "if False:",
         "tests/test_channel.py::TestReceivePowerSingle::test_equal_heights_singular_at_zero",
+    ),
+    # channel: the scalar kernels' constants cache.
+    Mutant(
+        "channel: kernel cache keyed without p_t",
+        "src/freqassign/channel.py",
+        "return _cached_kernel(f1, f2, p_t, shares)",
+        "return _cached_kernel(f1, f2, globals().setdefault('_P_T', {}).setdefault((f1, f2, shares), p_t), shares)",
+        "tests/test_channel.py::TestReceivePowerSingle::test_transmit_power_scaling",
+    ),
+    Mutant(
+        "channel: kernel cache keys equal across numeric types",
+        "src/freqassign/channel.py",
+        "lru_cache(maxsize=16, typed=True)",
+        "lru_cache(maxsize=16)",
+        "tests/test_scalar_kernel_calls.py::test_argument_types_accepted_or_refused_as_before",
+    ),
+    Mutant(
+        "channel: kernel cache bypassed",
+        "src/freqassign/channel.py",
+        "return _cached_kernel(f1, f2, p_t, shares)",
+        "return _kernel(f1, f2, p_t, shares)",
+        "tests/test_scalar_kernel_calls.py::test_repeated_calls_build_the_kernel_once",
     ),
     Mutant(
         "channel: envelope identity accepts a nonpositive lower rate",
