@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import numbers
 import os
 import sys
@@ -23,7 +22,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .channel import CarrierFrequency, to_decibel
+from .channel import CarrierFrequency, _is_number, to_decibel
 from .profits import SystemConfig, UserProfile, build_profit_table
 from .qmkp import (
     Instance,
@@ -46,11 +45,6 @@ SOLVERS = {
     "rr_block": lambda instance, seed: assign_rr_block(instance),
     "rr_profits": lambda instance, seed: assign_rr_profits(instance),
 }
-
-
-def _is_number(value) -> bool:
-    """A finite real number; bool is an int, but never a number here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # Type checks of ScenarioConfig's fields by annotation, run before any

@@ -14,6 +14,7 @@ happens only at presentation boundaries via :func:`to_decibel`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -27,10 +28,16 @@ TWO_PI = 2.0 * math.pi
 MAX_NULLS = 10**6
 
 
+def _is_number(value) -> bool:
+    """A finite float or int, numpy's too: no bool, no array, no int past the float range."""
+    real = isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+    return real and (abs(value) <= sys.float_info.max if type(value) is int else math.isfinite(value))
+
+
 def _positive_finite(*values) -> bool:
-    """True when every value is a finite number above zero (NaN fails)."""
+    """True when every value is a number (:func:`_is_number`) above zero."""
     for v in values:  # a loop, not all(): the input types call this per query
-        if not 0.0 < v < math.inf:
+        if not (_is_number(v) and v > 0.0):
             return False
     return True
 
@@ -61,7 +68,7 @@ class CarrierFrequency:
     def __post_init__(self):
         # The kernels square c/(2*omega), which overflows below about 1.8e-147 Hz.
         # No kernel squares omega; its square bounds the range above, at 2.1e153 Hz.
-        omega = self.omega
+        omega = self.omega if _is_number(self.f) else math.nan
         amplitude = SPEED_OF_LIGHT / (2.0 * omega) if omega else math.inf
         if not _positive_finite(self.f, omega * omega, amplitude * amplitude):
             raise ValueError("frequency must be positive, with a finite angular rate 2*pi*f "
@@ -339,12 +346,12 @@ def _kernel(f1, f2, p_t: float, shares: int = 1):
     the oscillation (the carrier, or the pair's spacing), power
     :func:`_single_power` or :func:`_lower_bound_power`, coeffs its constants,
     the first one the amplitude and the last one omega / c.  Refuses a transmit
-    power that is not positive and finite, then an amplitude that leaves the
-    float range: a carrier's P_t*(c/(2*omega))**2, a pair's a1 + a2.  The
-    constants are formed without numpy's overflow warning, so an overflow is
-    only the refusal, and arrays are checked with one ``.all()``.
+    power that is not a positive number (:func:`_positive_finite`), then an
+    amplitude that leaves the float range: a carrier's P_t*(c/(2*omega))**2, a
+    pair's a1 + a2.  The constants are formed without numpy's overflow warning,
+    so an overflow is only the refusal.
     """
-    if not 0.0 < p_t < math.inf:  # NaN fails too
+    if not _positive_finite(p_t):
         raise ValueError("transmit power must be positive and finite")
     with np.errstate(over="ignore"):
         if f2 is None:
@@ -356,7 +363,7 @@ def _kernel(f1, f2, p_t: float, shares: int = 1):
             coeffs, power = _lower_bound_coeffs(f1, f2, p_t), _lower_bound_power
             what = "carriers and transmit power put a1 + a2"
     v = coeffs[0]
-    if not (0.0 < v < math.inf if type(v) is float else ((0.0 < v) & (v < math.inf)).all()):
+    if not np.all((0.0 < v) & (v < math.inf)):
         raise ValueError(what + " outside the float range")
     return omega, coeffs, power
 
@@ -482,8 +489,10 @@ def envelope_identity_residual(omega1, omega2, t):
     omega1 = np.asarray(omega1, dtype=float)
     omega2 = np.asarray(omega2, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(omega1 <= 0) or np.any(omega2 <= 0):
-        raise ValueError("angular frequencies must be positive")
+    if not np.all((0.0 < omega1) & (omega1 < math.inf) & (0.0 < omega2) & (omega2 < math.inf)):
+        raise ValueError("angular frequencies must be positive and finite")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
     a = omega1 * t
     b = omega2 * t
     iw1, iw2 = 1.0 / omega1**2, 1.0 / omega2**2

@@ -17,11 +17,12 @@ import sys
 
 import numpy as np
 
-from .bench import SOLVERS, ScenarioConfig, _is_number, export_report, run_benchmark, write_output
+from .bench import SOLVERS, ScenarioConfig, export_report, run_benchmark, write_output
 from .channel import (
     CarrierFrequency,
     FrequencyPair,
     SceneGeometry,
+    _is_number,
     _positive_finite,
     null_distances,
     receive_power_single,

@@ -116,45 +116,43 @@ def _basin_minimum(heights, coeffs, a, b, hi):
     0 < a <= b <= hi, with the bound falling at a unless a is the interval's
     d_min.  The bound's slope (:func:`freqassign.channel._lower_bound_slope`)
     is evaluated once at a and once at b.  A row whose bound falls at a and
-    rises at b searches [a, b] for the slope's sign change, one slope
-    evaluation per pass: from the secant point of those two slopes, Newton
-    steps on secant slopes, each kept inside the bracket that the signs
-    leave; a step out of it, or not below half the step before last, is a
-    bisection instead.  It stops once its step is within
-    tol = sqrt(eps)*x + 1e-12*hi/3 of its iterate x, at the step's end, and
-    takes that point.  Every other row takes the lower of the bound at a and
-    at hi, ties to a.  Rows iterate together as arrays, each leaving in the
-    pass that stops it, so no row depends on its batch.  A row not stopped
-    after :data:`_SLOPE_PASSES` passes raises.
+    rises at b takes the stop of :func:`_slope_search` as both candidates,
+    every other row a and hi; one closing evaluation of the bound at each
+    row's two candidates takes the lower, ties to the first.
     """
     if not a.size:  # as in every narrow-band call
         return a, a
     ends = np.array([a, b])
     s_a, s_b = _lower_bound_slope(coeffs, ends, *_ray_terms(heights, ends))
-    dips = (s_a < 0.0) & (s_b > 0.0)
-    power, argmin = np.empty(a.size), np.empty(a.size)
-    rows = np.flatnonzero(~dips)
-    ends = np.array([a[rows], hi[rows]])
-    p = _lower_bound_power([c[rows] for c in coeffs], *_ray_terms([h[rows] for h in heights], ends))
-    power[rows], argmin[rows] = p.min(axis=0), np.where(p[1] < p[0], ends[1], ends[0])
-    rows = np.flatnonzero(dips)
-    if not rows.size:  # as in every paper call: the setup below costs ~60 us
-        return power, argmin
+    ends[1] = hi
+    rows = np.flatnonzero((s_a < 0.0) & (s_b > 0.0))
+    if rows.size:  # none in a paper call; the search's setup costs ~60 us
+        ends[:, rows] = _slope_search(*(x[rows] for x in (a, b, s_a, s_b, hi, *coeffs, *heights)))
+    p = _lower_bound_power(coeffs, *_ray_terms(heights, ends))
+    return p.min(axis=0), np.where(p[1] < p[0], ends[1], ends[0])
 
+
+def _slope_search(a, b, s_a, s_b, hi, *constants):
+    """The stop of each searching row of :func:`_basin_minimum` (at least
+    one) on its bracket [a, b], with slopes s_a < 0 < s_b there; ``constants``
+    are the rows' pair constants, then height terms.  One slope evaluation
+    per pass: from the secant point of s_a and s_b, Newton steps on secant
+    slopes, each kept inside the bracket that the signs leave; a step out of
+    it, or not below half the step before last, is a bisection instead.  A
+    row stops once its step is within tol = sqrt(eps)*x + 1e-12*hi/3 of its
+    iterate x, at the step's end.  Rows iterate together as arrays, each
+    leaving in the pass that stops it, so no row depends on its batch.  A
+    row not stopped after :data:`_SLOPE_PASSES` passes raises.
+    """
     # Per row: bracket [a, b], iterate x, previous iterate and its slope, the
     # lengths of the step before last and of the last step; then the row's
     # tolerance term, constants and heights.  The secant point rounds to b
     # where s_b is below eps/2 times -s_a; the row starts one float below b
     # then, so that its first secant has a length.
-    a, b, s_a, s_b = a[rows], b[rows], s_a[rows], s_b[rows]
     start = np.minimum(a - s_a * ((b - a) / (s_b - s_a)), np.nextafter(b, a))
-    constants = np.vstack([1e-12 * hi / 3.0, *coeffs, *heights])[:, rows]
-    state = np.vstack([a, b, start, b, s_b, b - a, b - a, constants])
-    at = np.arange(rows.size)  # each row's place in ``rows``
-    stops = np.empty(rows.size)
+    state = np.vstack([a, b, start, b, s_b, b - a, b - a, 1e-12 * hi / 3.0, *constants])
+    at, stops = np.arange(a.size), np.empty(a.size)  # at: each row's place in stops
     for _ in range(_SLOPE_PASSES):
-        if not at.size:
-            break
         a, b, x, x_prev, s_prev, before_last, last, xatol3 = state[:8]
         s = _lower_bound_slope(state[8:11], x, *_ray_terms(state[11:], x))
         rate = (s - s_prev) / (x - x_prev)
@@ -172,13 +170,10 @@ def _basin_minimum(heights, coeffs, a, b, hi):
         state[:7] = np.array([a, b, u, x, s, last, step])  # x and last are views of state
         if stop.any():
             stops[at[stop]] = u[stop]
-            keep = ~stop
-            at, state = at[keep], state[:, keep]
-    if at.size:
-        raise RuntimeError(f"basin search still running after {_SLOPE_PASSES} slope passes")
-    power[rows] = _lower_bound_power(constants[1:4], *_ray_terms(constants[4:], stops))
-    argmin[rows] = stops
-    return power, argmin
+            at, state = at[~stop], state[:, ~stop]
+            if not at.size:
+                return stops
+    raise RuntimeError(f"basin search still running after {_SLOPE_PASSES} slope passes")
 
 
 def _take_lower(result, at, power, argmin) -> None:

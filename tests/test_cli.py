@@ -454,6 +454,17 @@ class TestAssign:
         assert code != 0
         assert "entry 0" in err
 
+    def test_user_value_beyond_the_float_range_rejected(self, capsys, tmp_path, freqs_file):
+        # A JSON integer loads as a Python int of any length; one too long for
+        # a float once escaped as an OverflowError traceback.
+        bad = tmp_path / "huge.json"
+        bad.write_text('[{"h_rx_m": 1' + "0" * 400 + ', "d_min_m": 30.0, "d_max_m": 60.0}]')
+        code, out, err = run(
+            capsys, ["assign", "--users", str(bad), "--freqs", freqs_file]
+        )
+        assert code == 2 and out == ""
+        assert "entry 0" in err and "h_rx_m: expected a finite number" in err
+
     @pytest.mark.parametrize("field", ["h_rx_m", "d_min_m", "d_max_m"])
     def test_boolean_user_value_rejected(self, capsys, tmp_path, freqs_file, field):
         # JSON true loads as a Python bool, an int subclass equal to 1

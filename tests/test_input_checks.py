@@ -26,6 +26,7 @@ from freqassign import (
     assign_rr_profits,
     assign_rr_simple,
     build_profit_table,
+    envelope_identity_residual,
     feasible,
     grid_min,
     phase_uniform_grid,
@@ -270,6 +271,87 @@ def test_one_refusal_rule_for_scalar_queries_and_tables(kind, p_t):
         bound = _expected(p_t, _PAIR, _pair_constant(f1, f2, p_t))
         expected += [((f1, f2), _expected(p_t, _CARRIER, *halves))] + [((f1, f2), bound)] * 2
     assert list(zip([f for f, _ in expected], got)) == expected
+
+
+# One rule for a number at every boundary (channel._is_number): a finite real
+# scalar that is not a bool.  No array is one, not even a 0-d or one-element
+# one, so each of these forms is refused by name where it enters.
+_NOT_NUMBERS = {
+    "bool": True,
+    "0-d array": np.array(10.0),
+    "1-element array": np.array([10.0]),
+    "2-element array": np.array([10.0, 20.0]),
+    "str": "10",
+    "None": None,
+    "nan": math.nan,
+    "int beyond the float range": 10**400,
+}
+_GEOMETRY = "antenna heights must be positive and finite"
+_INTERVAL = "interval requires finite 0 < d_min <= d_max"
+_FREQUENCY = "frequency must be positive, with a finite angular rate"
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS.values(), ids=_NOT_NUMBERS)
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda v: SceneGeometry(v, 1.5), _GEOMETRY),
+        (lambda v: SceneGeometry(10.0, v), _GEOMETRY),
+        (lambda v: DistanceInterval(v, 100.0), _INTERVAL),
+        (lambda v: DistanceInterval(30.0, v), _INTERVAL),
+        (CarrierFrequency, _FREQUENCY),
+        (lambda v: FrequencyPair(1.0, v), _FREQUENCY),
+        (lambda v: UserProfile(v, EX_INTERVAL), "receiver height must be positive and finite"),
+        (lambda v: SystemConfig(h_tx=v), "transmitter height must be positive and finite"),
+        (lambda v: SystemConfig(h_tx=10.0, p_t=v), "transmit power must be positive and finite"),
+    ],
+    ids=["h_tx", "h_rx", "d_min", "d_max", "carrier", "pair", "user", "system-h_tx", "system-p_t"],
+)
+def test_constructor_refuses_a_value_that_is_not_a_number(make, match, value):
+    with pytest.raises(ValueError, match=match):
+        make(value)
+
+
+@pytest.mark.parametrize(
+    "number", [10, np.float64(10.0), np.float32(10.0), np.int64(10)], ids=["int", "float64", "float32", "int64"]
+)
+def test_constructor_accepts_real_scalars(number):
+    SceneGeometry(number, 1.5)
+    DistanceInterval(5.0, number)
+    CarrierFrequency(number * 10**8)
+    UserProfile(number, EX_INTERVAL)
+    SystemConfig(h_tx=number, p_t=number)
+
+
+@pytest.mark.parametrize("p_t", [v for k, v in _NOT_NUMBERS.items() if k != "nan"],
+                         ids=[k for k in _NOT_NUMBERS if k != "nan"])
+@pytest.mark.parametrize("query", [worst_case_single, worst_case_pair, "table"])
+def test_worst_cases_refuse_a_transmit_power_that_is_not_a_number(query, p_t):
+    # A one-element array once gave a shape-(1,) power from a scalar query, a
+    # str a TypeError; the worst cases and tables now refuse them by name.
+    with pytest.raises(ValueError, match="transmit power must be positive and finite"):
+        if query == "table":
+            worst_cases([(EX_GEOM, EX_INTERVAL)], [2.4e9, 2.5e9], None, p_t)
+        else:
+            query(EX_GEOM, EX_INTERVAL, EX_FREQ_HIGH if query is worst_case_single else EX_PAIR, p_t)
+
+
+@pytest.mark.parametrize(
+    "omegas",
+    [(math.nan, 1e9), (1e9, math.nan), (math.inf, 1e9), (1e9, -math.inf), (0.0, 1e9),
+     (np.array([1e9, math.nan]), 2e9)],
+    ids=["nan-lower", "nan-upper", "inf-lower", "-inf-upper", "zero", "nan-in-array"],
+)
+def test_envelope_identity_refuses_a_non_finite_or_non_positive_frequency(omegas):
+    with pytest.raises(ValueError, match="angular frequencies must be positive and finite"):
+        envelope_identity_residual(*omegas, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([0.0, math.nan])],
+                         ids=["nan", "inf", "-inf", "nan-in-array"])
+def test_envelope_identity_refuses_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="time must be finite"):
+        envelope_identity_residual(1e9, 2.3e9, t)
 
 
 @pytest.mark.parametrize("spacing", [0.0, -1e6])

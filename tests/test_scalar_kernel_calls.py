@@ -10,6 +10,9 @@ d a numpy scalar rather than a 0-d array and counts its guards with
 Every result keeps the bits and the type of the expressions these replace,
 kept below as the reference, and every argument is accepted or refused as
 before; only a NaN distance, which the reference let through, is refused.
+A carrier or a transmit power that is not a number (``channel._is_number``:
+a bool, a str, None, an array of any shape) is refused with its named
+ValueError, by the constructors and the kernels alike.
 """
 
 import math
@@ -239,6 +242,8 @@ POWER_FORMS = {
     "zero": 0.0,
     "inf": math.inf,
 }
+REFUSED_FREQUENCIES = ("0-d array", "1-element array")
+REFUSED_POWERS = ("bool", "0-d array", "1-element array", "2-element array", "str", "None", "zero", "inf")
 
 
 @pytest.mark.parametrize("p_t", POWER_FORMS)
@@ -247,14 +252,26 @@ POWER_FORMS = {
 def test_argument_types_accepted_or_refused_as_before(name, freqs, p_t):
     """Each form after a float call at equal values, whose kernel is cached:
     the result must be the reference's, a refusal the same exception, and
-    no argument may become an unhashable-key TypeError."""
+    no argument may become an unhashable-key TypeError.  A carrier that is
+    not a number is refused by its constructors, and a transmit power that
+    is not a positive number by the kernels, each with its named ValueError."""
     new, reference = FUNCTIONS[name]
     f1, f2 = FREQUENCY_FORMS[freqs]
+    if freqs in REFUSED_FREQUENCIES:
+        for make in (lambda: CarrierFrequency(f1), lambda: FrequencyPair(f1, f2)):
+            with pytest.raises(ValueError, match="^frequency must be positive, with a finite"):
+                make()
+        return
     freq, pair = CarrierFrequency(f1), FrequencyPair(f1, f2)
+    refused = p_t in REFUSED_POWERS
     p_t = POWER_FORMS[p_t]
     d = np.array([30.0, 77.7])
     new(EX_GEOM, d, CarrierFrequency(2.4e9), FrequencyPair(2.4e9, 2.5e9), 0.5)
     expected = _outcome(lambda: reference(EX_GEOM, d, freq, pair, p_t))
+    if refused:
+        assert expected == ("raises", ValueError, "transmit power must be positive and finite")
+    else:
+        assert expected[0] == "value"
     for _ in range(2):
         got = _outcome(lambda: new(EX_GEOM, d, freq, pair, p_t))
         assert _same_outcome(got, expected), (got, expected)

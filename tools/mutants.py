@@ -172,16 +172,38 @@ MUTANTS = [
     Mutant(
         "channel: transmit power unchecked by the kernels",
         "src/freqassign/channel.py",
-        "if not 0.0 < p_t < math.inf:  # NaN fails too",
-        "if False:  # NaN fails too",
+        "if not _positive_finite(p_t):",
+        "if False:",
         "tests/test_channel.py::test_transmit_power_must_be_positive_and_finite",
     ),
+    # channel: one rule for a number, _is_number, at every boundary.
     Mutant(
-        "channel: kernel constant of zero accepted on Python floats",
+        "channel: bool taken as a number",
         "src/freqassign/channel.py",
-        "0.0 < v < math.inf if type(v) is float",
-        "v < math.inf if type(v) is float",
-        "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
+        " and not isinstance(value, bool)",
+        "",
+        "tests/test_cli.py::TestAssign::test_boolean_user_value_rejected",
+    ),
+    Mutant(
+        "channel: one-element array taken as a number",
+        "src/freqassign/channel.py",
+        "(float, int, np.floating, np.integer)",
+        "(float, int, np.floating, np.integer, np.ndarray)",
+        "tests/test_input_checks.py::test_constructor_refuses_a_value_that_is_not_a_number",
+    ),
+    Mutant(
+        "channel: int beyond the float range taken as a number",
+        "src/freqassign/channel.py",
+        "abs(value) <= sys.float_info.max if type(value) is int else math.isfinite(value)",
+        "math.isfinite(value)",
+        "tests/test_cli.py::TestAssign::test_user_value_beyond_the_float_range_rejected",
+    ),
+    Mutant(
+        "channel: NaN angular frequency taken by the identity residual",
+        "src/freqassign/channel.py",
+        "(0.0 < omega1) & (omega1 < math.inf)",
+        "~((omega1 <= 0.0) | (omega1 == math.inf))",
+        "tests/test_input_checks.py::test_envelope_identity_refuses_a_non_finite_or_non_positive_frequency",
     ),
     Mutant(
         "channel: kernel amplitude unchecked",
@@ -198,9 +220,9 @@ MUTANTS = [
         "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
     ),
     Mutant(
-        "channel: kernel constant unchecked on arrays",
+        "channel: kernel constant's range unchecked",
         "src/freqassign/channel.py",
-        "((0.0 < v) & (v < math.inf)).all()",
+        "np.all((0.0 < v) & (v < math.inf))",
         "True",
         "tests/test_cli.py::test_carrier_constant_beyond_the_float_range_exits_2",
     ),
@@ -212,10 +234,10 @@ MUTANTS = [
         "tests/test_cli.py::test_oracle_grid_beyond_its_cap_exits_2",
     ),
     Mutant(
-        "channel: kernel constant of zero accepted on arrays",
+        "channel: kernel constant of zero accepted",
         "src/freqassign/channel.py",
-        "((0.0 < v) & (v < math.inf)).all()",
-        "(v < math.inf).all()",
+        "np.all((0.0 < v) & (v < math.inf))",
+        "np.all(v < math.inf)",
         "tests/test_input_checks.py::test_pair_bound_constant_outside_the_float_range",
     ),
     # channel: the single-carrier kernel in its exact form.
@@ -442,6 +464,13 @@ MUTANTS = [
         "tests/test_basin_search_differential.py::test_wideband_basin_rows",
     ),
     Mutant(
+        "worstcase: basin: searching rows keep a and hi",
+        "src/freqassign/worstcase.py",
+        "        ends[:, rows] = _slope_search(",
+        "        _slope_search(",
+        "tests/test_basin_search_differential.py::test_wideband_basin_rows",
+    ),
+    Mutant(
         "worstcase: basin rows rising at a take hi",
         "src/freqassign/worstcase.py",
         "p.min(axis=0), np.where(p[1] < p[0], ends[1], ends[0])",
@@ -517,15 +546,15 @@ MUTANTS = [
     Mutant(
         "channel: envelope identity accepts a nonpositive lower rate",
         "src/freqassign/channel.py",
-        "if np.any(omega1 <= 0) or np.any(omega2 <= 0):",
-        "if np.any(omega2 <= 0):",
+        "(0.0 < omega1) & (omega1 < math.inf) & (0.0",
+        "(0.0",
         "tests/test_channel.py::TestEnvelopeIdentity::test_rejects_nonpositive_frequencies",
     ),
     Mutant(
         "channel: envelope identity accepts a nonpositive upper rate",
         "src/freqassign/channel.py",
-        "if np.any(omega1 <= 0) or np.any(omega2 <= 0):",
-        "if np.any(omega1 <= 0):",
+        " & (0.0 < omega2) & (omega2 < math.inf)",
+        "",
         "tests/test_channel.py::TestEnvelopeIdentity::test_rejects_nonpositive_frequencies",
     ),
     Mutant(
